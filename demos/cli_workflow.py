@@ -12,7 +12,8 @@ Commands:
     simulate   Monte Carlo ensemble, summary statistics per time node
     sweep      one-axis parameter sweep of the liquidity rate
     check      structural identities and bounds on the solved systems
-    prob       barrier-crossing probability, analytic and Monte Carlo
+    prob       barrier-crossing probability by Monte Carlo, checked
+               against the reflection formula where it holds
 """
 
 import os

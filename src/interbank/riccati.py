@@ -178,6 +178,8 @@ def read_csv(path: str | os.PathLike) -> CoefficientPath:
         if fields[0] != "t":
             raise ValueError("first column must be t")
         rows = [[float(x) for x in line.split(",")] for line in fh if line.strip()]
+    if not rows:
+        raise ValueError("no data rows below the header")
     data = np.array(rows, dtype=float)
     grid = TimeGrid(t_end=float(data[-1, 0]), n_steps=len(rows) - 1)
     if not np.allclose(data[:, 0], grid.times(), rtol=0.0, atol=1e-12):

@@ -4,6 +4,12 @@ Each bank's diffusion mixes one global driver W0, one per-group driver Wk,
 and one idiosyncratic driver, with loadings (rho, sqrt(1-rho^2)*rho_k,
 sqrt(1-rho^2)*sqrt(1-rho_k^2)) that square-sum to one.
 
+The full simulator steps every bank.  Default probabilities and
+mean-field means step the group means alone: under an affine rule the
+within-group gap terms sum to zero, so the means follow a closed
+d-dimensional equation and their noise needs one slot per group, not one
+column per bank.
+
 Randomness is keyed per path: path p draws its entire normal block from
 its own generator seeded with (seed, p), so any partition of paths into
 batches or threads reproduces the same numbers.  Reductions over paths
@@ -90,9 +96,10 @@ class IncrementBatch:
 
     ``drivers[:, n, 0]`` is the global increment at step n, columns 1..d
     the group increments, all scaled by sqrt(dt); ``idiosyncratic`` holds
-    one sqrt(dt)-scaled column per bank.  ``x0_normals`` are unscaled
-    standard normals reserved for initial-state sampling; they are drawn
-    first so the stream layout never depends on whether X0 is random.
+    one sqrt(dt)-scaled column per bank or group slot.  ``x0_normals``
+    are unscaled standard normals reserved for initial-state sampling;
+    they are drawn first so the stream layout never depends on whether X0
+    is random.
     """
 
     start: int
@@ -130,7 +137,8 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     column draws no randomness and stays zero; fully independent markets
     pay for exactly one normal per bank per step.  The layout depends
     only on (spec, grid, n_banks_per_group), so simulations of the group
-    means alone reuse the identical driver columns.
+    means alone reuse the identical driver columns.  Callers that step
+    group means pass slot counts per group in place of bank counts.
 
     With ``reuse_buffers`` every yielded batch is a view into one arena
     that the next iteration overwrites; enable it only when each batch is
@@ -354,32 +362,44 @@ def _strategy_tables(strategy: FeedbackStrategy, grid: TimeGrid
     return gap, weights, inter
 
 
-def _bank_layout(vm: ValidatedMarket):
-    sizes = vm.group_sizes()
-    group_index = np.repeat(np.arange(len(sizes)), sizes)
-    sig = np.array([vm.groups[k].sigma for k in group_index])
-    loads = np.array([noise_loadings(vm.rho, g.rho_k) for g in vm.groups])
-    c0 = loads[group_index, 0]
-    cg = loads[group_index, 1]
-    ci = loads[group_index, 2]
-    return sizes, group_index, sig, (c0, cg, ci)
+def _growth_table(vm: ValidatedMarket, grid: TimeGrid) -> np.ndarray:
+    """Growth rates gamma_k at the left node of each step, [n_steps, d]."""
+    times = grid.times()[: grid.n_steps]
+    return np.array([[g.gamma(t) for g in vm.groups] for t in times])
 
 
-def _mixed_noise(batch: IncrementBatch, group_index: np.ndarray, sig,
+def _loadings(vm: ValidatedMarket, spec: NoiseSpec, groups: np.ndarray,
+              idio=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Volatility-scaled (global, group, idiosyncratic) loadings per column.
+
+    Column j belongs to group ``groups[j]``; ``idio`` rescales its
+    idiosyncratic loading.  A driver the spec never draws gets loading 0,
+    so its all-zero column is never read.
+    """
+    active = _active_driver_columns(spec)
+    sig = np.array([g.sigma for g in vm.groups])[groups]
+    loads = np.array([noise_loadings(vm.rho, g.rho_k)
+                      for g in vm.groups])[groups]
+    c0 = sig * loads[:, 0] * (0 in active)
+    cg = sig * loads[:, 1] * np.isin(1 + groups, active)
+    return c0, cg, sig * loads[:, 2] * idio
+
+
+def _mixed_noise(batch: IncrementBatch, groups: np.ndarray,
                  loads) -> np.ndarray:
-    """Per-bank diffusion increments: the unit-norm mixture of the global,
-    group, and idiosyncratic drivers scaled by the group volatility.
+    """Diffusion increments per column: the mixture of the global, group,
+    and idiosyncratic drivers with the loadings from :func:`_loadings`.
 
     Layers with zero weight are skipped, and an all-ones mixture returns
     the idiosyncratic block itself, so fully independent noise costs no
     copies.
     """
-    c0, cg, ci = (sig * c for c in loads)
+    c0, cg, ci = loads
     out = None
     if c0.any():
         out = c0 * batch.drivers[:, :, :1]
     if cg.any():
-        layer = cg * batch.drivers[:, :, 1 + group_index]
+        layer = cg * batch.drivers[:, :, 1 + groups]
         out = layer if out is None else np.add(out, layer, out=out)
     if ci.any():
         if out is None:
@@ -388,7 +408,7 @@ def _mixed_noise(batch: IncrementBatch, group_index: np.ndarray, sig,
             return ci * batch.idiosyncratic
         out += ci * batch.idiosyncratic
     if out is None:
-        out = np.zeros_like(batch.idiosyncratic)
+        out = np.zeros(batch.drivers.shape[:2] + (len(groups),))
     return out
 
 
@@ -406,17 +426,36 @@ def _run_batches(spec: NoiseSpec, grid: TimeGrid, sizes, worker,
         return list(pool.map(worker, batches))
 
 
-def _per_bank_tables(gap_t, w_t, int_t, gam_t, group_index, dt):
-    """Step tables broadcast to one column per bank, pre-scaled by dt.
+def _euler_means(start: np.ndarray, weights: np.ndarray, drift: np.ndarray,
+                 noise: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Euler steps of the closed linear SDE that group means follow.
 
-    Folding dt in here keeps the inner loop to one multiply and a few adds
-    per step; the weight matmul is skipped entirely when the averaging
-    weights vanish (decoupled markets).
+    m_{n+1} = m_n + (W_n m_n + b_n) dt + e_n for ``start`` [paths, s],
+    ``weights`` W [n_steps, s, s], ``drift`` b [n_steps, s] and increments
+    ``noise`` e [paths, n_steps, s].  Under any affine rule the gap terms
+    sum to zero within a group, so group means obey this recursion
+    exactly; so does one bank's deviation from its group mean, with
+    W = -gap and b = 0.  Returns every series at every node, time-major:
+    [n_steps + 1, paths, s].
     """
-    gap_b = np.ascontiguousarray(gap_t[:, group_index] * dt)
-    ig_b = np.ascontiguousarray((int_t + gam_t)[:, group_index] * dt)
-    wdt_t = w_t * dt
-    return gap_b, ig_b, wdt_t, bool(w_t.any())
+    dt = grid.dt
+    times = grid.times()
+    n_paths, n_steps, width = noise.shape
+    wdt = weights * dt if weights.any() else None
+    # Time-major increments: each step reads and writes contiguous rows.
+    inc = noise.transpose(1, 0, 2)
+    inc = inc + (drift * dt)[:, None, :] if drift.any() else \
+        np.ascontiguousarray(inc)
+    out = np.empty((n_steps + 1, n_paths, width))
+    out[0] = start
+    for n in range(n_steps):
+        m, nxt = out[n], out[n + 1]
+        np.add(m, inc[n], out=nxt)
+        if wdt is not None:
+            nxt += m @ wdt[n].T
+        if not np.abs(nxt).max() <= BLOWUP_LIMIT:
+            raise SimulationBlowUp(float(times[n + 1]))
+    return out
 
 
 def simulate_closed_loop(market: MarketParams | ValidatedMarket,
@@ -437,7 +476,9 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     """
     vm = _ensure_sim(market)
     grid = grid or strategy.grid
-    sizes, group_index, sig, loads = _bank_layout(vm)
+    sizes = vm.group_sizes()
+    group_index = np.repeat(np.arange(vm.d), sizes)
+    loads = _loadings(vm, spec, group_index)
     gap_t, w_t, int_t = _strategy_tables(strategy, grid)
     mean, std = _expand_x0(X0, sizes)
     dt = grid.dt
@@ -445,16 +486,19 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     n_steps = grid.n_steps
     d = vm.d
     proj = _group_projector(group_index, d)
-    gam_t = np.stack(
-        [[g.gamma(t) for g in vm.groups] for t in times[:n_steps]]
-    )
-    gap_b, ig_b, wdt_t, use_w = _per_bank_tables(gap_t, w_t, int_t, gam_t,
-                                                 group_index, dt)
+    # Step tables broadcast to one column per bank and pre-scaled by dt,
+    # so the inner loop is one multiply and a few adds per step; the
+    # weight matmul is skipped when the averaging weights vanish.
+    gap_b = np.ascontiguousarray(gap_t[:, group_index] * dt)
+    ig_b = np.ascontiguousarray(
+        (int_t + _growth_table(vm, grid))[:, group_index] * dt)
+    wdt_t = w_t * dt
+    use_w = bool(w_t.any())
 
     def worker(batch: IncrementBatch) -> tuple[int, np.ndarray, np.ndarray]:
         # Noise stays path-major: step n of a path sits next to step n + 1,
         # so the strided per-step slices below read each cache line once.
-        noise = _mixed_noise(batch, group_index, sig, loads)
+        noise = _mixed_noise(batch, group_index, loads)
         if ig_b.any():
             noise = noise + ig_b
         x0 = mean + std * batch.x0_normals
@@ -499,10 +543,11 @@ def simulate_mfg_mean(market: MarketParams | ValidatedMarket,
     dm_k = (sum_h psi~_{k,h} m_h + mu_k + gamma_k) dt
            + sigma_k (rho dW0 + sqrt(1-rho^2) rho_k dWk),
 
-    driven by the 1 + d common drivers only.  Passing the
-    ``n_banks_per_group`` used by a finite simulation with the same spec
-    and grid reproduces its exact driver increments, coupling the mean
-    flow to the ensemble; the default draws no idiosyncratic columns.
+    the group-mean recursion with the idiosyncratic term dropped
+    (N_k = infinity), driven by the 1 + d common drivers only.  Passing
+    the ``n_banks_per_group`` used by a finite simulation with the same
+    spec and grid reproduces its exact driver increments, coupling the
+    mean flow to the ensemble; the default draws no idiosyncratic columns.
 
     Returns an array [n_paths, d, n_steps + 1].
     """
@@ -514,34 +559,20 @@ def simulate_mfg_mean(market: MarketParams | ValidatedMarket,
     _, w_t, int_t = _strategy_tables(strategy, grid)
     if n_banks_per_group is None:
         n_banks_per_group = (0,) * d
-    dt = grid.dt
-    times = grid.times()
-    n_steps = grid.n_steps
-    gam_t = np.stack(
-        [[g.gamma(t) for g in vm.groups] for t in times[:n_steps]]
-    )
-    sig = np.array([g.sigma for g in vm.groups])
-    loads = np.array([noise_loadings(vm.rho, g.rho_k) for g in vm.groups])
+    groups = np.arange(d)
+    loads = _loadings(vm, spec, groups, 0.0)
+    drift = int_t + _growth_table(vm, grid)
     start_mean = np.full(d, float(m0)) if np.isscalar(m0) else np.asarray(
         m0, dtype=float)
     if start_mean.shape != (d,):
         raise ValueError(f"m0 needs one mean per group ({d})")
 
     def worker(batch: IncrementBatch) -> tuple[int, np.ndarray]:
-        group_drv = batch.drivers[:, :, 1 : 1 + d]
-        noise = sig * (loads[:, 0] * batch.drivers[:, :, :1]
-                       + loads[:, 1] * group_drv)
-        means = np.empty((batch.n_paths, d, n_steps + 1))
-        m = np.broadcast_to(start_mean, (batch.n_paths, d)).copy()
-        means[:, :, 0] = m
-        for n in range(n_steps):
-            m = m + (m @ w_t[n].T + int_t[n] + gam_t[n]) * dt + noise[:, n, :]
-            if not np.isfinite(m).all() or (np.abs(m) > BLOWUP_LIMIT).any():
-                raise SimulationBlowUp(float(times[n + 1]))
-            means[:, :, n + 1] = m
-        return batch.start, means
+        noise = _mixed_noise(batch, groups, loads)
+        means = _euler_means(start_mean, w_t, drift, noise, grid)
+        return batch.start, means.transpose(1, 2, 0)
 
-    out = np.empty((spec.n_paths, d, n_steps + 1))
+    out = np.empty((spec.n_paths, d, grid.n_steps + 1))
     for start, means in _run_batches(spec, grid, n_banks_per_group, worker,
                                      jobs, batch_paths):
         out[start : start + means.shape[0]] = means
@@ -573,6 +604,16 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
                            batch_paths: int = BATCH_PATHS) -> HittingEstimate:
     """Fraction of paths whose target series reaches the barrier by T.
 
+    Only the group means are stepped: under an affine rule they follow a
+    closed d-dimensional equation.  The noise is ``generate_increments(
+    spec, grid, (1,) * d)``: per path d start normals and, per step, the
+    active drivers plus one idiosyncratic slot per group, scaled by
+    sigma_k c_i / sqrt(N_k).  A single-bank target adds a slot in its
+    group for the bank's deviation y from the group mean,
+    y_{n+1} = y_n (1 - gap_n dt) + sigma_k c_i sqrt((1 - 1/N_k) dt) Z',
+    independent of the mean.  For one seed the draws differ from those of
+    :func:`simulate_closed_loop`; the law of the estimate does not.
+
     The barrier is monitored at grid nodes only (t=0 included), so
     excursions below the level inside a step go unseen: the estimate is
     biased low relative to the continuously monitored probability by
@@ -590,64 +631,53 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
         else:
             strategy = feedback_mfg(solve_mfg(vm, grid), vm)
     grid = grid or strategy.grid
-    sizes, group_index, sig, loads = _bank_layout(vm)
+    d = vm.d
+    sizes = vm.group_sizes()
+    slots = [1] * d
     if default.kind is not TargetKind.GLOBAL_AVERAGE:
-        if not 0 <= default.group < vm.d:
+        if not 0 <= default.group < d:
             raise ValueError("target group out of range")
     if default.kind is TargetKind.SINGLE_BANK:
         if not 0 <= default.bank < sizes[default.group]:
             raise ValueError("target bank out of range")
-        flat = _flat_bank_index(tuple(group_index), default.group, default.bank)
+        slots[default.group] = 2
+    groups = np.repeat(np.arange(d), slots)
+    means = np.cumsum([0] + slots[:-1])
+    is_mean = np.isin(np.arange(len(groups)), means)
+    n_k = np.array(sizes, dtype=float)[groups]
+    scale = np.where(is_mean, 1.0 / np.sqrt(n_k), np.sqrt(1.0 - 1.0 / n_k))
+    c0, cg, ci = _loadings(vm, spec, groups, scale)
+    # A deviation slot carries no common noise.
+    loads = (c0 * is_mean, cg * is_mean, ci)
+    mean, std = _expand_x0(x0, (1,) * d)
+    start_loc = np.where(is_mean, mean[groups], 0.0)
+    start_scale = std[groups] * scale
+
     gap_t, w_t, int_t = _strategy_tables(strategy, grid)
-    mean, std = _expand_x0(x0, sizes)
-    dt = grid.dt
-    times = grid.times()
-    n_steps = grid.n_steps
-    proj = _group_projector(group_index, vm.d)
-    beta = np.asarray(vm.beta)
-    gam_t = np.stack(
-        [[g.gamma(t) for g in vm.groups] for t in times[:n_steps]]
-    )
+    width = len(groups)
+    weights = np.zeros((grid.n_steps, width, width))
+    weights[:, means[:, None], means] = w_t
+    drift = np.zeros((grid.n_steps, width))
+    drift[:, means] = int_t + _growth_table(vm, grid)
+    # The monitored series as a linear form in the carried series.
+    target = np.zeros(width)
+    if default.kind is TargetKind.GLOBAL_AVERAGE:
+        target[means] = vm.beta
+    else:
+        target[means[default.group]] = 1.0
+    if default.kind is TargetKind.SINGLE_BANK:
+        deviation = means[default.group] + 1
+        weights[:, deviation, deviation] = -gap_t[:, default.group]
+        target[deviation] = 1.0
     level = default.level
 
-    def target_of(x: np.ndarray, avg: np.ndarray) -> np.ndarray:
-        if default.kind is TargetKind.GLOBAL_AVERAGE:
-            return avg[:, 0] if vm.d == 1 else avg @ beta
-        if default.kind is TargetKind.GROUP_AVERAGE:
-            return avg[:, default.group]
-        return x[:, flat]
-
-    gap_b, ig_b, wdt_t, use_w = _per_bank_tables(gap_t, w_t, int_t, gam_t,
-                                                 group_index, dt)
-
-    d = vm.d
-
     def worker(batch: IncrementBatch) -> int:
-        # Path-major noise: per-step slices reuse cache lines across steps.
-        noise = _mixed_noise(batch, group_index, sig, loads)
-        if ig_b.any():
-            noise = noise + ig_b
-        x = mean + std * batch.x0_normals
-        drift = np.empty_like(x)
-        avg = x @ proj.T
-        # Running minimum of the monitored series over all grid nodes.
-        floor = np.array(target_of(x, avg))
-        for n in range(n_steps):
-            gavg = avg if d == 1 else avg[:, group_index]
-            np.subtract(gavg, x, out=drift)
-            drift *= gap_b[n]
-            if use_w:
-                drift += (avg @ wdt_t[n].T)[:, group_index]
-            drift += noise[:, n, :]
-            x += drift
-            np.abs(x, out=drift)
-            if not drift.max() <= BLOWUP_LIMIT:
-                raise SimulationBlowUp(float(times[n + 1]))
-            avg = x @ proj.T
-            np.minimum(floor, target_of(x, avg), out=floor)
-        return int((floor <= level).sum())
+        noise = _mixed_noise(batch, groups, loads)
+        start = start_loc + start_scale * batch.x0_normals
+        series = _euler_means(start, weights, drift, noise, grid) @ target
+        return int((series.min(axis=0) <= level).sum())
 
-    hits = sum(_run_batches(spec, grid, sizes, worker, jobs, batch_paths))
+    hits = sum(_run_batches(spec, grid, slots, worker, jobs, batch_paths))
     p = hits / spec.n_paths
     stderr = math.sqrt(p * (1.0 - p) / spec.n_paths)
     return HittingEstimate(probability=p, stderr=stderr, n_hits=hits,

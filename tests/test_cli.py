@@ -104,6 +104,9 @@ def test_parse_target():
     assert got.group == 0 and got.bank == 2
     with pytest.raises(ValueError):
         _parse_target("everyone", -0.5)
+    for text in ("group", "group:x", "group:0", "bank:1", "bank:1:2:3"):
+        with pytest.raises(ValueError):
+            _parse_target(text, -0.5)
 
 
 def test_parse_bool():
@@ -338,3 +341,81 @@ def test_prob_requires_barrier(tmp_path):
     text = ONE_GROUP.replace("barrier = -0.62\n", "")
     rc, _ = run(tmp_path, "prob", text)
     assert rc == 2
+
+
+@pytest.mark.parametrize("target, message", [
+    ("group", "expected global, group:k or bank:k:j"),
+    ("group:x", "indices must be integers"),
+    ("bank:1", "expected global, group:k or bank:k:j"),
+])
+def test_malformed_target_exit_code(tmp_path, capsys, target, message):
+    text = ONE_GROUP.replace("target = global", f"target = {target}")
+    rc, _ = run(tmp_path, "prob", text)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+# Two groups of 4 + 16 banks, rho = 0.6, rho_k = 0.3, lam_k = 0 and no
+# growth: the global average is a driftless Brownian motion with variance
+# rate 0.6^2 + 0.64 * (0.2^2 (0.09 + 0.91/4) + 0.8^2 (0.09 + 0.91/16)).
+CORRELATED_PROB = """\
+rho = 0.6
+horizon = 1.0
+steps = 400
+seed = 11
+paths = 2000
+barrier = -0.62
+target = global
+mc = true
+
+[group.1]
+sigma = 1.0
+q = 2.0
+eps = 5.0
+lam = 0.0
+rho_k = 0.3
+n_banks = 4
+
+[group.2]
+sigma = 1.0
+q = 2.0
+eps = 4.5
+lam = 0.0
+rho_k = 0.3
+n_banks = 16
+"""
+
+
+def prob_rows(out):
+    lines = open(os.path.join(out, "prob.csv")).read().splitlines()
+    return dict(line.split(",") for line in lines[1:])
+
+
+def test_prob_uses_the_exact_volatility(tmp_path, capsys):
+    rc, out = run(tmp_path, "prob", CORRELATED_PROB)
+    assert rc == 0
+    assert "PASS prob" in capsys.readouterr().out
+    rows = prob_rows(out)
+    variance = 0.36 + 0.64 * (0.04 * (0.09 + 0.91 / 4)
+                              + 0.64 * (0.09 + 0.91 / 16))
+    z = -0.62 / math.sqrt(variance)
+    want = math.erfc(-z / math.sqrt(2.0))
+    assert abs(float(rows["analytic"]) - want) < 1e-12
+
+
+@pytest.mark.parametrize("change", [
+    ("lam = 0.0", "lam = 0.3"),
+    ("target = global", "target = group:2"),
+    ("mc = true", "mc = true\nx0 = 0.1"),
+])
+def test_prob_outside_the_formula_makes_no_claim(tmp_path, capsys, change):
+    rc, out = run(tmp_path, "prob", CORRELATED_PROB.replace(*change))
+    assert rc == 0
+    stdout = capsys.readouterr().out
+    assert "analytic: n/a" in stdout
+    assert "PASS" not in stdout and "FAIL" not in stdout
+    rows = prob_rows(out)
+    assert "analytic" not in rows and "deficit" not in rows
+    assert float(rows["n_paths"]) == 2000
+    assert float(rows["mc"]) == float(rows["n_hits"]) / 2000

@@ -214,6 +214,14 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.values, path.values)
 
 
+
+@pytest.mark.parametrize("text", ["", "t,eta1\n", "t,eta1\n\n"])
+def test_csv_without_rows_is_rejected(tmp_path, text):
+    target = tmp_path / "empty.csv"
+    target.write_text(text)
+    with pytest.raises(ValueError, match="first column|no data rows"):
+        read_csv(target)
+
 def test_csv_write_is_atomic(tmp_path):
     path = solve_limiting(weights_market(), TimeGrid(t_end=1.0, n_steps=10))
     target = tmp_path / "out" / "limiting.csv"

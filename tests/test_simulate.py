@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import market_from_params
 
 from interbank.equilibrium import feedback_closed, feedback_mfg
+from interbank import simulate
 from interbank.model import (
     GroupParams,
     MarketParams,
@@ -25,6 +28,7 @@ from interbank.simulate import (
     mc_hitting_probability,
     simulate_closed_loop,
     simulate_mfg_mean,
+    _euler_means,
 )
 
 GRID = TimeGrid(t_end=1.0, n_steps=500)
@@ -373,6 +377,143 @@ def test_ensemble_averages_track_mfg_means():
         rms = np.sqrt((gap**2).mean())
         assert rms < 3.0 / np.sqrt(n_banks) + 10.0 * grid.dt
 
+
+
+def _bank_increments(market, batch, group_index):
+    """Per-bank mixed increments, computed apart from the simulator."""
+    sig = np.array([g.sigma for g in market.groups])[group_index]
+    loads = np.array([noise_loadings(market.rho, g.rho_k)
+                      for g in market.groups])[group_index]
+    return sig * (loads[:, 0] * batch.drivers[:, :, :1]
+                  + loads[:, 1] * batch.drivers[:, :, 1 + group_index]
+                  + loads[:, 2] * batch.idiosyncratic)
+
+
+def test_group_mean_kernel_reproduces_the_bank_simulation():
+    # Fed the bank-averaged increments of the full simulator's own block,
+    # the d-dimensional kernel must retrace its group averages, and the
+    # deviation recursion y <- y (1 - gap dt) + e must retrace one bank.
+    gamma1 = StepFunction(breaks=(0.5,), values=(0.4, -0.1))
+    market = two_groups(n1=3, n2=5, rho=0.3, rho_k=(0.5, 0.2),
+                        lam=(0.2, 0.6), c=(0.3, 0.1), gamma=(gamma1, 0.1))
+    grid = TimeGrid(t_end=1.0, n_steps=200)
+    spec = NoiseSpec.from_market(market, seed=29, n_paths=16)
+    strategy = closed_strategy(market, grid)
+    ens = simulate_closed_loop(market, strategy, ((0.3, 0.2), (-0.1, 0.4)),
+                               spec, grid=grid)
+
+    group_index = np.array(ens.group_index)
+    (batch,) = generate_increments(spec, grid, (3, 5))
+    bank_noise = _bank_increments(market, batch, group_index)
+    proj = np.array([group_index == k for k in (0, 1)], dtype=float)
+    proj /= proj.sum(axis=1, keepdims=True)
+    mean_noise = bank_noise @ proj.T
+    steps = grid.n_steps
+    growth = np.array([[g.gamma(t) for g in market.groups]
+                       for t in grid.times()[:steps]])
+    means = _euler_means(ens.x0 @ proj.T, strategy.avg_weights[:steps],
+                         strategy.intercept[:steps] + growth, mean_noise,
+                         grid)
+    assert means.shape == (steps + 1, 16, 2)
+    assert np.abs(means.transpose(1, 2, 0) - ens.group_averages).max() < 1e-12
+
+    for bank, k in ((1, 0), (6, 1)):
+        gap = strategy.gap_gain[:steps, k]
+        deviation = _euler_means(
+            (ens.x0[:, bank] - ens.x0 @ proj[k])[:, None],
+            -gap[:, None, None], np.zeros((steps, 1)),
+            (bank_noise[:, :, bank] - mean_noise[:, :, k])[:, :, None], grid)
+        path = means[:, :, k] + deviation[:, :, 0]
+        assert np.abs(path.T - ens.states[:, bank, :]).max() < 1e-12
+
+
+def _recorded_draws(monkeypatch):
+    """Record the slot layout and normals per path of every batch drawn."""
+    seen = []
+    real = simulate.generate_increments
+
+    def recording(spec, grid, sizes, *args, **kwargs):
+        n_active = len(simulate._active_driver_columns(spec))
+        for batch in real(spec, grid, sizes, *args, **kwargs):
+            width = batch.x0_normals.shape[1]
+            seen.append((tuple(sizes),
+                         width + grid.n_steps * (n_active + width),
+                         batch.idiosyncratic.shape[2]))
+            yield batch
+    monkeypatch.setattr(simulate, "generate_increments", recording)
+    return seen
+
+
+def test_estimate_draws_one_slot_per_group(monkeypatch):
+    # rho > 0 and one rho_k > 0: two of the three drivers are active.
+    market = two_groups(n1=3, n2=5, rho=0.3, rho_k=(0.5, 0.0),
+                        lam=(0.0, 0.0))
+    spec = NoiseSpec.from_market(market, seed=4, n_paths=64)
+    grid = TimeGrid(t_end=1.0, n_steps=50)
+    strategy = closed_strategy(market, grid)
+    x0 = ((0.2, 0.4), (-0.1, 0.3))
+    seen = _recorded_draws(monkeypatch)
+    est = mc_hitting_probability(market, spec, DefaultSpec.global_average(
+        -0.3), strategy, x0=x0, grid=grid)
+    assert seen == [((1, 1), 2 + 50 * (2 + 2), 2)]
+
+    # lam = 0 and gamma = 0 leave the group means driftless: each is its
+    # start mean_k + std_k / sqrt(N_k) Z plus the summed increments
+    # sigma (c0 dW0 + cg dWk + ci / sqrt(N_k) dB_k) of the recorded block.
+    (batch,) = generate_increments(spec, grid, (1, 1))
+    loads = np.array([noise_loadings(0.3, rk) for rk in (0.5, 0.0)])
+    inc = (loads[:, 0] * batch.drivers[:, :, :1]
+           + loads[:, 1] * batch.drivers[:, :, 1:]
+           + loads[:, 2] / np.sqrt([3.0, 5.0]) * batch.idiosyncratic)
+    start = (np.array([0.2, -0.1])
+             + np.array([0.4, 0.3]) / np.sqrt([3.0, 5.0]) * batch.x0_normals)
+    means = np.concatenate([start[:, None, :],
+                            start[:, None, :] + np.cumsum(inc, axis=1)],
+                           axis=1)
+    average = means @ np.array([3.0, 5.0]) / 8.0
+    assert est.n_hits == int((average.min(axis=1) <= -0.3).sum())
+
+    # A bank target adds its deviation from the group mean as one more
+    # slot, started at std_k sqrt(1 - 1/N_k) Z' and stepped as
+    # y <- y (1 - gap dt) + sigma ci sqrt(1 - 1/N_k) dB.
+    seen.clear()
+    est = mc_hitting_probability(market, spec, DefaultSpec.single_bank(
+        -0.3, 1, 2), strategy, x0=x0, grid=grid)
+    assert seen == [((1, 2), 3 + 50 * (2 + 3), 3)]
+    (batch,) = generate_increments(spec, grid, (1, 2))
+    ci = loads[1, 2] / np.sqrt(5.0)
+    steps = np.cumsum(loads[1, 0] * batch.drivers[:, :, 0]
+                      + ci * batch.idiosyncratic[:, :, 1], axis=1)
+    start = -0.1 + 0.3 / np.sqrt(5.0) * batch.x0_normals[:, 1:2]
+    mean = start + np.concatenate([np.zeros((64, 1)), steps], axis=1)
+    y = 0.3 * np.sqrt(0.8) * batch.x0_normals[:, 2]
+    bank = [y]
+    for n in range(50):
+        y = (y * (1.0 - strategy.gap_gain[n, 1] * grid.dt)
+             + loads[1, 2] * np.sqrt(0.8) * batch.idiosyncratic[:, n, 2])
+        bank.append(y)
+    bank = mean + np.stack(bank, axis=1)
+    assert est.n_hits == int((bank.min(axis=1) <= -0.3).sum())
+
+
+def test_bank_target_matches_the_bank_simulation_in_law():
+    # The deviation slot must give the monitored bank the law it has in
+    # the full simulation: both estimates agree within sampling error.
+    # Independent noise and a deep barrier make the bank's own
+    # mean-reverting deviation decide most crossings.
+    market = two_groups(n1=4, n2=6, lam=(0.3, 0.5), sigma=(1.2, 0.8))
+    grid = TimeGrid(t_end=1.0, n_steps=100)
+    strategy = closed_strategy(market, grid)
+    default = DefaultSpec.single_bank(-1.2, 0, 1)
+    spec = NoiseSpec.from_market(market, seed=41, n_paths=2000)
+    est = mc_hitting_probability(market, spec, default, strategy,
+                                 x0=((0.1, 0.3), 0.0), grid=grid)
+    ens = simulate_closed_loop(market, strategy, ((0.1, 0.3), 0.0),
+                               dataclasses.replace(spec, seed=42), grid=grid)
+    full = float((ens.target_series(default).min(axis=1) <= -1.2).mean())
+    se = np.sqrt(full * (1.0 - full) / spec.n_paths)
+    assert 0.05 < full < 0.95
+    assert abs(est.probability - full) < 4.0 * np.sqrt(2.0) * se
 
 def test_hitting_probability_at_start_level():
     market = two_groups(n1=2, n2=2)
