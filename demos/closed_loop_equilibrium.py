@@ -19,7 +19,6 @@ import numpy as np
 
 from interbank import (
     TimeGrid,
-    evaluate_control,
     feedback_closed,
     liquidity_rate,
     read_csv,
@@ -56,14 +55,15 @@ for t in (0.0, 0.5, 1.0):
 strategy = feedback_closed(closed, market)
 averages = (0.1, 0.0)
 for own in (-0.2, 0.1, 0.4):
-    alpha = evaluate_control(strategy, 0.0, 0, own, averages)
+    alpha = strategy.control(0.0, 0, own, averages)
     print(f"control(t=0, group 1, x={own:+.1f}, m={averages}) = {alpha:+.6f}")
 
-# The lending intensity toward the own-group average, as a function of
-# time.  It is flat over most of the horizon and rolls off near T.
+# The lending intensity toward the own-group average, sampled on the
+# grid.  It is flat over most of the horizon and rolls off near T.
 rate = liquidity_rate(closed, market)
 ts = np.linspace(0.0, market.horizon, 5)
-print("liquidity rate:", ", ".join(f"{rate(t):.5f}" for t in ts))
+print("liquidity rate:",
+      ", ".join(f"{r:.5f}" for r in np.interp(ts, closed.times, rate)))
 
 # Solutions serialize to CSV with one column per coefficient and
 # round-trip exactly.

@@ -99,8 +99,7 @@ def check_prop1_bounds(limiting_path: CoefficientPath,
     Returns min(value - 0, bound - value) over both groups and all nodes;
     a negative result means a violation of that magnitude.
     """
-    vm = market if isinstance(market, ValidatedMarket) else validate(
-        market, Mode.LIMITING)
+    vm = validate(market, Mode.LIMITING)
     (g1, g2) = vm.groups
     beta1, beta2 = vm.beta
     s = limiting_path.times
@@ -178,8 +177,7 @@ def convergence_to_mfg(market: MarketParams | ValidatedMarket,
     coefficients.  The log-log slopes are least-squares fits; the gaps
     themselves decay like 1/N.
     """
-    vm = market if isinstance(market, ValidatedMarket) else validate(
-        market, Mode.MFG)
+    vm = validate(market, Mode.MFG)
     if vm.d != 2:
         raise ValueError("the finite-group systems are two-group only")
     n_values = tuple(int(n) for n in n_values)
@@ -209,8 +207,7 @@ def open_vs_limiting(market: MarketParams | ValidatedMarket, n_total: int,
                      *, grid: TimeGrid | None = None) -> dict[str, float]:
     """Sup-norm gaps between open-loop coefficients at finite N and their
     limiting counterparts, keyed 'etao2 vs etahat4' and so on."""
-    vm = market if isinstance(market, ValidatedMarket) else validate(
-        market, Mode.LIMITING)
+    vm = validate(market, Mode.LIMITING)
     finite = _with_sizes(dataclasses.replace(vm.market, beta=vm.beta),
                          _sizes_for(vm.beta, n_total))
     open_path = solve_open_loop(finite, grid)
@@ -260,8 +257,7 @@ def sweep_liquidity(market: MarketParams | ValidatedMarket, axis: SweepAxis,
     time, N_TOTAL the total bank count at the market's fixed group
     weights (each value must split integrally).
     """
-    vm = market if isinstance(market, ValidatedMarket) else validate(
-        market, Mode.CLOSED_LOOP)
+    vm = validate(market, Mode.CLOSED_LOOP)
     base = vm.market
     values = tuple(values)
     times, curves, rate0 = [], [], []
@@ -279,9 +275,9 @@ def sweep_liquidity(market: MarketParams | ValidatedMarket, axis: SweepAxis,
             grid = TimeGrid(t_end=varied.horizon, n_steps=n_steps)
         path = solve_closed_loop(varied, grid)
         rate = liquidity_rate(path, varied)
-        times.append(rate.times)
-        curves.append(rate.samples)
-        rate0.append(float(rate.samples[0]))
+        times.append(path.times)
+        curves.append(rate)
+        rate0.append(float(rate[0]))
     return SweepResult(axis=axis, values=values, times=tuple(times),
                        curves=tuple(curves), rate0=tuple(rate0))
 
@@ -340,8 +336,7 @@ def hjb_residual(closed_path: CoefficientPath,
     """
     if tuple(closed_path.labels) != CLOSED_LABELS:
         raise ValueError("hjb_residual needs a closed-loop coefficient path")
-    vm = market if isinstance(market, ValidatedMarket) else validate(
-        market, Mode.CLOSED_LOOP)
+    vm = validate(market, Mode.CLOSED_LOOP)
     sizes = vm.group_sizes()
     n_banks = sum(sizes)
     group_index = np.repeat(np.arange(2), sizes)

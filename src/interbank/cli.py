@@ -55,7 +55,7 @@ from .analysis import (
     sweep_claim,
     sweep_liquidity,
 )
-from .equilibrium import feedback_closed, feedback_mfg
+from .equilibrium import default_strategy
 from .model import (
     GroupParams,
     MarketParams,
@@ -395,14 +395,6 @@ def cmd_solve(config: RunConfig) -> int:
     return 0
 
 
-def _auto_strategy(config: RunConfig):
-    market = config.market
-    if len(market.groups) == 2:
-        return feedback_closed(solve_closed_loop(market, _grid(config)),
-                               market)
-    return feedback_mfg(solve_mfg(market, _grid(config)), market)
-
-
 def _quantile_header(d: int) -> list[str]:
     cols = ["t"]
     for k in range(1, d + 1):
@@ -416,7 +408,7 @@ def _quantile_header(d: int) -> list[str]:
 
 def cmd_simulate(config: RunConfig) -> int:
     spec = NoiseSpec.from_market(config.market, config.seed, config.n_paths)
-    strategy = _auto_strategy(config)
+    strategy = default_strategy(config.market, _grid(config))
     ensemble = simulate_closed_loop(config.market, strategy, config.x0, spec,
                                     jobs=config.jobs)
     d = ensemble.d
@@ -544,7 +536,7 @@ def cmd_prob(config: RunConfig) -> int:
         raise ValueError("prob needs 'barrier' in the config")
     market = config.market
     grid = _grid(config)
-    strategy = _auto_strategy(config)
+    strategy = default_strategy(market, grid)
     level = config.barrier.level
     vol = _reflection_volatility(config, strategy)
     rows = []

@@ -30,6 +30,8 @@ from .riccati import (
     CoefficientPath,
     atomic_write_text,
     mfg_labels,
+    solve_closed_loop,
+    solve_mfg,
     tracking_offsets,
 )
 
@@ -144,12 +146,6 @@ class FeedbackStrategy:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def evaluate_control(strategy: FeedbackStrategy, t: float, group_index: int,
-                     own_state: float, group_averages) -> float:
-    """Affine control value; linear in (own_state, group_averages)."""
-    return strategy.control(t, group_index, own_state, group_averages)
-
-
 def _require_labels(path: CoefficientPath, expected: tuple[str, ...],
                     what: str) -> None:
     if tuple(path.labels) != expected:
@@ -157,12 +153,6 @@ def _require_labels(path: CoefficientPath, expected: tuple[str, ...],
             f"path labels do not match the {what} system "
             f"(got {path.labels[:3]}... expected {expected[:3]}...)"
         )
-
-
-def _ensure(market: MarketParams | ValidatedMarket, mode: Mode) -> ValidatedMarket:
-    if isinstance(market, ValidatedMarket):
-        return market
-    return validate(market, mode)
 
 
 def feedback_closed(path: CoefficientPath,
@@ -174,7 +164,7 @@ def feedback_closed(path: CoefficientPath,
     case the 1/N_k terms are absent and the linear intercepts are zero.
     """
     if tuple(path.labels) == LIMITING_LABELS:
-        vm = _ensure(market, Mode.LIMITING)
+        vm = validate(market, Mode.LIMITING)
         q1, q2 = (g.q for g in vm.groups)
         off = tracking_offsets(vm)
         col = path.column
@@ -193,7 +183,7 @@ def feedback_closed(path: CoefficientPath,
                                 gap, weights, inter)
 
     _require_labels(path, CLOSED_LABELS, "closed-loop")
-    vm = _ensure(market, Mode.CLOSED_LOOP)
+    vm = validate(market, Mode.CLOSED_LOOP)
     n1, n2 = (1.0 / s for s in vm.group_sizes())
     q1, q2 = (g.q for g in vm.groups)
     off = tracking_offsets(vm)
@@ -236,7 +226,7 @@ def feedback_open(path: CoefficientPath,
     (1 - 1/N~_k) times that form, with 1/N~_k = (1 - lam_k)/N_k + lam_k/N.
     """
     _require_labels(path, OPEN_LABELS, "open-loop")
-    vm = _ensure(market, Mode.OPEN_LOOP)
+    vm = validate(market, Mode.OPEN_LOOP)
     i1, i2 = vm.inv_tilde_sizes()
     r1, r2 = 1.0 - i1, 1.0 - i2
     q1, q2 = (g.q for g in vm.groups)
@@ -263,10 +253,10 @@ def feedback_mfg(path: CoefficientPath,
                  market: MarketParams | ValidatedMarket) -> FeedbackStrategy:
     """Feedback rule of the mean-field equilibrium for d groups.
 
-    ``group_averages`` passed to :func:`evaluate_control` then play the
-    role of the conditional group means.
+    ``group_averages`` passed to :meth:`FeedbackStrategy.control` then play
+    the role of the conditional group means.
     """
-    vm = _ensure(market, Mode.MFG)
+    vm = validate(market, Mode.MFG)
     d = vm.d
     _require_labels(path, mfg_labels(d), "mean-field")
     q = np.array([g.q for g in vm.groups])
@@ -288,27 +278,25 @@ def feedback_mfg(path: CoefficientPath,
 
 
 def liquidity_rate(path: CoefficientPath,
-                   market: MarketParams | ValidatedMarket):
+                   market: MarketParams | ValidatedMarket) -> np.ndarray:
     """Lending/borrowing intensity of a first-group bank toward its group.
 
-    Returns the function t -> (1 - 1/N_1) * eta1(t) - (1/N_1) * eta4(t),
+    Returns (1 - 1/N_1) * eta1 - (1/N_1) * eta4 sampled on ``path.times``,
     the coefficient on the gap to the own-group average in the closed-loop
     control once the averaging feedback of the bank's own state is folded
-    in.  Linear interpolation between grid nodes.
+    in.
     """
     _require_labels(path, CLOSED_LABELS, "closed-loop")
-    vm = _ensure(market, Mode.CLOSED_LOOP)
+    vm = validate(market, Mode.CLOSED_LOOP)
     n1 = 1.0 / vm.group_sizes()[0]
-    sampled = (1.0 - n1) * path.column("eta1") - n1 * path.column("eta4")
-    times = path.times
-    t_end = path.grid.t_end
-    tol = 1e-9 * max(1.0, t_end)
+    return (1.0 - n1) * path.column("eta1") - n1 * path.column("eta4")
 
-    def rate(t: float) -> float:
-        if t < -tol or t > t_end + tol:
-            raise OutOfHorizon(f"t={t:g} outside [0, {t_end:g}]")
-        return float(np.interp(min(max(t, 0.0), t_end), times, sampled))
 
-    rate.samples = sampled
-    rate.times = times
-    return rate
+def default_strategy(market: MarketParams | ValidatedMarket,
+                     grid: TimeGrid | None = None) -> FeedbackStrategy:
+    """The rule a market plays unless told otherwise: the closed-loop rule
+    for two groups, the mean-field rule applied at finite N for any other
+    group count."""
+    if len(market.groups) == 2:
+        return feedback_closed(solve_closed_loop(market, grid), market)
+    return feedback_mfg(solve_mfg(market, grid), market)

@@ -9,7 +9,7 @@ deterministic growth rate, and a three-layer noise loading (global, group,
 idiosyncratic).
 
 Everything here is immutable after construction; :func:`validate` performs
-the standing-assumption checks once and the result can be shared freely.
+the standing-assumption checks and is the one place they live.
 """
 
 from __future__ import annotations
@@ -231,11 +231,17 @@ def mfg_terminal_threshold(groups: tuple[GroupParams, ...]) -> float:
     )
 
 
-def validate(market: MarketParams, mode: Mode) -> ValidatedMarket:
+def validate(market: MarketParams | ValidatedMarket,
+             mode: Mode) -> ValidatedMarket:
     """Check the standing assumptions and derive group weights.
 
+    Every entry point of the package calls this on what it was given.  A
+    :class:`ValidatedMarket` is re-validated from its ``.market`` for the
+    requested mode, so a market checked for one mode never skips the checks
+    of a stricter one.
+
     Args:
-      market: raw parameters.
+      market: raw parameters, or a market validated for any mode.
       mode: equilibrium notion the market will be used for; two-group
         systems require exactly two groups, finite-player modes require
         group sizes, limiting/mean-field modes require weights.
@@ -246,9 +252,11 @@ def validate(market: MarketParams, mode: Mode) -> ValidatedMarket:
 
     Raises:
       RejectedParams: on q**2 > eps, lam outside [0, 1], sigma < 0,
-        horizon <= 0, a two-group mode with d != 2, or malformed sizes
-        and weights.
+        horizon <= 0, a non-finite sigma, q, eps, c, horizon or growth
+        rate, a two-group mode with d != 2, or malformed sizes and weights.
     """
+    if isinstance(market, ValidatedMarket):
+        market = market.market
     groups = market.groups
     d = len(groups)
     if d < 1:
@@ -257,13 +265,17 @@ def validate(market: MarketParams, mode: Mode) -> ValidatedMarket:
         raise RejectedParams(
             f"{mode.value} mode is defined for exactly two groups, got {d}"
         )
-    if market.horizon <= 0.0:
-        raise RejectedParams("horizon must be positive")
+    if not 0.0 < market.horizon < math.inf:
+        raise RejectedParams("horizon must be positive and finite")
     if not -1.0 <= market.rho <= 1.0:
         raise RejectedParams("global correlation rho must lie in [-1, 1]")
 
     warnings: list[str] = []
     for k, g in enumerate(groups, start=1):
+        numbers = (g.sigma, g.q, g.eps, g.c, *g.gamma.breaks, *g.gamma.values)
+        if not all(map(math.isfinite, numbers)):
+            raise RejectedParams(
+                f"group {k}: sigma, q, eps, c and gamma must be finite")
         if g.sigma < 0.0:
             raise RejectedParams(f"group {k}: sigma must be nonnegative")
         if g.q <= 0.0:

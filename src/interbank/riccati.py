@@ -259,12 +259,6 @@ def tracking_offsets(vm: ValidatedMarket) -> np.ndarray:
     return lam[:, None] * (beta[None, :] - np.eye(len(beta)))
 
 
-def _ensure(market: MarketParams | ValidatedMarket, mode: Mode) -> ValidatedMarket:
-    if isinstance(market, ValidatedMarket):
-        return market
-    return validate(market, mode)
-
-
 def closed_loop_system(vm: ValidatedMarket) -> OdeSystem:
     """The 20-equation closed-loop system for two finite groups.
 
@@ -478,7 +472,7 @@ def solve_closed_loop(
     market: MarketParams | ValidatedMarket, grid: TimeGrid | None = None
 ) -> CoefficientPath:
     """Solve the 20-equation closed-loop system on the given grid."""
-    vm = _ensure(market, Mode.CLOSED_LOOP)
+    vm = validate(market, Mode.CLOSED_LOOP)
     return integrate_backward(closed_loop_system(vm), grid or _default_grid(vm))
 
 
@@ -486,7 +480,7 @@ def solve_limiting(
     market: MarketParams | ValidatedMarket, grid: TimeGrid | None = None
 ) -> CoefficientPath:
     """Solve the 12-equation limiting system on the given grid."""
-    vm = _ensure(market, Mode.LIMITING)
+    vm = validate(market, Mode.LIMITING)
     return integrate_backward(limiting_system(vm), grid or _default_grid(vm))
 
 
@@ -494,7 +488,7 @@ def solve_open_loop(
     market: MarketParams | ValidatedMarket, grid: TimeGrid | None = None
 ) -> CoefficientPath:
     """Solve the 8-equation open-loop adjoint system on the given grid."""
-    vm = _ensure(market, Mode.OPEN_LOOP)
+    vm = validate(market, Mode.OPEN_LOOP)
     return integrate_backward(open_loop_system(vm), grid or _default_grid(vm))
 
 
@@ -502,5 +496,5 @@ def solve_mfg(
     market: MarketParams | ValidatedMarket, grid: TimeGrid | None = None
 ) -> CoefficientPath:
     """Solve the mean-field system for any number of groups."""
-    vm = _ensure(market, Mode.MFG)
+    vm = validate(market, Mode.MFG)
     return integrate_backward(mfg_system(vm), grid or _default_grid(vm))

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .equilibrium import FeedbackStrategy, feedback_closed, feedback_mfg
+from .equilibrium import FeedbackStrategy, default_strategy, feedback_mfg
 from .model import (
     MarketParams,
     Mode,
@@ -36,7 +36,7 @@ from .model import (
     noise_loadings,
     validate,
 )
-from .riccati import BLOWUP_LIMIT, CoefficientPath, solve_closed_loop, solve_mfg
+from .riccati import BLOWUP_LIMIT, CoefficientPath
 
 # Fixed number of paths per work unit.  Batch boundaries depend only on
 # this constant, never on the worker count, so parallel schedules cannot
@@ -212,6 +212,8 @@ class DefaultSpec:
             raise ValueError(f"{self.kind.value} target needs a group index")
         if self.kind is TargetKind.SINGLE_BANK and self.bank is None:
             raise ValueError("single-bank target needs a bank index")
+        if any(i is not None and i < 0 for i in (self.group, self.bank)):
+            raise ValueError("group and bank indices start at 0")
 
     @classmethod
     def global_average(cls, level: float) -> "DefaultSpec":
@@ -229,54 +231,40 @@ class DefaultSpec:
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Simulated bank paths plus derived group and global averages."""
+    """Simulated bank paths [paths, banks, nodes] and what derives from them.
+
+    ``group_averages`` [paths, d, nodes], ``global_average`` [paths, nodes],
+    the start states ``x0`` (a view of ``states[:, :, 0]``) and ``times``
+    are computed once, at construction, from ``states`` and ``group_index``.
+    """
 
     grid: TimeGrid
     states: np.ndarray
     group_index: tuple[int, ...]
-    group_averages: np.ndarray
-    global_average: np.ndarray
-    x0: np.ndarray
+    group_averages: np.ndarray = field(init=False, repr=False)
+    global_average: np.ndarray = field(init=False, repr=False)
+    x0: np.ndarray = field(init=False, repr=False)
     times: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "group_index", tuple(self.group_index))
-        object.__setattr__(self, "times", self.grid.times())
-        n_paths, n_banks, n_nodes = self.states.shape
-        d = max(self.group_index) + 1
+        n_banks, n_nodes = self.states.shape[1:]
         if n_nodes != self.grid.n_steps + 1:
             raise ValueError("states do not match the grid")
         if len(self.group_index) != n_banks:
             raise ValueError("need one group index per bank")
-        if self.group_averages.shape != (n_paths, d, n_nodes):
-            raise ValueError("group_averages shape mismatch")
-        if self.global_average.shape != (n_paths, n_nodes):
-            raise ValueError("global_average shape mismatch")
-        if not np.array_equal(self.states[:, :, 0], self.x0):
-            raise ValueError("initial slice does not equal the configured X0")
-        proj = _group_projector(self.group_index, d)
-        avg = np.einsum("kb,pbn->pkn", proj, self.states)
-        if not np.allclose(avg, self.group_averages, rtol=0.0, atol=1e-12):
-            raise ValueError("stored group averages disagree with states")
-        glob = self.states.mean(axis=1)
-        if not np.allclose(glob, self.global_average, rtol=0.0, atol=1e-12):
-            raise ValueError("stored global average disagrees with states")
+        proj = _group_projector(self.group_index, max(self.group_index) + 1)
+        states = self.states
+        object.__setattr__(self, "group_averages",
+                           np.einsum("kb,pbn->pkn", proj, states))
+        object.__setattr__(self, "global_average", states.mean(axis=1))
+        object.__setattr__(self, "x0", states[:, :, 0])
+        object.__setattr__(self, "times", self.grid.times())
 
     @classmethod
     def from_states(cls, grid: TimeGrid, states: np.ndarray,
-                    group_index: Sequence[int],
-                    x0: np.ndarray | None = None) -> "TrajectoryEnsemble":
-        group_index = tuple(group_index)
-        d = max(group_index) + 1
-        proj = _group_projector(group_index, d)
-        return cls(
-            grid=grid,
-            states=states,
-            group_index=group_index,
-            group_averages=np.einsum("kb,pbn->pkn", proj, states),
-            global_average=states.mean(axis=1),
-            x0=states[:, :, 0].copy() if x0 is None else x0,
-        )
+                    group_index: Sequence[int]) -> "TrajectoryEnsemble":
+        return cls(grid=grid, states=states, group_index=group_index)
 
     @property
     def n_paths(self) -> int:
@@ -310,16 +298,6 @@ def _group_projector(group_index: Sequence[int], d: int) -> np.ndarray:
 def _flat_bank_index(group_index: Sequence[int], group: int, bank: int) -> int:
     members = [i for i, k in enumerate(group_index) if k == group]
     return members[bank]
-
-
-def _ensure_sim(market: MarketParams | ValidatedMarket) -> ValidatedMarket:
-    if isinstance(market, ValidatedMarket):
-        vm = market
-    else:
-        mode = Mode.CLOSED_LOOP if len(market.groups) == 2 else Mode.MFG
-        vm = validate(market, mode)
-    vm.group_sizes()
-    return vm
 
 
 def _expand_x0(x0, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -474,7 +452,8 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     ``batch_paths`` trades memory for loop overhead and never changes the
     result: every path has its own seed-keyed stream.
     """
-    vm = _ensure_sim(market)
+    # MFG mode takes any group count; the simulators also need sizes.
+    vm = validate(market, Mode.MFG)
     grid = grid or strategy.grid
     sizes = vm.group_sizes()
     group_index = np.repeat(np.arange(vm.d), sizes)
@@ -495,7 +474,7 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     wdt_t = w_t * dt
     use_w = bool(w_t.any())
 
-    def worker(batch: IncrementBatch) -> tuple[int, np.ndarray, np.ndarray]:
+    def worker(batch: IncrementBatch) -> tuple[int, np.ndarray]:
         # Noise stays path-major: step n of a path sits next to step n + 1,
         # so the strided per-step slices below read each cache line once.
         noise = _mixed_noise(batch, group_index, loads)
@@ -519,17 +498,14 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
                 raise SimulationBlowUp(float(times[n + 1]))
             states[:, :, n + 1] = x
             avg = x @ proj.T
-        return batch.start, x0, states
+        return batch.start, states
 
     n_banks = int(sum(sizes))
     all_states = np.empty((spec.n_paths, n_banks, n_steps + 1))
-    all_x0 = np.empty((spec.n_paths, n_banks))
-    for start, x0, states in _run_batches(spec, grid, sizes, worker, jobs,
-                                          batch_paths):
+    for start, states in _run_batches(spec, grid, sizes, worker, jobs,
+                                      batch_paths):
         all_states[start : start + states.shape[0]] = states
-        all_x0[start : start + x0.shape[0]] = x0
-    return TrajectoryEnsemble.from_states(grid, all_states,
-                                          tuple(group_index), x0=all_x0)
+    return TrajectoryEnsemble.from_states(grid, all_states, group_index)
 
 
 def simulate_mfg_mean(market: MarketParams | ValidatedMarket,
@@ -551,8 +527,7 @@ def simulate_mfg_mean(market: MarketParams | ValidatedMarket,
 
     Returns an array [n_paths, d, n_steps + 1].
     """
-    vm = market if isinstance(market, ValidatedMarket) else validate(market,
-                                                                     Mode.MFG)
+    vm = validate(market, Mode.MFG)
     d = vm.d
     strategy = feedback_mfg(mfg_path, vm)
     grid = grid or mfg_path.grid
@@ -620,19 +595,15 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
     roughly the barrier shift 0.5826 * vol * sqrt(dt) of the monitored
     series.  The returned standard error is binomial.
 
-    Without an explicit strategy, two-group markets are simulated under
-    their closed-loop feedback rule and any other group count under the
-    mean-field rule applied at finite N.
+    Without an explicit strategy the market plays
+    :func:`~interbank.equilibrium.default_strategy`.
     """
-    vm = _ensure_sim(market)
+    vm = validate(market, Mode.MFG)
+    sizes = vm.group_sizes()
     if strategy is None:
-        if vm.d == 2:
-            strategy = feedback_closed(solve_closed_loop(vm, grid), vm)
-        else:
-            strategy = feedback_mfg(solve_mfg(vm, grid), vm)
+        strategy = default_strategy(vm, grid)
     grid = grid or strategy.grid
     d = vm.d
-    sizes = vm.group_sizes()
     slots = [1] * d
     if default.kind is not TargetKind.GLOBAL_AVERAGE:
         if not 0 <= default.group < d:

@@ -2,9 +2,12 @@ import argparse
 import json
 import math
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from interbank.cli import (
     RunConfig,
@@ -419,3 +422,55 @@ def test_prob_outside_the_formula_makes_no_claim(tmp_path, capsys, change):
     assert "analytic" not in rows and "deficit" not in rows
     assert float(rows["n_paths"]) == 2000
     assert float(rows["mc"]) == float(rows["n_hits"]) / 2000
+
+
+# Every key set, with a growth-rate break, so each number can be poisoned.
+ALL_NUMBERS = """\
+rho = 0.2
+horizon = 1.0
+steps = 40
+seed = 11
+paths = 8
+
+[group.1]
+sigma = 1.0
+q = 2.0
+eps = 5.0
+c = 0.5
+lam = 0.1
+rho_k = 0.3
+gamma = 0.1, 0.5:-0.2
+n_banks = 4
+
+[group.2]
+sigma = 0.8
+q = 2.0
+eps = 4.5
+c = 0.5
+lam = 0.5
+rho_k = 0.0
+gamma = 0.0
+n_banks = 16
+"""
+_NUMBER_SPANS = [m.span() for m in re.finditer(r"(?<=[\s:])-?\d+(?:\.\d+)?",
+                                               ALL_NUMBERS)]
+
+
+def test_all_numbers_config_is_valid(tmp_path):
+    rc, _ = run(tmp_path, "solve", ALL_NUMBERS, "--quiet")
+    assert rc == 0
+    assert len(_NUMBER_SPANS) == 23
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_NUMBER_SPANS), st.sampled_from(["nan", "inf", "-inf"]))
+def test_non_finite_numbers_are_rejected(span, bad):
+    start, end = span
+    text = ALL_NUMBERS[:start] + bad + ALL_NUMBERS[end:]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        rc = main(["solve", "--config", cfg, "--out",
+                   os.path.join(tmp, "out"), "--quiet"])
+    assert rc == 2, text

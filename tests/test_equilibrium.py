@@ -8,7 +8,6 @@ from interbank.equilibrium import (
     LabelMismatch,
     OutOfHorizon,
     StrategyKind,
-    evaluate_control,
     feedback_closed,
     feedback_mfg,
     feedback_open,
@@ -111,9 +110,9 @@ def test_control_is_affine():
         k = int(rng.integers(0, 2))
         x, xp = rng.normal(size=2)
         m, mp = rng.normal(size=(2, 2))
-        a = evaluate_control(strategy, t, k, x, m)
-        b = evaluate_control(strategy, t, k, xp, mp)
-        mid = evaluate_control(strategy, t, k, 0.5 * (x + xp), 0.5 * (m + mp))
+        a = strategy.control(t, k, x, m)
+        b = strategy.control(t, k, xp, mp)
+        mid = strategy.control(t, k, 0.5 * (x + xp), 0.5 * (m + mp))
         assert abs(mid - 0.5 * (a + b)) < 1e-12
 
 
@@ -195,11 +194,14 @@ def test_liquidity_rate_matches_components():
     rate = liquidity_rate(path, market)
     n1 = 1.0 / 4.0
     want = (1.0 - n1) * path.column("eta1") - n1 * path.column("eta4")
-    assert np.array_equal(rate.samples, want)
-    assert abs(rate(0.37) - np.interp(0.37, rate.times, want)) < 1e-15
-    assert rate(1.0) == 0.0  # c = 0 kills the terminal coefficients
-    with pytest.raises(OutOfHorizon):
-        rate(1.2)
+    assert np.array_equal(rate, want)
+    assert rate[-1] == 0.0  # c = 0 kills the terminal coefficients
+    # Between nodes and outside the horizon the path itself answers.
+    coef = dict(zip(path.labels, path.at(0.37)))
+    between = (1.0 - n1) * coef["eta1"] - n1 * coef["eta4"]
+    assert abs(between - np.interp(0.37, path.times, rate)) < 1e-15
+    with pytest.raises(ValueError):
+        path.at(1.2)
 
 
 def test_strategy_csv(tmp_path):

@@ -17,6 +17,7 @@ from interbank.model import (
     two_groups,
     validate,
 )
+from interbank.riccati import solve_closed_loop
 
 
 def test_step_function_left_continuous():
@@ -99,7 +100,14 @@ def test_two_group_modes_need_two_groups():
                                            n_banks=3),))
     with pytest.raises(RejectedParams):
         validate(one, Mode.CLOSED_LOOP)
-    assert validate(one, Mode.MFG).beta == (1.0,)
+    vm = validate(one, Mode.MFG)
+    assert vm.beta == (1.0,)
+    # A validated market is validated again for each mode it is used in.
+    assert validate(vm, Mode.MFG).market is one
+    with pytest.raises(RejectedParams):
+        validate(vm, Mode.CLOSED_LOOP)
+    with pytest.raises(RejectedParams):
+        solve_closed_loop(vm)
 
 
 @pytest.mark.parametrize(

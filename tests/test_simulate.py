@@ -216,16 +216,16 @@ def test_ensemble_checks_consistency():
     grid = TimeGrid(t_end=1.0, n_steps=8)
     ens = simulate_closed_loop(market, closed_strategy(market, grid), 0.0,
                                spec, grid=grid)
-    with pytest.raises(ValueError):
-        TrajectoryEnsemble(
-            grid=ens.grid, states=ens.states, group_index=ens.group_index,
-            group_averages=np.zeros_like(ens.group_averages),
-            global_average=ens.global_average, x0=ens.x0)
-    with pytest.raises(ValueError):
-        TrajectoryEnsemble(
-            grid=ens.grid, states=ens.states, group_index=(0,) * 4,
-            group_averages=ens.group_averages,
-            global_average=ens.global_average, x0=ens.x0 + 1.0)
+    with pytest.raises(ValueError, match="grid"):
+        TrajectoryEnsemble(grid=ens.grid, states=ens.states[:, :, :-1],
+                           group_index=ens.group_index)
+    with pytest.raises(ValueError, match="group index"):
+        TrajectoryEnsemble(grid=ens.grid, states=ens.states,
+                           group_index=(0, 0, 1))
+    again = TrajectoryEnsemble(grid=ens.grid, states=ens.states,
+                               group_index=ens.group_index)
+    assert np.array_equal(again.group_averages, ens.group_averages)
+    assert np.array_equal(again.x0, ens.states[:, :, 0])
 
 
 def test_target_series_selection():
@@ -252,6 +252,13 @@ def test_default_spec_validation():
     with pytest.raises(ValueError):
         DefaultSpec(level=-1.0, kind=TargetKind.SINGLE_BANK, group=0)
     DefaultSpec.single_bank(-1.0, 0, 1)
+
+
+@pytest.mark.parametrize("group, bank", [(-1, None), (-1, 0), (0, -1)])
+def test_default_spec_rejects_negative_indices(group, bank):
+    kind = TargetKind.GROUP_AVERAGE if bank is None else TargetKind.SINGLE_BANK
+    with pytest.raises(ValueError, match="start at 0"):
+        DefaultSpec(level=-0.5, kind=kind, group=group, bank=bank)
 
 
 def test_symmetric_groups_have_zero_distance():
