@@ -231,10 +231,12 @@ def build_runconfig(command: str, sections: dict[str, dict[str, str]],
     top = sections[""]
     market = _build_market(sections)
     d = len(market.groups)
-    n_steps = overrides.steps or int(top.get("steps", "2000"))
+    n_steps = overrides.steps if overrides.steps is not None else int(
+        top.get("steps", "2000"))
     seed = overrides.seed if overrides.seed is not None else int(
         top.get("seed", "0"))
-    n_paths = overrides.paths or int(top.get("paths", "1000"))
+    n_paths = overrides.paths if overrides.paths is not None else int(
+        top.get("paths", "1000"))
     out_dir = overrides.out or top.get("out", "out")
     barrier = None
     if "barrier" in top:
@@ -612,9 +614,10 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             sections = parse_config_text(fh.read())
         config = build_runconfig(args.command, sections, args)
-        validated = validate(config.market,
-                             Mode.CLOSED_LOOP if len(config.market.groups) == 2
-                             else Mode.MFG)
+        groups = config.market.groups
+        sized = all(g.n_banks is not None for g in groups)
+        validated = validate(config.market, Mode.CLOSED_LOOP
+                             if len(groups) == 2 and sized else Mode.MFG)
         for warning in validated.warnings:
             if not config.quiet:
                 print(f"warning: {warning}", file=sys.stderr)

@@ -4,11 +4,12 @@ Each bank's diffusion mixes one global driver W0, one per-group driver Wk,
 and one idiosyncratic driver, with loadings (rho, sqrt(1-rho^2)*rho_k,
 sqrt(1-rho^2)*sqrt(1-rho_k^2)) that square-sum to one.
 
-The full simulator steps every bank.  Default probabilities and
-mean-field means step the group means alone: under an affine rule the
-within-group gap terms sum to zero, so the means follow a closed
-d-dimensional equation and their noise needs one slot per group, not one
-column per bank.
+One Euler kernel steps every series.  Under an affine rule the
+within-group gap terms sum to zero, so the group means follow a closed
+d-dimensional equation, and a bank is its group mean plus a deviation
+that decays at the gap gain.  The full simulator steps both; default
+probabilities and mean-field means step the means alone, so their noise
+needs one slot per group, not one column per bank.
 
 Randomness is keyed per path: path p draws its entire normal block from
 its own generator seeded with (seed, p), so any partition of paths into
@@ -206,8 +207,8 @@ class DefaultSpec:
     bank: int | None = None
 
     def __post_init__(self) -> None:
-        if self.level > 0.0:
-            raise ValueError("default level must be <= 0")
+        if not -math.inf < self.level <= 0.0:
+            raise ValueError("default level must be finite and <= 0")
         if self.kind is not TargetKind.GLOBAL_AVERAGE and self.group is None:
             raise ValueError(f"{self.kind.value} target needs a group index")
         if self.kind is TargetKind.SINGLE_BANK and self.bank is None:
@@ -316,6 +317,8 @@ def _expand_x0(x0, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
             (float(e[0]), float(e[1])) if not np.isscalar(e) else (float(e), 0.0)
             for e in x0
         ]
+    if not all(map(math.isfinite, np.ravel(per_group))):
+        raise ValueError("x0 means and standard deviations must be finite")
     mean = np.concatenate([np.full(n, m) for n, (m, _) in zip(sizes, per_group)])
     std = np.concatenate([np.full(n, s) for n, (_, s) in zip(sizes, per_group)])
     if (std < 0.0).any():
@@ -323,27 +326,23 @@ def _expand_x0(x0, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _strategy_tables(strategy: FeedbackStrategy, grid: TimeGrid
+def _strategy_tables(strategy: FeedbackStrategy, vm: ValidatedMarket,
+                     grid: TimeGrid
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gap, weight, and intercept coefficients at the left node of each step."""
+    """Gap gains, averaging weights, and drift (intercept plus growth
+    rate gamma_k) at the left node of each step."""
     if abs(strategy.horizon - grid.t_end) > 1e-9 * max(1.0, grid.t_end):
         raise ValueError("strategy horizon does not match the simulation grid")
-    same = strategy.grid.n_steps == grid.n_steps
     steps = grid.n_steps
-    if same:
-        return (strategy.gap_gain[:steps], strategy.avg_weights[:steps],
-                strategy.intercept[:steps])
     times = grid.times()[:steps]
+    growth = np.array([[g.gamma(t) for g in vm.groups] for t in times])
+    if strategy.grid.n_steps == steps:
+        return (strategy.gap_gain[:steps], strategy.avg_weights[:steps],
+                strategy.intercept[:steps] + growth)
     gap = np.stack([strategy.gap_gain_at(t) for t in times])
     weights = np.stack([strategy.avg_weights_at(t) for t in times])
     inter = np.stack([strategy.intercept_at(t) for t in times])
-    return gap, weights, inter
-
-
-def _growth_table(vm: ValidatedMarket, grid: TimeGrid) -> np.ndarray:
-    """Growth rates gamma_k at the left node of each step, [n_steps, d]."""
-    times = grid.times()[: grid.n_steps]
-    return np.array([[g.gamma(t) for g in vm.groups] for t in times])
+    return gap, weights, inter + growth
 
 
 def _loadings(vm: ValidatedMarket, spec: NoiseSpec, groups: np.ndarray,
@@ -404,33 +403,37 @@ def _run_batches(spec: NoiseSpec, grid: TimeGrid, sizes, worker,
         return list(pool.map(worker, batches))
 
 
-def _euler_means(start: np.ndarray, weights: np.ndarray, drift: np.ndarray,
-                 noise: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _euler_means(start: np.ndarray, weights: np.ndarray,
+                 drift: np.ndarray | float, noise: np.ndarray,
+                 grid: TimeGrid) -> np.ndarray:
     """Euler steps of the closed linear SDE that group means follow.
 
     m_{n+1} = m_n + (W_n m_n + b_n) dt + e_n for ``start`` [paths, s],
-    ``weights`` W [n_steps, s, s], ``drift`` b [n_steps, s] and increments
-    ``noise`` e [paths, n_steps, s].  Under any affine rule the gap terms
-    sum to zero within a group, so group means obey this recursion
-    exactly; so does one bank's deviation from its group mean, with
-    W = -gap and b = 0.  Returns every series at every node, time-major:
-    [n_steps + 1, paths, s].
+    ``weights`` W [n_steps, s, s], ``drift`` b [n_steps, s] (or 0) and
+    increments ``noise`` e [paths, n_steps, s].  Weights of shape
+    [n_steps, s] are the diagonal of W: a per-column decay.  Under any
+    affine rule the gap terms sum to zero within a group, so group means
+    obey this recursion exactly; so does each bank's deviation from its
+    group mean, with diagonal W = -gap and b = 0.  Every carried series is
+    checked against ``BLOWUP_LIMIT`` after each step.  Returns every
+    series at every node, time-major: [n_steps + 1, paths, s].
     """
     dt = grid.dt
     times = grid.times()
     n_paths, n_steps, width = noise.shape
     wdt = weights * dt if weights.any() else None
-    # Time-major increments: each step reads and writes contiguous rows.
-    inc = noise.transpose(1, 0, 2)
-    inc = inc + (drift * dt)[:, None, :] if drift.any() else \
-        np.ascontiguousarray(inc)
+    # Time-major: each step reads and writes contiguous rows.  Node n + 1
+    # holds its increment until the step adds the state of node n to it.
     out = np.empty((n_steps + 1, n_paths, width))
     out[0] = start
+    out[1:] = noise.transpose(1, 0, 2)
+    if np.any(drift):
+        out[1:] += (drift * dt)[:, None, :]
     for n in range(n_steps):
         m, nxt = out[n], out[n + 1]
-        np.add(m, inc[n], out=nxt)
+        nxt += m
         if wdt is not None:
-            nxt += m @ wdt[n].T
+            nxt += m * wdt[n] if wdt.ndim == 2 else m @ wdt[n].T
         if not np.abs(nxt).max() <= BLOWUP_LIMIT:
             raise SimulationBlowUp(float(times[n + 1]))
     return out
@@ -449,6 +452,14 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     group volatility.  Works for any strategy kind: mean-field strategies
     are applied with sample group averages in place of the means.
 
+    Each bank is stepped as its group mean plus its deviation from it.
+    The means follow the closed d-dimensional recursion of
+    :func:`_euler_means` driven by the bank-averaged increments; each
+    deviation decays at its group's gap gain and carries the bank's
+    increment less its group's mean increment.  Both run on the same
+    kernel, whose blow-up guard therefore watches the means and the
+    deviations rather than their sums.  Start states are stored exactly.
+
     ``batch_paths`` trades memory for loop overhead and never changes the
     result: every path has its own seed-keyed stream.
     """
@@ -457,54 +468,34 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     grid = grid or strategy.grid
     sizes = vm.group_sizes()
     group_index = np.repeat(np.arange(vm.d), sizes)
+    members = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
     loads = _loadings(vm, spec, group_index)
-    gap_t, w_t, int_t = _strategy_tables(strategy, grid)
+    gap_t, w_t, drift = _strategy_tables(strategy, vm, grid)
+    decay = -gap_t[:, group_index]
     mean, std = _expand_x0(X0, sizes)
-    dt = grid.dt
-    times = grid.times()
-    n_steps = grid.n_steps
-    d = vm.d
-    proj = _group_projector(group_index, d)
-    # Step tables broadcast to one column per bank and pre-scaled by dt,
-    # so the inner loop is one multiply and a few adds per step; the
-    # weight matmul is skipped when the averaging weights vanish.
-    gap_b = np.ascontiguousarray(gap_t[:, group_index] * dt)
-    ig_b = np.ascontiguousarray(
-        (int_t + _growth_table(vm, grid))[:, group_index] * dt)
-    wdt_t = w_t * dt
-    use_w = bool(w_t.any())
+    proj = _group_projector(group_index, vm.d)
 
     def worker(batch: IncrementBatch) -> tuple[int, np.ndarray]:
-        # Noise stays path-major: step n of a path sits next to step n + 1,
-        # so the strided per-step slices below read each cache line once.
+        # Every batch reaches exactly one worker, so its noise may be
+        # overwritten in place.
         noise = _mixed_noise(batch, group_index, loads)
-        if ig_b.any():
-            noise = noise + ig_b
+        mean_noise = noise @ proj.T
         x0 = mean + std * batch.x0_normals
-        states = np.empty((batch.n_paths, len(group_index), n_steps + 1))
-        states[:, :, 0] = x0
-        x = x0.copy()
-        drift = np.empty_like(x)
-        avg = x @ proj.T
-        for n in range(n_steps):
-            gavg = avg if d == 1 else avg[:, group_index]
-            np.subtract(gavg, x, out=drift)
-            drift *= gap_b[n]
-            if use_w:
-                drift += (avg @ wdt_t[n].T)[:, group_index]
-            drift += noise[:, n, :]
-            x += drift
-            if not np.abs(x).max() <= BLOWUP_LIMIT:
-                raise SimulationBlowUp(float(times[n + 1]))
-            states[:, :, n + 1] = x
-            avg = x @ proj.T
+        m0 = x0 @ proj.T
+        means = _euler_means(m0, w_t, drift, mean_noise, grid)
+        for k, banks in enumerate(members):
+            noise[:, :, banks] -= mean_noise[:, :, k : k + 1]
+        states = _euler_means(x0 - m0[:, group_index], decay, 0.0, noise,
+                              grid)
+        for k, banks in enumerate(members):
+            states[:, :, banks] += means[:, :, k : k + 1]
+        states[0] = x0
         return batch.start, states
 
-    n_banks = int(sum(sizes))
-    all_states = np.empty((spec.n_paths, n_banks, n_steps + 1))
+    all_states = np.empty((spec.n_paths, len(group_index), grid.n_steps + 1))
     for start, states in _run_batches(spec, grid, sizes, worker, jobs,
                                       batch_paths):
-        all_states[start : start + states.shape[0]] = states
+        all_states[start : start + states.shape[1]] = states.transpose(1, 2, 0)
     return TrajectoryEnsemble.from_states(grid, all_states, group_index)
 
 
@@ -531,12 +522,11 @@ def simulate_mfg_mean(market: MarketParams | ValidatedMarket,
     d = vm.d
     strategy = feedback_mfg(mfg_path, vm)
     grid = grid or mfg_path.grid
-    _, w_t, int_t = _strategy_tables(strategy, grid)
+    _, w_t, drift = _strategy_tables(strategy, vm, grid)
     if n_banks_per_group is None:
         n_banks_per_group = (0,) * d
     groups = np.arange(d)
     loads = _loadings(vm, spec, groups, 0.0)
-    drift = int_t + _growth_table(vm, grid)
     start_mean = np.full(d, float(m0)) if np.isscalar(m0) else np.asarray(
         m0, dtype=float)
     if start_mean.shape != (d,):
@@ -624,12 +614,12 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
     start_loc = np.where(is_mean, mean[groups], 0.0)
     start_scale = std[groups] * scale
 
-    gap_t, w_t, int_t = _strategy_tables(strategy, grid)
+    gap_t, w_t, b_t = _strategy_tables(strategy, vm, grid)
     width = len(groups)
     weights = np.zeros((grid.n_steps, width, width))
     weights[:, means[:, None], means] = w_t
     drift = np.zeros((grid.n_steps, width))
-    drift[:, means] = int_t + _growth_table(vm, grid)
+    drift[:, means] = b_t
     # The monitored series as a linear form in the carried series.
     target = np.zeros(width)
     if default.kind is TargetKind.GLOBAL_AVERAGE:

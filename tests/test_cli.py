@@ -217,8 +217,27 @@ def test_blow_up_exit_code(tmp_path, capsys):
 
 
 def test_missing_group_sizes_rejected(tmp_path):
-    text = TWO_GROUP.replace("n_banks = 4\n", "").replace("n_banks = 16\n", "")
-    rc, _ = run(tmp_path, "solve", text + "beta = 0.2, 0.8\n")
+    # Weights suffice for the limiting and mean-field systems; the
+    # finite-player systems and the simulators need sizes.
+    text = "beta = 0.2, 0.8\n" + TWO_GROUP.replace(
+        "n_banks = 4\n", "").replace("n_banks = 16\n", "")
+    rc, out = run(tmp_path, "solve", text)
+    assert rc == 0
+    assert sorted(os.listdir(out)) == ["limiting.csv", "mfg.csv",
+                                       "solve_manifest.json"]
+    rc, _ = run(tmp_path, "solve", "systems = closed\n" + text, out="closed")
+    assert rc == 2
+    rc, _ = run(tmp_path, "simulate", text, out="simulate")
+    assert rc == 2
+
+
+@pytest.mark.parametrize("flag, field", [("--steps", "n_steps"),
+                                         ("--paths", "n_paths")])
+def test_zero_step_or_path_override_rejected(tmp_path, flag, field):
+    config = build_runconfig("simulate", parse_config_text(TWO_GROUP),
+                             _overrides(**{flag[2:]: 0}))
+    assert getattr(config, field) == 0
+    rc, _ = run(tmp_path, "simulate", TWO_GROUP, flag, "0", "--quiet")
     assert rc == 2
 
 
@@ -422,6 +441,20 @@ def test_prob_outside_the_formula_makes_no_claim(tmp_path, capsys, change):
     assert "analytic" not in rows and "deficit" not in rows
     assert float(rows["n_paths"]) == 2000
     assert float(rows["mc"]) == float(rows["n_hits"]) / 2000
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", "x0 = nan\n" + TWO_GROUP),
+    ("simulate", "x0 = 0~inf\n" + TWO_GROUP),
+    ("prob", "x0 = -inf\n" + CORRELATED_PROB),
+    ("prob", CORRELATED_PROB.replace("barrier = -0.62", "barrier = nan")),
+], ids=["simulate-x0-nan", "simulate-x0-std-inf", "prob-x0-minus-inf",
+        "prob-barrier-nan"])
+def test_non_finite_start_or_barrier_rejected(tmp_path, capsys, command,
+                                              text):
+    rc, _ = run(tmp_path, command, text, "--quiet")
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
 
 
 # Every key set, with a growth-rate break, so each number can be poisoned.

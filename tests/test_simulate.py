@@ -5,7 +5,7 @@ import pytest
 
 from conftest import market_from_params
 
-from interbank.equilibrium import feedback_closed, feedback_mfg
+from interbank.equilibrium import feedback_closed, feedback_mfg, feedback_open
 from interbank import simulate
 from interbank.model import (
     GroupParams,
@@ -15,7 +15,7 @@ from interbank.model import (
     noise_loadings,
     two_groups,
 )
-from interbank.riccati import solve_closed_loop, solve_mfg
+from interbank.riccati import solve_closed_loop, solve_mfg, solve_open_loop
 from interbank.simulate import (
     BATCH_PATHS,
     DefaultSpec,
@@ -245,8 +245,9 @@ def test_target_series_selection():
 
 
 def test_default_spec_validation():
-    with pytest.raises(ValueError):
-        DefaultSpec.global_average(0.5)
+    for level in (0.5, np.nan, -np.inf):
+        with pytest.raises(ValueError):
+            DefaultSpec.global_average(level)
     with pytest.raises(ValueError):
         DefaultSpec(level=-1.0, kind=TargetKind.GROUP_AVERAGE)
     with pytest.raises(ValueError):
@@ -396,9 +397,70 @@ def _bank_increments(market, batch, group_index):
                   + loads[:, 2] * batch.idiosyncratic)
 
 
+def _reference_states(market, strategy, x0, spec, grid):
+    """Every bank under the explicit per-bank Euler scheme, [paths, banks,
+    nodes]: controls from the step-n sample group averages, increments
+    from :func:`_bank_increments`, all in one batch."""
+    sizes = [g.n_banks for g in market.groups]
+    group_index = np.repeat(np.arange(len(sizes)), sizes)
+    proj = np.array([group_index == k for k in range(len(sizes))], dtype=float)
+    proj /= proj.sum(axis=1, keepdims=True)
+    growth = np.array([[g.gamma(t) for g in market.groups]
+                       for t in grid.times()[:-1]])
+    (batch,) = generate_increments(spec, grid, sizes, spec.n_paths)
+    noise = _bank_increments(market, batch, group_index)
+    mean, std = np.array(x0, dtype=float)[group_index].T
+    x = mean + std * batch.x0_normals
+    states = [x]
+    for n in range(grid.n_steps):
+        avg = x @ proj.T
+        rate = (strategy.gap_gain[n, group_index] * (avg[:, group_index] - x)
+                + (avg @ strategy.avg_weights[n].T)[:, group_index]
+                + (strategy.intercept[n] + growth[n])[group_index])
+        x = x + rate * grid.dt + noise[:, n, :]
+        states.append(x)
+    return np.stack(states, axis=2)
+
+
+def _three_groups():
+    groups = tuple(
+        GroupParams(sigma=s, q=2.0, eps=5.0, c=c, lam=lam, rho_k=rk,
+                    gamma=g, n_banks=n)
+        for s, c, lam, rk, g, n in ((1.1, 0.4, 0.3, 0.2, 0.1, 2),
+                                    (0.8, 0.6, 0.5, 0.0, -0.2, 3),
+                                    (1.3, 0.2, 0.7, 0.5, 0.0, 4)))
+    return MarketParams(rho=0.3, horizon=1.0, groups=groups)
+
+
+_RULES = {"closed": (solve_closed_loop, feedback_closed),
+          "open": (solve_open_loop, feedback_open),
+          "mfg": (solve_mfg, feedback_mfg)}
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+@pytest.mark.parametrize("name, rule, x0", [
+    ("stepg", "closed", ((0.2, 0.3), (-0.1, 0.5))),
+    ("rich", "open", ((0.1, 0.0), (0.1, 0.0))),
+    ("three", "mfg", ((0.0, 0.2), (0.1, 0.0), (-0.2, 0.3))),
+])
+def test_simulation_matches_the_per_bank_reference(name, rule, x0, jobs):
+    market = _three_groups() if name == "three" else market_from_params(name)
+    grid = TimeGrid(t_end=market.horizon, n_steps=100)
+    solve, feedback = _RULES[rule]
+    strategy = feedback(solve(market, grid), market)
+    spec = NoiseSpec.from_market(market, seed=13, n_paths=40)
+    # Several batches, so the serial run reuses its buffers and the
+    # threaded run has more than one batch in flight.
+    ens = simulate_closed_loop(market, strategy, x0, spec, grid=grid,
+                               jobs=jobs, batch_paths=16)
+    want = _reference_states(market, strategy, x0, spec, grid)
+    assert np.array_equal(ens.x0, want[:, :, 0])
+    assert np.abs(ens.states - want).max() < 1e-12
+
+
 def test_group_mean_kernel_reproduces_the_bank_simulation():
-    # Fed the bank-averaged increments of the full simulator's own block,
-    # the d-dimensional kernel must retrace its group averages, and the
+    # Fed the bank-averaged increments of the per-bank reference, the
+    # d-dimensional kernel must retrace its group averages, and the
     # deviation recursion y <- y (1 - gap dt) + e must retrace one bank.
     gamma1 = StepFunction(breaks=(0.5,), values=(0.4, -0.1))
     market = two_groups(n1=3, n2=5, rho=0.3, rho_k=(0.5, 0.2),
@@ -406,10 +468,10 @@ def test_group_mean_kernel_reproduces_the_bank_simulation():
     grid = TimeGrid(t_end=1.0, n_steps=200)
     spec = NoiseSpec.from_market(market, seed=29, n_paths=16)
     strategy = closed_strategy(market, grid)
-    ens = simulate_closed_loop(market, strategy, ((0.3, 0.2), (-0.1, 0.4)),
-                               spec, grid=grid)
+    states = _reference_states(market, strategy, ((0.3, 0.2), (-0.1, 0.4)),
+                               spec, grid)
 
-    group_index = np.array(ens.group_index)
+    group_index = np.repeat([0, 1], (3, 5))
     (batch,) = generate_increments(spec, grid, (3, 5))
     bank_noise = _bank_increments(market, batch, group_index)
     proj = np.array([group_index == k for k in (0, 1)], dtype=float)
@@ -418,20 +480,24 @@ def test_group_mean_kernel_reproduces_the_bank_simulation():
     steps = grid.n_steps
     growth = np.array([[g.gamma(t) for g in market.groups]
                        for t in grid.times()[:steps]])
-    means = _euler_means(ens.x0 @ proj.T, strategy.avg_weights[:steps],
+    x0 = states[:, :, 0]
+    means = _euler_means(x0 @ proj.T, strategy.avg_weights[:steps],
                          strategy.intercept[:steps] + growth, mean_noise,
                          grid)
     assert means.shape == (steps + 1, 16, 2)
-    assert np.abs(means.transpose(1, 2, 0) - ens.group_averages).max() < 1e-12
+    averages = np.einsum("kb,pbn->pkn", proj, states)
+    assert np.abs(means.transpose(1, 2, 0) - averages).max() < 1e-12
 
     for bank, k in ((1, 0), (6, 1)):
         gap = strategy.gap_gain[:steps, k]
-        deviation = _euler_means(
-            (ens.x0[:, bank] - ens.x0 @ proj[k])[:, None],
-            -gap[:, None, None], np.zeros((steps, 1)),
-            (bank_noise[:, :, bank] - mean_noise[:, :, k])[:, :, None], grid)
+        start = (x0[:, bank] - x0 @ proj[k])[:, None]
+        noise = (bank_noise[:, :, bank] - mean_noise[:, :, k])[:, :, None]
+        deviation = _euler_means(start, -gap[:, None, None], 0.0, noise, grid)
+        # Diagonal weights [n_steps, s] are the same decay.
+        assert np.array_equal(
+            _euler_means(start, -gap[:, None], 0.0, noise, grid), deviation)
         path = means[:, :, k] + deviation[:, :, 0]
-        assert np.abs(path.T - ens.states[:, bank, :]).max() < 1e-12
+        assert np.abs(path.T - states[:, bank, :]).max() < 1e-12
 
 
 def _recorded_draws(monkeypatch):
