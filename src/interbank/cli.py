@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -145,6 +146,13 @@ def _parse_gamma(text: str) -> StepFunction:
     return StepFunction(breaks=tuple(breaks), values=tuple(values))
 
 
+def _finite(text: str, key: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {text.strip()!r}")
+    return value
+
+
 def _parse_x0(text: str, d: int) -> tuple[tuple[float, float], ...]:
     tokens = [t.strip() for t in text.split(",")]
     if len(tokens) == 1:
@@ -154,7 +162,7 @@ def _parse_x0(text: str, d: int) -> tuple[tuple[float, float], ...]:
     out = []
     for token in tokens:
         mean, _, std = token.partition("~")
-        out.append((float(mean), float(std) if std else 0.0))
+        out.append((_finite(mean, "x0"), _finite(std, "x0") if std else 0.0))
     return tuple(out)
 
 
@@ -217,7 +225,7 @@ def _build_market(sections: dict[str, dict[str, str]]) -> MarketParams:
         ))
     beta = None
     if "beta" in top:
-        beta = tuple(float(b) for b in top["beta"].split(","))
+        beta = tuple(_finite(b, "beta") for b in top["beta"].split(","))
     return MarketParams(
         rho=float(top.get("rho", "0.0")),
         horizon=float(top.get("horizon", "1.0")),

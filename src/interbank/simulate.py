@@ -2,7 +2,8 @@
 
 Each bank's diffusion mixes one global driver W0, one per-group driver Wk,
 and one idiosyncratic driver, with loadings (rho, sqrt(1-rho^2)*rho_k,
-sqrt(1-rho^2)*sqrt(1-rho_k^2)) that square-sum to one.
+sqrt(1-rho^2)*sqrt(1-rho_k^2)) that square-sum to one.  Only drivers
+with a nonzero loading are drawn, and one small product mixes them in.
 
 One Euler kernel steps every series.  Under an affine rule the
 within-group gap terms sum to zero, so the group means follow a closed
@@ -13,9 +14,11 @@ needs one slot per group, not one column per bank.
 
 Randomness is keyed per path: path p draws its entire normal block from
 its own generator seeded with (seed, p), so any partition of paths into
-batches or threads reproduces the same numbers.  Reductions over paths
-are integer counts or fixed-order array writes, making every result
-byte-identical between serial and parallel runs.
+batches or threads reproduces the same numbers.  Products run path by
+path (stacked or ``einsum``, never a 2-D BLAS call whose kernel depends
+on the row count) and reductions over paths are integer counts or
+fixed-order writes, so results are bit-identical for any batch size and
+worker count.
 """
 
 from __future__ import annotations
@@ -95,9 +98,12 @@ class NoiseSpec:
 class IncrementBatch:
     """Normal draws for a contiguous block of paths.
 
-    ``drivers[:, n, 0]`` is the global increment at step n, columns 1..d
-    the group increments, all scaled by sqrt(dt); ``idiosyncratic`` holds
-    one sqrt(dt)-scaled column per bank or group slot.  ``x0_normals``
+    ``increments`` [paths, n_steps, len(active) + columns] is the drawn
+    block scaled by sqrt(dt): leading column i is driver ``active[i]``
+    (0 global, k for group k of ``d``), then one idiosyncratic column per
+    bank or group slot.  The ``drivers`` property expands the leading
+    columns into a new [paths, n_steps, 1 + d] array, zero where a driver
+    is not drawn; ``idiosyncratic`` is a view of the rest.  ``x0_normals``
     are unscaled standard normals reserved for initial-state sampling;
     they are drawn first so the stream layout never depends on whether X0
     is random.
@@ -105,12 +111,23 @@ class IncrementBatch:
 
     start: int
     x0_normals: np.ndarray
-    drivers: np.ndarray
-    idiosyncratic: np.ndarray
+    increments: np.ndarray
+    active: tuple[int, ...]
+    d: int
 
     @property
     def n_paths(self) -> int:
-        return self.drivers.shape[0]
+        return self.increments.shape[0]
+
+    @property
+    def drivers(self) -> np.ndarray:
+        out = np.zeros(self.increments.shape[:2] + (1 + self.d,))
+        out[:, :, list(self.active)] = self.increments[:, :, :len(self.active)]
+        return out
+
+    @property
+    def idiosyncratic(self) -> np.ndarray:
+        return self.increments[:, :, len(self.active):]
 
 
 def _active_driver_columns(spec: NoiseSpec) -> tuple[int, ...]:
@@ -134,9 +151,9 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     SeedSequence((seed, p)): x0 normals first, then step-major rows (the
     active drivers in index order, one column per bank).  A driver whose
     loading vanishes for every group (rho == 0 for the global one,
-    sqrt(1-rho^2)*rho_k == 0 for group k) can never reach a bank, so its
-    column draws no randomness and stays zero; fully independent markets
-    pay for exactly one normal per bank per step.  The layout depends
+    sqrt(1-rho^2)*rho_k == 0 for group k) can never reach a bank, so it
+    draws no randomness and has no column; fully independent markets pay
+    for exactly one normal per bank per step.  The layout depends
     only on (spec, grid, n_banks_per_group), so simulations of the group
     means alone reuse the identical driver columns.  Callers that step
     group means pass slot counts per group in place of bank counts.
@@ -148,43 +165,26 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     sizes = tuple(int(n) for n in n_banks_per_group)
     if len(sizes) != spec.d:
         raise ValueError("one bank count per group is required")
-    d = spec.d
     n_banks = sum(sizes)
     n_steps = grid.n_steps
     active = _active_driver_columns(spec)
-    n_active = len(active)
-    width = n_active + n_banks
+    width = len(active) + n_banks
     root = math.sqrt(grid.dt)
-    x0_arena = block_arena = None
+    arena = None
     for start in range(0, spec.n_paths, batch_paths):
         count = min(batch_paths, spec.n_paths - start)
-        if not reuse_buffers:
-            x0 = np.empty((count, n_banks))
-            block = np.empty((count, n_steps, width))
-        else:
-            if x0_arena is None:
-                x0_arena = np.empty((count, n_banks))
-                block_arena = np.empty((count, n_steps, width))
-            x0 = x0_arena[:count]
-            block = block_arena[:count]
+        if arena is None or not reuse_buffers:
+            arena = (np.empty((count, n_banks)),
+                     np.empty((count, n_steps, width)))
+        x0, block = (a[:count] for a in arena)
         for j in range(count):
             seq = np.random.SeedSequence(entropy=(spec.seed, start + j))
             rng = np.random.Generator(np.random.PCG64(seq))
             rng.standard_normal(out=x0[j])
             rng.standard_normal(out=block[j])
             block[j] *= root
-        if n_active == 1 + d:
-            drivers = block[:, :, : 1 + d]
-        else:
-            drivers = np.zeros((count, n_steps, 1 + d))
-            if n_active:
-                drivers[:, :, list(active)] = block[:, :, :n_active]
-        yield IncrementBatch(
-            start=start,
-            x0_normals=x0,
-            drivers=drivers,
-            idiosyncratic=block[:, :, n_active:],
-        )
+        yield IncrementBatch(start=start, x0_normals=x0, increments=block,
+                             active=active, d=spec.d)
 
 
 class TargetKind(enum.Enum):
@@ -346,47 +346,31 @@ def _strategy_tables(strategy: FeedbackStrategy, vm: ValidatedMarket,
 
 
 def _loadings(vm: ValidatedMarket, spec: NoiseSpec, groups: np.ndarray,
-              idio=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Volatility-scaled (global, group, idiosyncratic) loadings per column.
-
-    Column j belongs to group ``groups[j]``; ``idio`` rescales its
-    idiosyncratic loading.  A driver the spec never draws gets loading 0,
-    so its all-zero column is never read.
-    """
-    active = _active_driver_columns(spec)
+              idio=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Volatility-scaled [active drivers, columns] driver loadings and each
+    column's own loading times ``idio``; column j is in group ``groups[j]``.
+    The spec picks which drivers are drawn, so its correlations must be
+    the market's."""
+    if spec != NoiseSpec.from_market(vm, spec.seed, spec.n_paths):
+        raise ValueError("noise spec correlations differ from the market's")
     sig = np.array([g.sigma for g in vm.groups])[groups]
-    loads = np.array([noise_loadings(vm.rho, g.rho_k)
-                      for g in vm.groups])[groups]
-    c0 = sig * loads[:, 0] * (0 in active)
-    cg = sig * loads[:, 1] * np.isin(1 + groups, active)
-    return c0, cg, sig * loads[:, 2] * idio
+    loads = sig[:, None] * np.array([noise_loadings(vm.rho, g.rho_k)
+                                     for g in vm.groups])[groups]
+    active = np.array(_active_driver_columns(spec), dtype=int)[:, None]
+    driver = np.where(active == 0, loads[:, 0],
+                      np.where(active == 1 + groups, loads[:, 1], 0.0))
+    return driver, loads[:, 2] * idio
 
 
-def _mixed_noise(batch: IncrementBatch, groups: np.ndarray,
-                 loads) -> np.ndarray:
-    """Diffusion increments per column: the mixture of the global, group,
-    and idiosyncratic drivers with the loadings from :func:`_loadings`.
-
-    Layers with zero weight are skipped, and an all-ones mixture returns
-    the idiosyncratic block itself, so fully independent noise costs no
-    copies.
-    """
-    c0, cg, ci = loads
-    out = None
-    if c0.any():
-        out = c0 * batch.drivers[:, :, :1]
-    if cg.any():
-        layer = cg * batch.drivers[:, :, 1 + groups]
-        out = layer if out is None else np.add(out, layer, out=out)
-    if ci.any():
-        if out is None:
-            if (ci == 1.0).all():
-                return batch.idiosyncratic
-            return ci * batch.idiosyncratic
-        out += ci * batch.idiosyncratic
-    if out is None:
-        out = np.zeros(batch.drivers.shape[:2] + (len(groups),))
-    return out
+def _mixed_noise(batch: IncrementBatch, driver: np.ndarray,
+                 own: np.ndarray) -> np.ndarray:
+    """Per-column diffusion increments from the :func:`_loadings` pair,
+    formed in the batch's idiosyncratic block: mix each batch only once."""
+    noise = batch.idiosyncratic
+    noise *= own
+    if len(driver):
+        noise += batch.increments[:, :, :len(driver)] @ driver
+    return noise
 
 
 def _run_batches(spec: NoiseSpec, grid: TimeGrid, sizes, worker,
@@ -433,7 +417,8 @@ def _euler_means(start: np.ndarray, weights: np.ndarray,
         m, nxt = out[n], out[n + 1]
         nxt += m
         if wdt is not None:
-            nxt += m * wdt[n] if wdt.ndim == 2 else m @ wdt[n].T
+            nxt += (m * wdt[n] if wdt.ndim == 2
+                    else np.einsum("ps,ts->pt", m, wdt[n]))
         if not np.abs(nxt).max() <= BLOWUP_LIMIT:
             raise SimulationBlowUp(float(times[n + 1]))
     return out
@@ -469,7 +454,7 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     sizes = vm.group_sizes()
     group_index = np.repeat(np.arange(vm.d), sizes)
     members = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
-    loads = _loadings(vm, spec, group_index)
+    driver, own = _loadings(vm, spec, group_index)
     gap_t, w_t, drift = _strategy_tables(strategy, vm, grid)
     decay = -gap_t[:, group_index]
     mean, std = _expand_x0(X0, sizes)
@@ -477,11 +462,11 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
 
     def worker(batch: IncrementBatch) -> tuple[int, np.ndarray]:
         # Every batch reaches exactly one worker, so its noise may be
-        # overwritten in place.
-        noise = _mixed_noise(batch, group_index, loads)
+        # mixed and overwritten in place.
+        noise = _mixed_noise(batch, driver, own)
         mean_noise = noise @ proj.T
         x0 = mean + std * batch.x0_normals
-        m0 = x0 @ proj.T
+        m0 = np.einsum("pb,kb->pk", x0, proj)
         means = _euler_means(m0, w_t, drift, mean_noise, grid)
         for k, banks in enumerate(members):
             noise[:, :, banks] -= mean_noise[:, :, k : k + 1]
@@ -525,15 +510,14 @@ def simulate_mfg_mean(market: MarketParams | ValidatedMarket,
     _, w_t, drift = _strategy_tables(strategy, vm, grid)
     if n_banks_per_group is None:
         n_banks_per_group = (0,) * d
-    groups = np.arange(d)
-    loads = _loadings(vm, spec, groups, 0.0)
+    driver, _ = _loadings(vm, spec, np.arange(d))
     start_mean = np.full(d, float(m0)) if np.isscalar(m0) else np.asarray(
         m0, dtype=float)
     if start_mean.shape != (d,):
         raise ValueError(f"m0 needs one mean per group ({d})")
 
     def worker(batch: IncrementBatch) -> tuple[int, np.ndarray]:
-        noise = _mixed_noise(batch, groups, loads)
+        noise = batch.increments[:, :, :len(driver)] @ driver
         means = _euler_means(start_mean, w_t, drift, noise, grid)
         return batch.start, means.transpose(1, 2, 0)
 
@@ -607,9 +591,9 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
     is_mean = np.isin(np.arange(len(groups)), means)
     n_k = np.array(sizes, dtype=float)[groups]
     scale = np.where(is_mean, 1.0 / np.sqrt(n_k), np.sqrt(1.0 - 1.0 / n_k))
-    c0, cg, ci = _loadings(vm, spec, groups, scale)
+    driver, own = _loadings(vm, spec, groups, scale)
     # A deviation slot carries no common noise.
-    loads = (c0 * is_mean, cg * is_mean, ci)
+    driver[:, ~is_mean] = 0.0
     mean, std = _expand_x0(x0, (1,) * d)
     start_loc = np.where(is_mean, mean[groups], 0.0)
     start_scale = std[groups] * scale
@@ -633,9 +617,10 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
     level = default.level
 
     def worker(batch: IncrementBatch) -> int:
-        noise = _mixed_noise(batch, groups, loads)
+        noise = _mixed_noise(batch, driver, own)
         start = start_loc + start_scale * batch.x0_normals
-        series = _euler_means(start, weights, drift, noise, grid) @ target
+        carried = _euler_means(start, weights, drift, noise, grid)
+        series = np.einsum("nps,s->np", carried, target)
         return int((series.min(axis=0) <= level).sum())
 
     hits = sum(_run_batches(spec, grid, slots, worker, jobs, batch_paths))

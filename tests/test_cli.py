@@ -464,6 +464,8 @@ horizon = 1.0
 steps = 40
 seed = 11
 paths = 8
+x0 = 0.1 ~ 0.2, 0.0
+beta = 0.2, 0.8
 
 [group.1]
 sigma = 1.0
@@ -492,7 +494,7 @@ _NUMBER_SPANS = [m.span() for m in re.finditer(r"(?<=[\s:])-?\d+(?:\.\d+)?",
 def test_all_numbers_config_is_valid(tmp_path):
     rc, _ = run(tmp_path, "solve", ALL_NUMBERS, "--quiet")
     assert rc == 0
-    assert len(_NUMBER_SPANS) == 23
+    assert len(_NUMBER_SPANS) == 28
 
 
 @settings(max_examples=60, deadline=None)

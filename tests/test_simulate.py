@@ -325,6 +325,52 @@ def test_parallel_run_is_byte_identical():
                                jobs=4)
     assert a == b
 
+    # Batches of one or seven paths give the same bits: no product may
+    # pick its kernel by the number of rows in a batch.  Path p's stream
+    # does not depend on n_paths, so a short spec reruns the first paths.
+    head = dataclasses.replace(spec, n_paths=60)
+    x0 = ((0.1, 0.2), (-0.1, 0.3))
+    mfg_path = solve_mfg(market, grid)
+    targets = (level, DefaultSpec.single_bank(-0.6, 1, 2))
+
+    def outputs(**kw):
+        states = simulate_closed_loop(market, strategy, x0, head, grid=grid,
+                                      **kw).states
+        hits = [mc_hitting_probability(market, head, t, strategy, x0=x0,
+                                       grid=grid, **kw) for t in targets]
+        means = simulate_mfg_mean(market, mfg_path, head, m0=(0.1, -0.1),
+                                  grid=grid, **kw)
+        return states, hits, means
+
+    want = outputs()
+    assert np.array_equal(want[0], simulate_closed_loop(
+        market, strategy, x0, spec, grid=grid).states[:60])
+    for batch_paths in (1, 7):
+        states, hits, means = outputs(batch_paths=batch_paths)
+        assert np.array_equal(states, want[0])
+        assert hits == want[1]
+        assert np.array_equal(means, want[2])
+
+
+def test_spec_correlations_must_match_the_market():
+    # The spec decides which drivers are drawn and the market how they
+    # load: a spec that drops the common noise must not run silently.
+    market = two_groups(n1=4, n2=16, rho=0.9, lam=(0.0, 0.0))
+    grid = TimeGrid(t_end=1.0, n_steps=20)
+    strategy = closed_strategy(market, grid)
+    good = NoiseSpec.from_market(market, seed=3, n_paths=8)
+    for bad in (dataclasses.replace(good, rho=0.0),
+                dataclasses.replace(good, rho_k=(0.0, 0.2)),
+                dataclasses.replace(good, rho_k=(0.0,))):
+        with pytest.raises(ValueError, match="correlations"):
+            simulate_closed_loop(market, strategy, 0.0, bad, grid=grid)
+        with pytest.raises(ValueError, match="correlations"):
+            simulate_mfg_mean(market, solve_mfg(market, grid), bad, grid=grid)
+        with pytest.raises(ValueError, match="correlations"):
+            mc_hitting_probability(market, bad,
+                                   DefaultSpec.global_average(-0.6),
+                                   strategy, grid=grid)
+
 
 def test_mfg_mean_zero_fixed_point():
     market = market_from_params("benchmark")  # c = 0, gamma = 0
