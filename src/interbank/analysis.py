@@ -141,8 +141,15 @@ def _with_sizes(market: MarketParams, sizes: tuple[int, ...]) -> MarketParams:
     return dataclasses.replace(market, groups=groups)
 
 
-def _sizes_for(beta: tuple[float, ...], n_total: int) -> tuple[int, ...]:
+def _sizes_for(beta: tuple[float, ...], n_total: float) -> tuple[int, ...]:
+    """Group sizes round(beta_k * N) of an integer total N they add up to."""
+    if not float(n_total).is_integer():
+        raise ValueError(f"bank total {n_total} is not an integer")
+    n_total = int(n_total)
     sizes = tuple(int(round(b * n_total)) for b in beta)
+    if sum(sizes) != n_total:
+        raise ValueError(f"total {n_total} does not split integrally at "
+                         f"weights {beta}: groups of {sizes}")
     if any(n < 1 for n in sizes):
         raise ValueError(f"total {n_total} leaves an empty group at {beta}")
     return sizes
@@ -180,13 +187,14 @@ def convergence_to_mfg(market: MarketParams | ValidatedMarket,
     vm = validate(market, Mode.MFG)
     if vm.d != 2:
         raise ValueError("the finite-group systems are two-group only")
-    n_values = tuple(int(n) for n in n_values)
+    ladder = [_sizes_for(vm.beta, n) for n in n_values]
+    n_values = tuple(sum(sizes) for sizes in ladder)
     base = dataclasses.replace(vm.market, beta=vm.beta)
     reference = feedback_mfg(solve_mfg(vm, grid), vm)
     closed_gaps = []
     open_gaps = []
-    for n_total in n_values:
-        finite = _with_sizes(base, _sizes_for(vm.beta, n_total))
+    for sizes in ladder:
+        finite = _with_sizes(base, sizes)
         closed_gaps.append(_strategy_gap(
             feedback_closed(solve_closed_loop(finite, grid), finite), reference))
         open_gaps.append(_strategy_gap(
@@ -269,7 +277,7 @@ def sweep_liquidity(market: MarketParams | ValidatedMarket, axis: SweepAxis,
         elif axis is SweepAxis.HORIZON:
             varied = dataclasses.replace(base, horizon=float(v))
         else:
-            varied = _with_sizes(base, _sizes_for(vm.beta, int(v)))
+            varied = _with_sizes(base, _sizes_for(vm.beta, v))
         grid = None
         if n_steps is not None:
             grid = TimeGrid(t_end=varied.horizon, n_steps=n_steps)

@@ -545,6 +545,7 @@ def cmd_prob(config: RunConfig) -> int:
     if config.barrier is None:
         raise ValueError("prob needs 'barrier' in the config")
     market = config.market
+    config.barrier.check_sizes(validate(market, Mode.MFG).group_sizes())
     grid = _grid(config)
     strategy = default_strategy(market, grid)
     level = config.barrier.level

@@ -84,9 +84,14 @@ class BlowUp(RuntimeError):
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """A terminal-value ODE system dy/dt = rhs(t, y), y(T) = terminal."""
+    """A terminal-value ODE system dy/dt = rhs(t, y), y(T) = terminal.
 
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    ``rhs`` takes the time and the state as a sequence of floats in label
+    order and returns the derivative as a sequence of floats of the same
+    length; the integrator passes and expects plain Python lists.
+    """
+
+    rhs: Callable[[float, Sequence[float]], Sequence[float]]
     terminal: np.ndarray
     labels: tuple[str, ...]
 
@@ -211,28 +216,37 @@ def integrate_backward(system: OdeSystem, grid: TimeGrid) -> CoefficientPath:
     are evaluated a hair inside the step: the only explicit time
     dependence comes through the piecewise-constant forcing rates, so a
     rate jump on a grid node then stays one-sided and costs no accuracy.
+    The state and stages are lists of Python floats, each formed with the
+    operations of the equivalent array expression in the same order, so
+    the results equal those of a numpy-array loop bit for bit.
 
     Raises:
       BlowUp: once any component is non-finite or exceeds BLOWUP_LIMIT in
         magnitude, reporting the time and the offending label.
     """
     rhs = system.rhs
-    times = grid.times()
+    times = grid.times().tolist()
     values = np.empty((grid.n_steps + 1, system.dimension))
     values[-1] = system.terminal
-    y = system.terminal.copy()
+    y = system.terminal.tolist()
     h = -grid.dt
+    half = 0.5 * h
+    sixth = h / 6.0
     nudge = 1e-9 * grid.dt
     for j in range(grid.n_steps, 0, -1):
         t = times[j]
         k1 = rhs(t - nudge, y)
-        k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = rhs(t + h + nudge, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        bad = ~np.isfinite(y) | (np.abs(y) > BLOWUP_LIMIT)
-        if bad.any():
-            raise BlowUp(float(times[j - 1]), system.labels[int(np.argmax(bad))])
+        k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
+        k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
+        k4 = rhs(t + h + nudge, [a + h * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        # The sum of magnitudes is NaN, infinite or above the limit
+        # whenever a single component is; only then look for which.
+        if not sum(map(abs, y)) <= BLOWUP_LIMIT:
+            for label, v in zip(system.labels, y):
+                if not abs(v) <= BLOWUP_LIMIT:
+                    raise BlowUp(times[j - 1], label)
         values[j - 1] = y
     return CoefficientPath(grid=grid, values=values, labels=system.labels)
 
@@ -272,9 +286,7 @@ def closed_loop_system(vm: ValidatedMarket) -> OdeSystem:
     n1, n2 = 1.0 / size1, 1.0 / size2
     q1, q2 = gp1.q, gp2.q
     e1, e2 = gp1.eps_slack, gp2.eps_slack
-    off = tracking_offsets(vm)
-    o11, o12 = off[0]
-    o21, o22 = off[1]
+    (o11, o12), (o21, o22) = tracking_offsets(vm).tolist()
     gam1, gam2 = gp1.gamma, gp2.gamma
     sig1, sig2 = gp1.sigma, gp2.sigma
     rho = vm.rho
@@ -289,7 +301,7 @@ def closed_loop_system(vm: ValidatedMarket) -> OdeSystem:
     d2_own = 0.5 * sig2 * sig2 * B2 * (1.0 - n2)
     d2_avg = 0.5 * sig2 * sig2 * (A2 + n2 * B2)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: Sequence[float]) -> list[float]:
         (h1, h2, h3, h4, h5, h6, h7, h8, h9, h10,
          p1, p2, p3, p4, p5, p6, p7, p8, p9, p10) = y
         # Own-gradient weights of a group-1 bank: the derivative of its
@@ -313,7 +325,7 @@ def closed_loop_system(vm: ValidatedMarket) -> OdeSystem:
         b2 = v2 - q2 * o22
         g1 = gam1(t) - w1
         g2 = gam2(t) - w2
-        return np.array([
+        return [
             2.0 * G1 * h1 - s1 * s1 - e1,
             2.0 * (a1 * h2 + a2 * h6) - u1 * u1 - e1 * o11 * o11,
             2.0 * (b2 * h3 + b1 * h6) - v1 * v1 - e1 * o12 * o12,
@@ -336,7 +348,7 @@ def closed_loop_system(vm: ValidatedMarket) -> OdeSystem:
             b1 * p8 + b2 * p9 - g1 * p6 - g2 * p3 - v2 * w2,
             -g1 * p8 - g2 * p9 - 0.5 * w2 * w2
             - d1_avg * p2 - d_cross * p6 - d2_own * p1 - d2_avg * p3,
-        ])
+        ]
 
     pat1 = _quad_pattern(1.0, o11, o12)
     pat2 = _quad_pattern(1.0, o21, o22)
@@ -358,17 +370,15 @@ def limiting_system(vm: ValidatedMarket) -> OdeSystem:
     (gp1, gp2) = vm.groups
     q1, q2 = gp1.q, gp2.q
     e1, e2 = gp1.eps_slack, gp2.eps_slack
-    off = tracking_offsets(vm)
-    o11, o12 = off[0]
-    o21, o22 = off[1]
+    (o11, o12), (o21, o22) = tracking_offsets(vm).tolist()
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: Sequence[float]) -> list[float]:
         h1, h2, h3, h4, h5, h6, p1, p2, p3, p4, p5, p6 = y
         a1 = -(h4 + q1 * o11)
         b1 = -(h5 + q1 * o12)
         a2 = -(p4 + q2 * o21)
         b2 = -(p5 + q2 * o22)
-        return np.array([
+        return [
             2.0 * q1 * h1 + h1 * h1 - e1,
             2.0 * (a1 * h2 + a2 * h6) - h4 * h4 - e1 * o11 * o11,
             2.0 * (b2 * h3 + b1 * h6) - h5 * h5 - e1 * o12 * o12,
@@ -381,7 +391,7 @@ def limiting_system(vm: ValidatedMarket) -> OdeSystem:
             (q2 + a1) * p4 + a2 * p5 - e2 * o21,
             (q2 + b2) * p5 + b1 * p4 - e2 * o22,
             (a1 + b2) * p6 + b1 * p2 + a2 * p3 - p4 * p5 - e2 * o21 * o22,
-        ])
+        ]
 
     pat1 = _quad_pattern(1.0, o11, o12)
     pat2 = _quad_pattern(1.0, o21, o22)
@@ -400,30 +410,30 @@ def open_loop_system(vm: ValidatedMarket) -> OdeSystem:
     i1, i2 = vm.inv_tilde_sizes()
     q1, q2 = gp1.q, gp2.q
     e1, e2 = gp1.eps_slack, gp2.eps_slack
-    off = tracking_offsets(vm)
-    o11, o12 = off[0]
-    o21, o22 = off[1]
+    (o11, o12), (o21, o22) = tracking_offsets(vm).tolist()
     gam1, gam2 = gp1.gamma, gp2.gamma
     r1, r2 = 1.0 - i1, 1.0 - i2
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: Sequence[float]) -> list[float]:
         h1, h2, h3, h4, p1, p2, p3, p4 = y
-        # Mean-drift weights of the two group averages under the
-        # open-loop equilibrium controls.
+        # Mean-drift weights and intercepts of the two group averages
+        # under the open-loop equilibrium controls.
         am1 = q1 * o11 + r1 * h2
         bm1 = q1 * o12 + r1 * h3
         am2 = q2 * o21 + r2 * p2
         bm2 = q2 * o22 + r2 * p3
-        return np.array([
+        dr1 = gam1(t) + r1 * h4
+        dr2 = gam2(t) + r2 * p4
+        return [
             (2.0 - i1) * q1 * h1 + r1 * h1 * h1 - e1,
             q1 * r1 * h2 - h2 * am1 - h3 * am2 - e1 * o11,
             q1 * r1 * h3 - h2 * bm1 - h3 * bm2 - e1 * o12,
-            q1 * r1 * h4 - h2 * (gam1(t) + r1 * h4) - h3 * (gam2(t) + r2 * p4),
+            q1 * r1 * h4 - h2 * dr1 - h3 * dr2,
             (2.0 - i2) * q2 * p1 + r2 * p1 * p1 - e2,
             q2 * r2 * p2 - p2 * am1 - p3 * am2 - e2 * o21,
             q2 * r2 * p3 - p2 * bm1 - p3 * bm2 - e2 * o22,
-            q2 * r2 * p4 - p2 * (gam1(t) + r1 * h4) - p3 * (gam2(t) + r2 * p4),
-        ])
+            q2 * r2 * p4 - p2 * dr1 - p3 * dr2,
+        ]
 
     terminal = np.array([
         gp1.c, gp1.c * o11, gp1.c * o12, 0.0,
@@ -450,7 +460,8 @@ def mfg_system(vm: ValidatedMarket) -> OdeSystem:
     q_off = q[:, None] * off
     e_off = e[:, None] * off
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: Sequence[float]) -> list[float]:
+        y = np.array(y)
         eta = y[:d]
         psi = y[d : d + d * d].reshape(d, d)
         mu = y[d + d * d :]
@@ -458,7 +469,7 @@ def mfg_system(vm: ValidatedMarket) -> OdeSystem:
         deta = 2.0 * q * eta + eta * eta - e
         dpsi = q[:, None] * psi - psi @ (psi + q_off) - e_off
         dmu = q * mu - psi @ (mu + gam)
-        return np.concatenate([deta, dpsi.ravel(), dmu])
+        return np.concatenate([deta, dpsi.ravel(), dmu]).tolist()
 
     terminal = np.concatenate([c, (c[:, None] * off).ravel(), np.zeros(d)])
     return OdeSystem(rhs=rhs, terminal=terminal, labels=mfg_labels(d))

@@ -216,6 +216,19 @@ class DefaultSpec:
         if any(i is not None and i < 0 for i in (self.group, self.bank)):
             raise ValueError("group and bank indices start at 0")
 
+    def check_sizes(self, sizes: Sequence[int]) -> None:
+        """Raise ValueError unless the target exists in a market whose
+        groups hold ``sizes`` banks."""
+        if (self.kind is not TargetKind.GLOBAL_AVERAGE
+                and self.group >= len(sizes)):
+            raise ValueError(f"target group {self.group + 1} out of range: "
+                             f"the market has {len(sizes)} groups")
+        if (self.kind is TargetKind.SINGLE_BANK
+                and self.bank >= sizes[self.group]):
+            raise ValueError(f"target bank {self.bank + 1} out of range: "
+                             f"group {self.group + 1} has "
+                             f"{sizes[self.group]} banks")
+
     @classmethod
     def global_average(cls, level: float) -> "DefaultSpec":
         return cls(level=level)
@@ -579,12 +592,8 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
     grid = grid or strategy.grid
     d = vm.d
     slots = [1] * d
-    if default.kind is not TargetKind.GLOBAL_AVERAGE:
-        if not 0 <= default.group < d:
-            raise ValueError("target group out of range")
+    default.check_sizes(sizes)
     if default.kind is TargetKind.SINGLE_BANK:
-        if not 0 <= default.bank < sizes[default.group]:
-            raise ValueError("target bank out of range")
         slots[default.group] = 2
     groups = np.repeat(np.arange(d), slots)
     means = np.cumsum([0] + slots[:-1])

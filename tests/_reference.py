@@ -11,13 +11,17 @@ Riccati equation in closed form.  The script cross-checks its own output
 (exact zero solutions, closed forms, internal identities, system
 agreement in degenerate limits) and refuses to emit values if any check
 fails.  Diagnostics go to stderr, the frozen module to stdout.
+
+The module also keeps :func:`rk4_backward_arrays`, the library's backward
+RK4 loop as it ran on numpy arrays before the integrator moved to Python
+floats.  The tests hold the library to it bit for bit; the frozen values
+do not use it.
 """
 
 import sys
 
 import mpmath
-
-mpmath.mp.dps = 40
+import numpy as np
 
 BASE_STEP = 1e-5
 
@@ -112,6 +116,49 @@ def refine(rhs, terminal, t_end, capture_times):
         for t in coarse
     }
     return extrap, gap
+
+
+# ----------------------------------------------------------------------
+# Classic RK4 on numpy arrays, step for step the library's former loop.
+
+
+class ArrayBlowUp(RuntimeError):
+    """A component of the array loop left [-1e12, 1e12] or turned NaN."""
+
+    def __init__(self, t, component):
+        super().__init__(f"{component} blew up near t={t:g}")
+        self.t = t
+        self.component = component
+
+
+def rk4_backward_arrays(system, grid):
+    """Integrate an ``OdeSystem`` backward over a ``TimeGrid``.
+
+    Every stage is a numpy array expression, as in the library before its
+    integrator moved to Python floats; the right-hand side's output is
+    taken through ``np.asarray``.  Returns the [nodes, components] values
+    or raises :class:`ArrayBlowUp` naming the node time and first label.
+    """
+    rhs = system.rhs
+    times = grid.times()
+    values = np.empty((grid.n_steps + 1, len(system.labels)))
+    values[-1] = system.terminal
+    y = np.array(system.terminal, dtype=float)
+    h = -grid.dt
+    nudge = 1e-9 * grid.dt
+    for j in range(grid.n_steps, 0, -1):
+        t = times[j]
+        k1 = np.asarray(rhs(t - nudge, y))
+        k2 = np.asarray(rhs(t + 0.5 * h, y + (0.5 * h) * k1))
+        k3 = np.asarray(rhs(t + 0.5 * h, y + (0.5 * h) * k2))
+        k4 = np.asarray(rhs(t + h + nudge, y + h * k3))
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        bad = ~np.isfinite(y) | (np.abs(y) > 1e12)
+        if bad.any():
+            raise ArrayBlowUp(float(times[j - 1]),
+                              system.labels[int(np.argmax(bad))])
+        values[j - 1] = y
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -356,6 +403,7 @@ def note(msg):
 
 
 def main():
+    mpmath.mp.dps = 40
     coeffs = {}
     gaps = {}
 

@@ -130,6 +130,17 @@ def test_open_loop_coefficients_approach_limiting():
     assert all(coarse[key] > gaps[key] for key in gaps)
 
 
+@pytest.mark.parametrize("n_total", [3, 20.5, 21])
+def test_population_sweep_rejects_totals_that_do_not_split(n_total):
+    # At equal weights these totals would round to 2 + 2 or 10 + 10 banks
+    # and silently solve another market.
+    market = two_groups(n1=5, n2=5)
+    with pytest.raises(ValueError, match=str(n_total)):
+        sweep_liquidity(market, SweepAxis.N_TOTAL, (10, n_total), n_steps=50)
+    with pytest.raises(ValueError, match=str(n_total)):
+        convergence_to_mfg(market, (10, n_total), grid=GRID)
+
+
 def test_lambda2_sweep_goes_the_other_way():
     # On this market the group-1 rate at t=0 falls as the second group
     # mixes toward the global average, so the increase claim is false.

@@ -369,13 +369,24 @@ def test_prob_requires_barrier(tmp_path):
     ("group", "expected global, group:k or bank:k:j"),
     ("group:x", "indices must be integers"),
     ("bank:1", "expected global, group:k or bank:k:j"),
+    ("group:2", "target group 2 out of range"),
+    ("bank:1:11", "target bank 11 out of range"),
 ])
 def test_malformed_target_exit_code(tmp_path, capsys, target, message):
     text = ONE_GROUP.replace("target = global", f"target = {target}")
-    rc, _ = run(tmp_path, "prob", text)
+    rc, out = run(tmp_path, "prob", text)
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+    assert not os.path.exists(os.path.join(out, "prob.csv"))
+
+
+def test_sweep_total_that_does_not_split_exit_code(tmp_path, capsys):
+    text = "axis = n_total\nvalues = 10, 20.5\n" + TWO_GROUP
+    rc, out = run(tmp_path, "sweep", text)
+    assert rc == 2
+    assert "bank total 20.5 is not an integer" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "sweep_n_total.csv"))
 
 
 # Two groups of 4 + 16 banks, rho = 0.6, rho_k = 0.3, lam_k = 0 and no

@@ -5,19 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _frozen as fz
+import _reference
 from conftest import market_from_params, scalar_riccati, weights_market
 
 from interbank.model import Mode, TimeGrid, two_groups, validate
 from interbank.riccati import (
+    BLOWUP_LIMIT,
     BlowUp,
     CLOSED_LABELS,
     LIMITING_LABELS,
     OPEN_LABELS,
     CoefficientPath,
     OdeSystem,
+    closed_loop_system,
     integrate_backward,
     limiting_system,
     mfg_labels,
+    mfg_system,
+    open_loop_system,
     read_csv,
     solve_closed_loop,
     solve_limiting,
@@ -143,7 +148,7 @@ def test_forward_reintegration_round_trip():
     rhs = limiting_system(validate(market, Mode.LIMITING)).rhs
 
     def reversed_rhs(t, y):
-        return -rhs(0.8 - t, y)
+        return [-v for v in rhs(0.8 - t, y)]
 
     forward = integrate_backward(
         OdeSystem(rhs=reversed_rhs, terminal=back.values[0],
@@ -174,6 +179,65 @@ def test_blow_up_reports_component_and_time():
     assert err.component in CLOSED_LABELS
     assert 0.0 <= err.t < 1.0
     assert err.component in str(err)
+
+
+BUILDERS = {
+    "closed": (closed_loop_system, Mode.CLOSED_LOOP),
+    "limiting": (limiting_system, Mode.LIMITING),
+    "open": (open_loop_system, Mode.OPEN_LOOP),
+    "mfg": (mfg_system, Mode.MFG),
+}
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in ("benchmark", "rich", "stepg") for kind in SOLVERS
+] + [("mfg3", "mfg")])
+def test_solvers_match_the_array_loop_bit_for_bit(name, kind):
+    market = market_from_params(name)
+    builder, mode = BUILDERS[kind]
+    grid = TimeGrid(t_end=market.horizon, n_steps=400)
+    want = _reference.rk4_backward_arrays(builder(validate(market, mode)), grid)
+    assert np.array_equal(SOLVERS[kind](market, grid).values, want)
+
+
+def test_blow_up_matches_the_array_loop():
+    market = two_groups(n1=4, n2=16, eps=(4e7, 4.5))
+    system = closed_loop_system(validate(market, Mode.CLOSED_LOOP))
+    grid = TimeGrid(t_end=1.0, n_steps=50)
+    with pytest.raises(_reference.ArrayBlowUp) as want:
+        _reference.rk4_backward_arrays(system, grid)
+    with pytest.raises(BlowUp) as got:
+        integrate_backward(system, grid)
+    assert (got.value.t, got.value.component) == (want.value.t,
+                                                  want.value.component)
+
+
+@pytest.mark.parametrize("c_slope", [1e14, 2.0])
+def test_nan_is_a_blow_up_at_its_first_label(c_slope):
+    # Below t = 0.3 component b turns NaN and c takes the given slope (so
+    # passes the limit, or not); the first stage to see it belongs to the
+    # step ending at node 0.25.
+    def rhs(t, y):
+        late = t < 0.3
+        return [1.0, math.nan if late else 0.0, c_slope if late else 0.0]
+
+    system = OdeSystem(rhs=rhs, terminal=np.zeros(3), labels=("a", "b", "c"))
+    grid = TimeGrid(t_end=1.0, n_steps=20)
+    with pytest.raises(_reference.ArrayBlowUp) as want:
+        _reference.rk4_backward_arrays(system, grid)
+    with pytest.raises(BlowUp) as got:
+        integrate_backward(system, grid)
+    assert (got.value.t, got.value.component) == (want.value.t,
+                                                  want.value.component)
+    assert (got.value.t, got.value.component) == (grid.times()[5], "b")
+
+
+def test_components_just_inside_the_limit_are_no_blow_up():
+    terminal = np.full(3, 0.9 * BLOWUP_LIMIT)
+    system = OdeSystem(rhs=lambda t, y: [0.0, 0.0, 0.0], terminal=terminal,
+                       labels=("a", "b", "c"))
+    path = integrate_backward(system, TimeGrid(t_end=1.0, n_steps=4))
+    assert np.array_equal(path.values, np.tile(terminal, (5, 1)))
 
 
 def test_labels():

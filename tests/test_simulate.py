@@ -253,6 +253,11 @@ def test_default_spec_validation():
     with pytest.raises(ValueError):
         DefaultSpec(level=-1.0, kind=TargetKind.SINGLE_BANK, group=0)
     DefaultSpec.single_bank(-1.0, 0, 1)
+    DefaultSpec.single_bank(-1.0, 1, 2).check_sizes((4, 3))
+    for spec in (DefaultSpec.group_average(-1.0, 2),
+                 DefaultSpec.single_bank(-1.0, 0, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            spec.check_sizes((4, 3))
 
 
 @pytest.mark.parametrize("group, bank", [(-1, None), (-1, 0), (0, -1)])
