@@ -126,12 +126,7 @@ def check_mfg_row_sums(mfg_path: CoefficientPath) -> float:
 
 
 def _strategy_gap(a, b) -> float:
-    parts = (
-        np.abs(a.gap_gain - b.gap_gain).max(),
-        np.abs(a.avg_weights - b.avg_weights).max(),
-        np.abs(a.intercept - b.intercept).max(),
-    )
-    return float(max(parts))
+    return float(np.abs(a.path.values - b.path.values).max())
 
 
 def _with_sizes(market: MarketParams, sizes: tuple[int, ...]) -> MarketParams:
@@ -155,6 +150,11 @@ def _sizes_for(beta: tuple[float, ...], n_total: float) -> tuple[int, ...]:
     return sizes
 
 
+def _check_increasing(n_values) -> None:
+    if any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise ValueError("N values must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Sup-norm feedback gaps to the mean-field rule along an N ladder."""
@@ -166,8 +166,7 @@ class ConvergenceReport:
     open_slope: float
 
     def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
-            raise ValueError("N values must be strictly increasing")
+        _check_increasing(self.n_values)
         gaps = (*self.closed_gaps, *self.open_gaps)
         if not all(math.isfinite(g) for g in gaps):
             raise ValueError("gaps must be finite")
@@ -189,12 +188,14 @@ def convergence_to_mfg(market: MarketParams | ValidatedMarket,
         raise ValueError("the finite-group systems are two-group only")
     ladder = [_sizes_for(vm.beta, n) for n in n_values]
     n_values = tuple(sum(sizes) for sizes in ladder)
+    _check_increasing(n_values)
     base = dataclasses.replace(vm.market, beta=vm.beta)
+    markets = [validate(_with_sizes(base, sizes), Mode.CLOSED_LOOP)
+               for sizes in ladder]
     reference = feedback_mfg(solve_mfg(vm, grid), vm)
     closed_gaps = []
     open_gaps = []
-    for sizes in ladder:
-        finite = _with_sizes(base, sizes)
+    for finite in markets:
         closed_gaps.append(_strategy_gap(
             feedback_closed(solve_closed_loop(finite, grid), finite), reference))
         open_gaps.append(_strategy_gap(
@@ -237,6 +238,12 @@ class SweepAxis(enum.Enum):
     N_TOTAL = "n_total"
 
 
+def _check_monotone(values) -> None:
+    diffs = np.diff(values)
+    if not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ValueError("axis values must be strictly monotone")
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Liquidity-rate curves along one swept parameter axis."""
@@ -248,9 +255,7 @@ class SweepResult:
     rate0: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        diffs = np.diff(self.values)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValueError("axis values must be strictly monotone")
+        _check_monotone(self.values)
         if not len(self.values) == len(self.times) == len(self.curves) == len(
                 self.rate0):
             raise ValueError("need one curve and summary per axis value")
@@ -268,7 +273,9 @@ def sweep_liquidity(market: MarketParams | ValidatedMarket, axis: SweepAxis,
     vm = validate(market, Mode.CLOSED_LOOP)
     base = vm.market
     values = tuple(values)
-    times, curves, rate0 = [], [], []
+    # Reject every bad value before the first solve.
+    _check_monotone(values)
+    markets = []
     for v in values:
         if axis is SweepAxis.LAMBDA2:
             groups = (base.groups[0],
@@ -278,6 +285,9 @@ def sweep_liquidity(market: MarketParams | ValidatedMarket, axis: SweepAxis,
             varied = dataclasses.replace(base, horizon=float(v))
         else:
             varied = _with_sizes(base, _sizes_for(vm.beta, v))
+        markets.append(validate(varied, Mode.CLOSED_LOOP))
+    times, curves, rate0 = [], [], []
+    for varied in markets:
         grid = None
         if n_steps is not None:
             grid = TimeGrid(t_end=varied.horizon, n_steps=n_steps)

@@ -1,7 +1,7 @@
 """Command-line interface: solve, simulate, sweep, check, prob.
 
 Configuration is a flat key-value text file with one [group.k] section per
-group::
+group; an unknown key or section is rejected (exit 2)::
 
     rho = 0.0
     horizon = 1.0
@@ -20,11 +20,13 @@ group::
     n_banks = 2
     gamma = 0.0                # or "0.5, 0.25:1.0, 0.75:-0.2" (value, break:value, ...)
 
-Run-specific keys: ``systems`` (solve: closed, open, limiting, mfg),
-``x0`` (per-group start, "mean" or "mean~std" for i.i.d. normal starts),
-``barrier``/``target``/``mc`` (prob), ``axis``/``values`` (sweep),
-``checks`` (check: identity, bounds, rowsums), ``jobs``, ``out``,
-``raw_dump``.  The flags --out, --seed, --steps, --paths override the
+Top-level keys: the market's ``rho``, ``horizon`` and ``beta``; the run's
+``steps``, ``seed``, ``paths``, ``jobs`` and ``out``; and run-specific
+``systems`` (solve: closed, open, limiting, mfg), ``x0`` (simulate, prob:
+per-group start, "mean" or "mean~std" for i.i.d. normal starts),
+``raw_dump`` (simulate), ``barrier``/``target``/``mc`` (prob),
+``axis``/``values`` (sweep) and ``checks`` (check: identity, bounds,
+rowsums).  The flags --out, --seed, --steps, --paths override the
 corresponding config keys.
 
 Every run writes CSV artifacts atomically plus a JSON manifest that
@@ -40,6 +42,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -92,6 +95,9 @@ _SOLVERS = {
 }
 
 _GROUP_KEYS = ("sigma", "q", "eps", "c", "lam", "rho_k", "gamma", "n_banks")
+_TOP_KEYS = ("rho", "horizon", "beta", "steps", "seed", "paths", "jobs",
+             "out", "raw_dump", "x0", "systems", "checks", "axis", "values",
+             "barrier", "target", "mc")
 
 
 @dataclass(frozen=True)
@@ -201,8 +207,14 @@ def _parse_bool(text: str) -> bool:
 
 def _build_market(sections: dict[str, dict[str, str]]) -> MarketParams:
     top = sections[""]
+    unknown = set(top) - set(_TOP_KEYS)
+    if unknown:
+        raise ValueError(f"unknown top-level keys {sorted(unknown)}")
+    for name in sections:
+        if name and not re.fullmatch(r"group\.[0-9]+", name):
+            raise ValueError(f"unknown section [{name}]")
     names = sorted(
-        (name for name in sections if name.startswith("group.")),
+        (name for name in sections if name),
         key=lambda name: int(name.split(".", 1)[1]),
     )
     if not names:
@@ -450,7 +462,7 @@ def cmd_simulate(config: RunConfig) -> int:
         tmp = raw + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(header.encode("ascii"))
-            fh.write(ensemble.states.astype("<f8").tobytes())
+            ensemble.states.astype("<f8", copy=False).tofile(fh)
         os.replace(tmp, raw)
         outputs.append(raw)
         _say(config, f"wrote {raw}")

@@ -9,16 +9,16 @@ bank in group k:
 The builders below sample the coefficient combinations on the path's grid
 and fold every constant shift (the q_k * lam_k * (beta_h - delta_kh)
 offsets of the tracked mixture) into ``avg_weights``, so a simulator only
-ever sees one affine rule.  Strategies hold plain sampled arrays with
-linear interpolation between nodes; they serialize exactly and never close
-over solver state.
+ever sees one affine rule.  A strategy is itself a sampled coefficient
+path, with the path's linear interpolation between nodes and its exact
+CSV form; it never closes over solver state.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .riccati import (
     LIMITING_LABELS,
     OPEN_LABELS,
     CoefficientPath,
-    atomic_write_text,
+    OutOfHorizon,  # re-exported: a strategy raises it through its path
     mfg_labels,
     solve_closed_loop,
     solve_mfg,
@@ -40,19 +40,26 @@ class LabelMismatch(KeyError):
     """The coefficient path does not carry the labels a builder expects."""
 
 
-class OutOfHorizon(ValueError):
-    """A strategy was evaluated outside its solved time range."""
-
-
 class StrategyKind(enum.Enum):
     CLOSED_LOOP = "closed"
     OPEN_LOOP = "open"
     MFG = "mfg"
 
 
+def _strategy_labels(d: int) -> tuple[str, ...]:
+    return (tuple(f"gap_{k}" for k in range(1, d + 1))
+            + tuple(f"w_{k}_{h}" for k in range(1, d + 1)
+                    for h in range(1, d + 1))
+            + tuple(f"int_{k}" for k in range(1, d + 1)))
+
+
 @dataclass(frozen=True)
 class FeedbackStrategy:
     """Sampled affine feedback rule for d groups.
+
+    ``path`` carries the columns gap_k, w_k_h (row-major) and int_k; its
+    ``write_csv`` writes the rule and :func:`~interbank.riccati.read_csv`
+    reads it back.  Read-only views of its values:
 
     gap_gain     [n_nodes, d]     coefficient on (own-group average - own state)
     avg_weights  [n_nodes, d, d]  row k: coefficients on each group average
@@ -60,60 +67,47 @@ class FeedbackStrategy:
     """
 
     kind: StrategyKind
-    grid: TimeGrid
-    gap_gain: np.ndarray
-    avg_weights: np.ndarray
-    intercept: np.ndarray
-    times: np.ndarray = field(init=False, repr=False)
+    path: CoefficientPath
 
     def __post_init__(self) -> None:
-        gap = np.asarray(self.gap_gain, dtype=float)
-        weights = np.asarray(self.avg_weights, dtype=float)
-        inter = np.asarray(self.intercept, dtype=float)
-        nodes = self.grid.n_steps + 1
-        d = gap.shape[1] if gap.ndim == 2 else -1
-        if gap.shape != (nodes, d) or inter.shape != (nodes, d):
-            raise ValueError("gap_gain and intercept must be [n_nodes, d]")
-        if weights.shape != (nodes, d, d):
-            raise ValueError("avg_weights must be [n_nodes, d, d]")
-        for name, arr in (("gap_gain", gap), ("avg_weights", weights),
-                          ("intercept", inter)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "gap_gain", gap)
-        object.__setattr__(self, "avg_weights", weights)
-        object.__setattr__(self, "intercept", inter)
-        object.__setattr__(self, "times", self.grid.times())
+        if self.d < 1 or self.path.labels != _strategy_labels(self.d):
+            raise ValueError("strategy columns must be gap_k, w_k_h, int_k "
+                             "for k, h = 1..d")
 
     @property
     def d(self) -> int:
-        return self.gap_gain.shape[1]
+        return math.isqrt(len(self.path.labels) + 1) - 1
 
     @property
     def horizon(self) -> float:
-        return self.grid.t_end
+        return self.path.horizon
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        t_end = self.grid.t_end
-        tol = 1e-9 * max(1.0, t_end)
-        if t < -tol or t > t_end + tol:
-            raise OutOfHorizon(f"t={t:g} outside [0, {t_end:g}]")
-        t = min(max(t, 0.0), t_end)
-        j = min(int(t / self.grid.dt), self.grid.n_steps - 1)
-        w = (t - self.times[j]) / self.grid.dt
-        return j, w
+    def _split(self, rows: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        d = self.d
+        parts = (rows[..., :d],
+                 rows[..., d : d + d * d].reshape(rows.shape[:-1] + (d, d)),
+                 rows[..., d + d * d :])
+        for part in parts:
+            part.flags.writeable = False
+        return parts
 
-    def gap_gain_at(self, t: float) -> np.ndarray:
-        j, w = self._locate(t)
-        return (1.0 - w) * self.gap_gain[j] + w * self.gap_gain[j + 1]
+    @property
+    def gap_gain(self) -> np.ndarray:
+        return self._split(self.path.values)[0]
 
-    def avg_weights_at(self, t: float) -> np.ndarray:
-        j, w = self._locate(t)
-        return (1.0 - w) * self.avg_weights[j] + w * self.avg_weights[j + 1]
+    @property
+    def avg_weights(self) -> np.ndarray:
+        return self._split(self.path.values)[1]
 
-    def intercept_at(self, t: float) -> np.ndarray:
-        j, w = self._locate(t)
-        return (1.0 - w) * self.intercept[j] + w * self.intercept[j + 1]
+    @property
+    def intercept(self) -> np.ndarray:
+        return self._split(self.path.values)[2]
+
+    def at(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gap, weights, intercept) at time t, interpolated by the path;
+        an array of times adds a leading axis to each."""
+        return self._split(self.path.at(t))
 
     def control(self, t: float, group_index: int, own_state: float,
                 group_averages: np.ndarray) -> float:
@@ -121,29 +115,18 @@ class FeedbackStrategy:
         averages = np.asarray(group_averages, dtype=float)
         if averages.shape != (self.d,):
             raise ValueError(f"need {self.d} group averages")
-        gap = self.gap_gain_at(t)[group_index]
-        weights = self.avg_weights_at(t)[group_index]
-        inter = self.intercept_at(t)[group_index]
+        gap, weights, inter = self.at(t)
         own_avg = averages[group_index]
-        return float(gap * (own_avg - own_state) + weights @ averages + inter)
+        return float(gap[group_index] * (own_avg - own_state)
+                     + weights[group_index] @ averages + inter[group_index])
 
-    def write_csv(self, path: str | os.PathLike) -> None:
-        """Write t, gap_k, w_k_h (row-major), int_k at 17 significant digits."""
-        d = self.d
-        header = (
-            ["t"]
-            + [f"gap_{k}" for k in range(1, d + 1)]
-            + [f"w_{k}_{h}" for k in range(1, d + 1) for h in range(1, d + 1)]
-            + [f"int_{k}" for k in range(1, d + 1)]
-        )
-        lines = [",".join(header)]
-        for j, t in enumerate(self.times):
-            row = np.concatenate(
-                [[t], self.gap_gain[j], self.avg_weights[j].ravel(),
-                 self.intercept[j]]
-            )
-            lines.append(",".join(f"{x:.17g}" for x in row))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+
+def _strategy(kind: StrategyKind, grid: TimeGrid,
+              columns: list[np.ndarray]) -> FeedbackStrategy:
+    """A strategy from its sampled columns, listed in label order."""
+    d = math.isqrt(len(columns) + 1) - 1
+    return FeedbackStrategy(kind, CoefficientPath(
+        grid, np.stack(columns, axis=1), _strategy_labels(d)))
 
 
 def _require_labels(path: CoefficientPath, expected: tuple[str, ...],
@@ -168,19 +151,17 @@ def feedback_closed(path: CoefficientPath,
         q1, q2 = (g.q for g in vm.groups)
         off = tracking_offsets(vm)
         col = path.column
-        gap = np.stack([q1 + col("etahat1"), q2 + col("phihat1")], axis=1)
-        weights = np.stack(
-            [
-                col("etahat4") + q1 * off[0, 0],
-                col("etahat5") + q1 * off[0, 1],
-                col("phihat4") + q2 * off[1, 0],
-                col("phihat5") + q2 * off[1, 1],
-            ],
-            axis=1,
-        ).reshape(-1, 2, 2)
-        inter = np.zeros_like(gap)
-        return FeedbackStrategy(StrategyKind.CLOSED_LOOP, path.grid,
-                                gap, weights, inter)
+        zero = np.zeros(path.grid.n_steps + 1)
+        return _strategy(StrategyKind.CLOSED_LOOP, path.grid, [
+            q1 + col("etahat1"),
+            q2 + col("phihat1"),
+            col("etahat4") + q1 * off[0, 0],
+            col("etahat5") + q1 * off[0, 1],
+            col("phihat4") + q2 * off[1, 0],
+            col("phihat5") + q2 * off[1, 1],
+            zero,
+            zero,
+        ])
 
     _require_labels(path, CLOSED_LABELS, "closed-loop")
     vm = validate(market, Mode.CLOSED_LOOP)
@@ -190,31 +171,16 @@ def feedback_closed(path: CoefficientPath,
     col = path.column
     # Tilde transforms: (1 - 1/N_k) times the own-gap component minus
     # 1/N_k times the paired component, plus the constant tracking shift.
-    gap = np.stack(
-        [
-            q1 + (1.0 - n1) * col("eta1") - n1 * col("eta4"),
-            q2 + (1.0 - n2) * col("phi1") - n2 * col("phi5"),
-        ],
-        axis=1,
-    )
-    weights = np.stack(
-        [
-            (1.0 - n1) * col("eta4") - n1 * col("eta2") + q1 * off[0, 0],
-            (1.0 - n1) * col("eta5") - n1 * col("eta6") + q1 * off[0, 1],
-            (1.0 - n2) * col("phi4") - n2 * col("phi6") + q2 * off[1, 0],
-            (1.0 - n2) * col("phi5") - n2 * col("phi3") + q2 * off[1, 1],
-        ],
-        axis=1,
-    ).reshape(-1, 2, 2)
-    inter = np.stack(
-        [
-            (1.0 - n1) * col("eta7") - n1 * col("eta8"),
-            (1.0 - n2) * col("phi7") - n2 * col("phi9"),
-        ],
-        axis=1,
-    )
-    return FeedbackStrategy(StrategyKind.CLOSED_LOOP, path.grid,
-                            gap, weights, inter)
+    return _strategy(StrategyKind.CLOSED_LOOP, path.grid, [
+        q1 + (1.0 - n1) * col("eta1") - n1 * col("eta4"),
+        q2 + (1.0 - n2) * col("phi1") - n2 * col("phi5"),
+        (1.0 - n1) * col("eta4") - n1 * col("eta2") + q1 * off[0, 0],
+        (1.0 - n1) * col("eta5") - n1 * col("eta6") + q1 * off[0, 1],
+        (1.0 - n2) * col("phi4") - n2 * col("phi6") + q2 * off[1, 0],
+        (1.0 - n2) * col("phi5") - n2 * col("phi3") + q2 * off[1, 1],
+        (1.0 - n1) * col("eta7") - n1 * col("eta8"),
+        (1.0 - n2) * col("phi7") - n2 * col("phi9"),
+    ])
 
 
 def feedback_open(path: CoefficientPath,
@@ -232,21 +198,16 @@ def feedback_open(path: CoefficientPath,
     q1, q2 = (g.q for g in vm.groups)
     off = tracking_offsets(vm)
     col = path.column
-    gap = np.stack(
-        [q1 + r1 * col("etao1"), q2 + r2 * col("phio1")], axis=1
-    )
-    weights = np.stack(
-        [
-            r1 * col("etao2") + q1 * off[0, 0],
-            r1 * col("etao3") + q1 * off[0, 1],
-            r2 * col("phio2") + q2 * off[1, 0],
-            r2 * col("phio3") + q2 * off[1, 1],
-        ],
-        axis=1,
-    ).reshape(-1, 2, 2)
-    inter = np.stack([r1 * col("etao4"), r2 * col("phio4")], axis=1)
-    return FeedbackStrategy(StrategyKind.OPEN_LOOP, path.grid,
-                            gap, weights, inter)
+    return _strategy(StrategyKind.OPEN_LOOP, path.grid, [
+        q1 + r1 * col("etao1"),
+        q2 + r2 * col("phio1"),
+        r1 * col("etao2") + q1 * off[0, 0],
+        r1 * col("etao3") + q1 * off[0, 1],
+        r2 * col("phio2") + q2 * off[1, 0],
+        r2 * col("phio3") + q2 * off[1, 1],
+        r1 * col("etao4"),
+        r2 * col("phio4"),
+    ])
 
 
 def feedback_mfg(path: CoefficientPath,
@@ -262,19 +223,12 @@ def feedback_mfg(path: CoefficientPath,
     q = np.array([g.q for g in vm.groups])
     off = tracking_offsets(vm)
     col = path.column
-    gap = np.stack(
-        [q[k] + col(f"etam_{k + 1}") for k in range(d)], axis=1
-    )
-    weights = np.stack(
-        [
-            col(f"psim_{k + 1}_{h + 1}") + q[k] * off[k, h]
-            for k in range(d)
-            for h in range(d)
-        ],
-        axis=1,
-    ).reshape(-1, d, d)
-    inter = np.stack([col(f"mum_{k + 1}") for k in range(d)], axis=1)
-    return FeedbackStrategy(StrategyKind.MFG, path.grid, gap, weights, inter)
+    groups = range(1, d + 1)
+    return _strategy(StrategyKind.MFG, path.grid,
+                     [q[k - 1] + col(f"etam_{k}") for k in groups]
+                     + [col(f"psim_{k}_{h}") + q[k - 1] * off[k - 1, h - 1]
+                        for k in groups for h in groups]
+                     + [col(f"mum_{k}") for k in groups])
 
 
 def liquidity_rate(path: CoefficientPath,

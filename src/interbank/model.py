@@ -161,8 +161,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
         if self.n_steps < 2:
             raise ValueError("need at least two steps")
 

@@ -73,6 +73,10 @@ def mfg_labels(d: int) -> tuple[str, ...]:
     return tuple(eta + psi + mu)
 
 
+class OutOfHorizon(ValueError):
+    """A sampled path was evaluated outside its solved time range."""
+
+
 class BlowUp(RuntimeError):
     """A coefficient left [-BLOWUP_LIMIT, BLOWUP_LIMIT] during integration."""
 
@@ -152,16 +156,25 @@ class CoefficientPath:
             raise KeyError(f"no component labeled {label!r}") from None
         return self.values[:, j]
 
-    def at(self, t: float) -> np.ndarray:
-        """All components at time t by linear interpolation between nodes."""
+    def at(self, t) -> np.ndarray:
+        """All components at time t by linear interpolation between nodes;
+        for an array of times, one row per time.
+
+        Raises:
+          OutOfHorizon: if any time lies outside [0, horizon] (or is NaN).
+        """
         t_end = self.grid.t_end
         tol = 1e-9 * max(1.0, t_end)
-        if t < -tol or t > t_end + tol:
-            raise ValueError(f"t={t:g} outside the solved range [0, {t_end:g}]")
-        t = min(max(t, 0.0), t_end)
-        j = int(np.searchsorted(self.times, t, side="right")) - 1
-        j = min(max(j, 0), len(self.times) - 2)
-        w = (t - self.times[j]) / (self.times[j + 1] - self.times[j])
+        t = np.asarray(t, dtype=float)
+        outside = ~((t >= -tol) & (t <= t_end + tol))
+        if outside.any():
+            raise OutOfHorizon(
+                f"t={t[outside][0]:g} outside the solved range [0, {t_end:g}]")
+        t = np.clip(t, 0.0, t_end)
+        times = self.times
+        j = np.searchsorted(times, t, side="right") - 1
+        j = np.clip(j, 0, len(times) - 2)
+        w = ((t - times[j]) / (times[j + 1] - times[j]))[..., None]
         return (1.0 - w) * self.values[j] + w * self.values[j + 1]
 
     def value_at(self, t: float, label: str) -> float:

@@ -47,6 +47,10 @@ from .riccati import BLOWUP_LIMIT, CoefficientPath
 # reorder any floating-point reduction.
 BATCH_PATHS = 512
 
+# Largest per-bank ensemble, paths x banks x nodes doubles, that
+# simulate_closed_loop stores; larger requests fail before any draw.
+MAX_ENSEMBLE_BYTES = 2**30
+
 _UNIT_NORM_TOL = 1e-14
 _MAX_SEED = 2**64
 
@@ -346,15 +350,9 @@ def _strategy_tables(strategy: FeedbackStrategy, vm: ValidatedMarket,
     rate gamma_k) at the left node of each step."""
     if abs(strategy.horizon - grid.t_end) > 1e-9 * max(1.0, grid.t_end):
         raise ValueError("strategy horizon does not match the simulation grid")
-    steps = grid.n_steps
-    times = grid.times()[:steps]
+    times = grid.times()[:grid.n_steps]
     growth = np.array([[g.gamma(t) for g in vm.groups] for t in times])
-    if strategy.grid.n_steps == steps:
-        return (strategy.gap_gain[:steps], strategy.avg_weights[:steps],
-                strategy.intercept[:steps] + growth)
-    gap = np.stack([strategy.gap_gain_at(t) for t in times])
-    weights = np.stack([strategy.avg_weights_at(t) for t in times])
-    inter = np.stack([strategy.intercept_at(t) for t in times])
+    gap, weights, inter = strategy.at(times)
     return gap, weights, inter + growth
 
 
@@ -459,12 +457,19 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     deviations rather than their sums.  Start states are stored exactly.
 
     ``batch_paths`` trades memory for loop overhead and never changes the
-    result: every path has its own seed-keyed stream.
+    result: every path has its own seed-keyed stream.  Every path of
+    every bank is kept, so an ensemble above ``MAX_ENSEMBLE_BYTES``
+    raises ValueError.
     """
     # MFG mode takes any group count; the simulators also need sizes.
     vm = validate(market, Mode.MFG)
-    grid = grid or strategy.grid
+    grid = grid or strategy.path.grid
     sizes = vm.group_sizes()
+    size = spec.n_paths * sum(sizes) * (grid.n_steps + 1) * 8
+    if size > MAX_ENSEMBLE_BYTES:
+        raise ValueError(f"the ensemble would take {size / 2**30:.3g} GiB, "
+                         f"above the {MAX_ENSEMBLE_BYTES / 2**30:g} GiB cap; "
+                         "use fewer paths or steps")
     group_index = np.repeat(np.arange(vm.d), sizes)
     members = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
     driver, own = _loadings(vm, spec, group_index)
@@ -589,7 +594,7 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
     sizes = vm.group_sizes()
     if strategy is None:
         strategy = default_strategy(vm, grid)
-    grid = grid or strategy.grid
+    grid = grid or strategy.path.grid
     d = vm.d
     slots = [1] * d
     default.check_sizes(sizes)

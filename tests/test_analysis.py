@@ -25,7 +25,8 @@ from interbank.analysis import (
     sweep_claim,
     sweep_liquidity,
 )
-from interbank.model import TimeGrid, two_groups
+from interbank import riccati
+from interbank.model import RejectedParams, TimeGrid, two_groups
 from interbank.riccati import solve_closed_loop, solve_limiting, solve_mfg
 
 GRID = TimeGrid(t_end=1.0, n_steps=2000)
@@ -139,6 +140,34 @@ def test_population_sweep_rejects_totals_that_do_not_split(n_total):
         sweep_liquidity(market, SweepAxis.N_TOTAL, (10, n_total), n_steps=50)
     with pytest.raises(ValueError, match=str(n_total)):
         convergence_to_mfg(market, (10, n_total), grid=GRID)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m: sweep_liquidity(m, SweepAxis.N_TOTAL, (10, 20.5), n_steps=50),
+     ValueError, "not an integer"),
+    (lambda m: sweep_liquidity(m, SweepAxis.LAMBDA2, (0.5, 1.5), n_steps=50),
+     RejectedParams, "lam must lie"),
+    (lambda m: sweep_liquidity(m, SweepAxis.LAMBDA2, (0.1, 0.5, 0.3),
+                               n_steps=50),
+     ValueError, "strictly monotone"),
+    (lambda m: sweep_liquidity(m, SweepAxis.HORIZON, (1.0, -1.0), n_steps=50),
+     RejectedParams, "horizon"),
+    (lambda m: convergence_to_mfg(m, (100, 10), grid=TimeGrid(1.0, 50)),
+     ValueError, "strictly increasing"),
+])
+def test_bad_sweep_and_ladder_inputs_fail_before_any_solve(
+        monkeypatch, call, error, message):
+    solves = []
+    solve = riccati.integrate_backward
+
+    def counted(system, grid):
+        solves.append(system.labels[0])
+        return solve(system, grid)
+
+    monkeypatch.setattr(riccati, "integrate_backward", counted)
+    with pytest.raises(error, match=message):
+        call(two_groups(n1=4, n2=16))
+    assert solves == []
 
 
 def test_lambda2_sweep_goes_the_other_way():

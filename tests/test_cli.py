@@ -315,6 +315,46 @@ def test_sweep_lambda2_fails_monotonicity(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 201
 
 
+@pytest.mark.parametrize("values, message", [
+    ("0.5, 1.5", "lam must lie"),
+    ("0.1, 0.5, 0.3", "strictly monotone"),
+])
+def test_sweep_bad_values_exit_code(tmp_path, capsys, values, message):
+    text = f"axis = lambda2\nvalues = {values}\n" + TWO_GROUP
+    rc, out = run(tmp_path, "sweep", text)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "sweep_lambda2.csv"))
+
+
+@pytest.mark.parametrize("text, name", [
+    ("pathz = 5\n" + ONE_GROUP, "pathz"),
+    (ONE_GROUP + "\n[grup.2]\nq = 2.0\neps = 5.0\nn_banks = 3\n", "grup.2"),
+    (ONE_GROUP.replace("[group.1]", "[group.one]"), "group.one"),
+], ids=["key", "section", "group-name"])
+def test_unknown_keys_and_sections_are_rejected(tmp_path, capsys, text, name):
+    rc, out = run(tmp_path, "solve", text)
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "solve_manifest.json"))
+
+
+def test_readme_config_is_valid():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    config = build_runconfig("solve", parse_config_text(text), _overrides())
+    assert config.n_paths == 2000 and len(config.market.groups) == 2
+
+
+def test_simulate_refuses_an_oversized_ensemble(tmp_path, capsys):
+    # 10**8 paths x 20 banks x 201 nodes would take 3.2 TB.
+    rc, out = run(tmp_path, "simulate", TWO_GROUP, "--paths", "100000000")
+    assert rc == 2
+    assert "cap" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "ensemble_summary.csv"))
+
+
 def test_sweep_population_passes(tmp_path, capsys):
     text = "axis = n_total\nvalues = 20, 50, 100\n" + TWO_GROUP
     rc, out = run(tmp_path, "sweep", text)
@@ -520,3 +560,79 @@ def test_non_finite_numbers_are_rejected(span, bad):
         rc = main(["solve", "--config", cfg, "--out",
                    os.path.join(tmp, "out"), "--quiet"])
     assert rc == 2, text
+
+
+# Values for the config fuzz: well-formed, malformed and out of range.
+# Counts stay small, so no example allocates more than a few MB.
+_NUMBERS = ["0", "1", "2", "0.5", "-1", "2.5", "1e300", "-1e-300", "nan",
+            "inf", "-inf", "x", "", "1,2", "0x10"]
+_SMALL_COUNTS = ["1", "2", "3", "8", "0", "-4", "2.5", "x", "", "nan", "1e2"]
+_FUZZ_VALUES = {
+    "rho": _NUMBERS, "horizon": _NUMBERS, "beta": _NUMBERS + ["0.2, 0.8"],
+    "steps": _SMALL_COUNTS, "paths": _SMALL_COUNTS, "jobs": ["1", "2", "0",
+                                                             "-1", "x"],
+    "seed": ["0", "7", "-1", "x", str(2**64)],
+    "x0": ["0", "0.1~0.2", "1~-1", "nan", "0, 1", "0, 1, 2", "~", "a"],
+    "raw_dump": ["true", "false", "maybe", ""], "mc": ["true", "no", "2"],
+    "systems": ["closed", "open, mfg", "limiting", "x", ""],
+    "checks": ["identity", "bounds, rowsums", "x", ""],
+    "axis": ["lambda2", "horizon", "n_total", "x"],
+    "values": ["10, 20", "0.1, 0.5", "0.5, 0.1, 0.3", "1, 2", "x", "",
+               "1e300, 1e301", "nan, 1"],
+    "barrier": ["-0.5", "0.5", "nan", "-inf", "x", ""],
+    "target": ["global", "group:1", "group:3", "group", "bank:1:1",
+               "bank:2:99", "bank:0:1", "x"],
+    "pathz": ["5"], "sigma": ["1.0"],
+}
+_GROUP_VALUES = {
+    "sigma": _NUMBERS, "q": _NUMBERS, "eps": _NUMBERS + ["5.0"],
+    "c": _NUMBERS, "lam": _NUMBERS, "rho_k": _NUMBERS,
+    "n_banks": _SMALL_COUNTS,
+    "gamma": ["0", "0.5, 0.25:1.0", "0.1, 2:0.3", "1, 0.5:1, 0.2:2",
+              "x:y", "0.5, :1", "nan"],
+    "foo": ["1"],
+}
+
+
+_FUZZ_BASE = {
+    "": {"steps": "8", "paths": "4", "seed": "1", "axis": "n_total",
+         "values": "10, 20", "barrier": "-0.5", "mc": "true"},
+    "group.1": {"q": "2.0", "eps": "5.0", "lam": "0.1", "n_banks": "2"},
+    "group.2": {"q": "2.0", "eps": "4.5", "lam": "0.5", "n_banks": "3"},
+}
+
+
+@st.composite
+def _fuzz_configs(draw):
+    """A small valid two-group config with up to four entries replaced,
+    added or removed, in known or unknown keys and sections."""
+    sections = {name: dict(entries) for name, entries in _FUZZ_BASE.items()}
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(["", "group.1", "group.2", "group.3",
+                                     "grup.2"]))
+        pool = _FUZZ_VALUES if name == "" else _GROUP_VALUES
+        key = draw(st.sampled_from(sorted(pool)))
+        entries = sections.setdefault(name, {})
+        if draw(st.booleans()) and key in entries and key not in (
+                "steps", "paths"):
+            del entries[key]
+        else:
+            entries[key] = draw(st.sampled_from(pool[key]))
+    lines = []
+    for name, entries in sections.items():
+        lines += [f"[{name}]"] if name else []
+        lines += [f"{k} = {v}" for k, v in entries.items()]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["solve", "simulate", "sweep", "check", "prob"]),
+       _fuzz_configs())
+def test_fuzzed_configs_map_to_exit_codes(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        rc = main([command, "--config", cfg, "--out",
+                   os.path.join(tmp, "out"), "--quiet"])
+    assert rc in (0, 1, 2, 3), text

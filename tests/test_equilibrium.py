@@ -22,6 +22,8 @@ from interbank.model import (
     validate,
 )
 from interbank.riccati import (
+    CoefficientPath,
+    read_csv,
     solve_closed_loop,
     solve_limiting,
     solve_mfg,
@@ -80,7 +82,7 @@ def test_finite_weight_rows_sum_to_zero():
 def test_terminal_gap_gain_equals_q():
     market = weights_market()  # c = 0
     strategy = feedback_closed(solve_limiting(market, GRID), market)
-    assert np.allclose(strategy.gap_gain_at(1.0), [2.0, 2.0], atol=1e-14)
+    assert np.allclose(strategy.at(1.0)[0], [2.0, 2.0], atol=1e-14)
 
 
 def test_decoupled_market_is_pure_mean_reversion():
@@ -88,7 +90,7 @@ def test_decoupled_market_is_pure_mean_reversion():
     strategy = feedback_closed(solve_closed_loop(market, GRID), market)
     assert np.abs(strategy.avg_weights).max() < 1e-12
     assert np.abs(strategy.intercept).max() == 0.0
-    assert strategy.gap_gain_at(0.0)[0] > 2.0  # q + positive coefficient
+    assert strategy.at(0.0)[0][0] > 2.0  # q + positive coefficient
 
 
 def test_closed_vs_limiting_paths_agree_for_huge_groups():
@@ -147,12 +149,16 @@ def test_out_of_horizon():
     market = market_from_params("benchmark")
     strategy = feedback_closed(solve_closed_loop(market, GRID), market)
     with pytest.raises(OutOfHorizon):
-        strategy.gap_gain_at(1.1)
+        strategy.at(1.1)
+    with pytest.raises(OutOfHorizon):
+        strategy.at(np.array([0.5, 1.1]))
+    with pytest.raises(OutOfHorizon):
+        strategy.at(np.nan)
     with pytest.raises(OutOfHorizon):
         strategy.control(-0.1, 0, 0.0, np.zeros(2))
     # A node hit within floating tolerance is fine.
-    strategy.gap_gain_at(1.0 + 1e-12)
-    strategy.gap_gain_at(-1e-12)
+    strategy.at(1.0 + 1e-12)
+    strategy.at(-1e-12)
 
 
 def test_control_checks_average_count():
@@ -162,30 +168,47 @@ def test_control_checks_average_count():
         strategy.control(0.5, 0, 0.0, np.zeros(3))
 
 
+STRATEGY_LABELS = ("gap_1", "gap_2", "w_1_1", "w_1_2", "w_2_1", "w_2_2",
+                   "int_1", "int_2")
+
+
 def test_strategy_validation():
     nodes = GRID.n_steps + 1
-    good = dict(kind=StrategyKind.MFG, grid=GRID,
-                gap_gain=np.ones((nodes, 2)),
-                avg_weights=np.zeros((nodes, 2, 2)),
-                intercept=np.zeros((nodes, 2)))
-    FeedbackStrategy(**good)
+    values = np.zeros((nodes, 8))
+    values[:, :2] = 1.0
+    good = FeedbackStrategy(StrategyKind.MFG,
+                            CoefficientPath(GRID, values, STRATEGY_LABELS))
+    assert good.gap_gain.shape == (nodes, 2)
+    assert good.avg_weights.shape == (nodes, 2, 2)
+    assert good.intercept.shape == (nodes, 2)
+    # Three gap gains with two groups' weights and intercepts.
+    wrong = STRATEGY_LABELS[:2] + ("gap_3",) + STRATEGY_LABELS[3:]
     with pytest.raises(ValueError):
-        FeedbackStrategy(**{**good, "gap_gain": np.ones((nodes, 3))})
+        FeedbackStrategy(StrategyKind.MFG,
+                         CoefficientPath(GRID, values, wrong))
+    # Weights short of a column.
     with pytest.raises(ValueError):
-        FeedbackStrategy(**{**good, "avg_weights": np.zeros((nodes, 2, 3))})
-    bad = np.ones((nodes, 2))
+        FeedbackStrategy(StrategyKind.MFG, CoefficientPath(
+            GRID, values[:, :7], STRATEGY_LABELS[:6] + ("int_1",)))
+    # Node count off the grid.
+    with pytest.raises(ValueError):
+        CoefficientPath(GRID, values[1:], STRATEGY_LABELS)
+    bad = values.copy()
     bad[5, 1] = np.nan
     with pytest.raises(ValueError):
-        FeedbackStrategy(**{**good, "gap_gain": bad})
+        CoefficientPath(GRID, bad, STRATEGY_LABELS)
+    # The rule's arrays are views of the path, not copies to edit.
+    with pytest.raises(ValueError):
+        good.gap_gain[0, 0] = 5.0
 
 
 def test_interpolation_between_nodes():
     market = market_from_params("benchmark")
     strategy = feedback_closed(solve_closed_loop(market,
                                                  TimeGrid(1.0, 10)), market)
-    t_mid = 0.5 * (strategy.times[3] + strategy.times[4])
+    t_mid = 0.5 * (strategy.path.times[3] + strategy.path.times[4])
     want = 0.5 * (strategy.gap_gain[3] + strategy.gap_gain[4])
-    assert np.allclose(strategy.gap_gain_at(t_mid), want, atol=1e-15)
+    assert np.allclose(strategy.at(t_mid)[0], want, atol=1e-15)
 
 
 def test_liquidity_rate_matches_components():
@@ -209,7 +232,7 @@ def test_strategy_csv(tmp_path):
     strategy = feedback_closed(solve_closed_loop(market,
                                                  TimeGrid(1.0, 4)), market)
     target = tmp_path / "strategy.csv"
-    strategy.write_csv(target)
+    strategy.path.write_csv(target)
     lines = target.read_text().splitlines()
     assert lines[0] == "t,gap_1,gap_2,w_1_1,w_1_2,w_2_1,w_2_2,int_1,int_2"
     assert len(lines) == 6
@@ -218,3 +241,29 @@ def test_strategy_csv(tmp_path):
     assert np.array_equal(parsed[:, 1:3], strategy.gap_gain)
     assert np.array_equal(parsed[:, 3:7],
                           strategy.avg_weights.reshape(5, 4))
+    loaded = FeedbackStrategy(strategy.kind, read_csv(target))
+    assert np.array_equal(loaded.path.values, strategy.path.values)
+
+
+@pytest.mark.parametrize("build, solve", [
+    (feedback_closed, solve_closed_loop),
+    (feedback_closed, solve_limiting),
+    (feedback_open, solve_open_loop),
+    (feedback_mfg, solve_mfg),
+])
+def test_strategy_at_nodes_returns_the_stored_rows(build, solve):
+    market = market_from_params("stepg")
+    strategy = build(solve(market, TimeGrid(1.0, 40)), market)
+    nodes = strategy.path.times
+    gap, weights, inter = strategy.at(nodes)
+    assert np.array_equal(gap, strategy.gap_gain)
+    assert np.array_equal(weights, strategy.avg_weights)
+    assert np.array_equal(inter, strategy.intercept)
+    # Every node a simulation steps from, sign of zero included.
+    rows = strategy.path.at(nodes[:-1])
+    assert rows.tobytes() == strategy.path.values[:-1].tobytes()
+    for j in (0, 17, 39):
+        one = strategy.at(nodes[j])
+        assert np.array_equal(one[0], gap[j])
+        assert np.array_equal(one[1], weights[j])
+        assert np.array_equal(one[2], inter[j])

@@ -66,8 +66,9 @@ def test_time_grid():
     grid = TimeGrid(t_end=2.0, n_steps=4)
     assert grid.dt == 0.5
     assert np.allclose(grid.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
-    with pytest.raises(ValueError):
-        TimeGrid(t_end=0.0, n_steps=4)
+    for t_end in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TimeGrid(t_end=t_end, n_steps=4)
     with pytest.raises(ValueError):
         TimeGrid(t_end=1.0, n_steps=1)
 

@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from interbank.riccati import (
     OPEN_LABELS,
     CoefficientPath,
     OdeSystem,
+    OutOfHorizon,
     closed_loop_system,
     integrate_backward,
     limiting_system,
@@ -265,6 +268,39 @@ def test_path_interpolation_and_range():
         path.column("nope")
 
 
+def _node_interpolation(path, t):
+    """Scalar lookup by bisection of the node times, written out."""
+    t_end = path.grid.t_end
+    t = min(max(t, 0.0), t_end)
+    j = int(np.searchsorted(path.times, t, side="right")) - 1
+    j = min(max(j, 0), len(path.times) - 2)
+    w = (t - path.times[j]) / (path.times[j + 1] - path.times[j])
+    return (1.0 - w) * path.values[j] + w * path.values[j + 1]
+
+
+@pytest.mark.parametrize("system", sorted(SOLVERS))
+def test_path_at_is_bit_identical_for_scalars_and_arrays(system):
+    market = market_from_params("stepg")
+    path = SOLVERS[system](market, TimeGrid(t_end=1.0, n_steps=37))
+    rng = np.random.default_rng(3)
+    times = np.concatenate([rng.uniform(0.0, 1.0, 200), path.times,
+                            [-1e-12, 1.0 + 1e-12, 0.5]])
+    scalar = np.stack([path.at(float(t)) for t in times])
+    want = np.stack([_node_interpolation(path, float(t)) for t in times])
+    assert scalar.tobytes() == want.tobytes()
+    assert path.at(times).tobytes() == scalar.tobytes()
+    assert path.at(times[:240].reshape(2, 120)).shape == (
+        2, 120, len(path.labels))
+
+
+def test_path_at_rejects_times_off_the_horizon():
+    path = solve_limiting(weights_market(), TimeGrid(t_end=1.0, n_steps=10))
+    for bad in (1.01, -0.01, np.nan, np.array([0.2, 1.01])):
+        with pytest.raises(OutOfHorizon):
+            path.at(bad)
+    assert issubclass(OutOfHorizon, ValueError)
+
+
 def test_csv_round_trip(tmp_path):
     market = market_from_params("stepg")
     path = solve_closed_loop(market, TimeGrid(t_end=1.0, n_steps=50))
@@ -285,6 +321,38 @@ def test_csv_without_rows_is_rejected(tmp_path, text):
     target.write_text(text)
     with pytest.raises(ValueError, match="first column|no data rows"):
         read_csv(target)
+
+_CSV_TOKENS = ["0", "0.5", "1", "-2", "1e400", "nan", "inf", "", " ", "x",
+               "1_0", "0x1", "1,2", "t", "é"]
+
+
+@st.composite
+def _csv_texts(draw):
+    """Text near the CSV layout: a header, then rows of drawn tokens."""
+    header = draw(st.sampled_from(["t", "t,a", "t,a,b", "t,a,a", "a,t", "",
+                                   "t,é"]))
+    rows = draw(st.lists(st.lists(st.sampled_from(_CSV_TOKENS), max_size=4),
+                         max_size=5))
+    if draw(st.booleans()):  # a uniform time column
+        rows = [[f"{j / max(1, len(rows) - 1)!r}"] + row[1:]
+                for j, row in enumerate(rows)]
+    return "\n".join([header] + [",".join(row) for row in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_csv_texts(), st.text(max_size=60)))
+def test_malformed_csv_raises_only_value_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "path.csv")
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            path = read_csv(target)
+        except ValueError:
+            return
+    assert np.isfinite(path.values).all()
+    assert path.values.shape == (path.grid.n_steps + 1, len(path.labels))
+
 
 def test_csv_write_is_atomic(tmp_path):
     path = solve_limiting(weights_market(), TimeGrid(t_end=1.0, n_steps=10))

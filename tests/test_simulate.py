@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from interbank import simulate
 from interbank.model import (
     GroupParams,
     MarketParams,
+    Mode,
     StepFunction,
     TimeGrid,
     noise_loadings,
     two_groups,
+    validate,
 )
 from interbank.riccati import solve_closed_loop, solve_mfg, solve_open_loop
 from interbank.simulate import (
@@ -414,7 +417,8 @@ def test_mfg_mean_deterministic_flow_matches_ode():
     ref = [m.copy()]
     for n in range(fine.n_steps):
         t = n * fine.dt
-        rate = (strategy.avg_weights_at(t) @ m + strategy.intercept_at(t)
+        _, weights, inter = strategy.at(t)
+        rate = (weights @ m + inter
                 + np.array([g.gamma(t) for g in market.groups]))
         m = m + rate * fine.dt
         if (n + 1) % 16 == 0:
@@ -701,3 +705,40 @@ def test_strategy_grid_mismatch_rejected():
     # Same horizon, different resolution: interpolated tables are fine.
     simulate_closed_loop(market, strategy, 0.0, spec,
                          grid=TimeGrid(t_end=2.0, n_steps=50))
+
+
+@pytest.mark.parametrize("name", ["benchmark", "stepg"])
+def test_resampled_tables_match_index_lookup(name):
+    # A 400-step rule on an 800-step simulation grid.  Each row must agree
+    # with interpolation by node index, j = floor(t / dt) and
+    # w = (t - t_j) / dt, to rounding.
+    market = market_from_params(name)
+    strategy = closed_strategy(market, TimeGrid(t_end=1.0, n_steps=400))
+    coarse = strategy.path
+    grid = TimeGrid(t_end=1.0, n_steps=800)
+    gap, weights, drift = simulate._strategy_tables(
+        strategy, validate(market, Mode.MFG), grid)
+    for n, t in enumerate(grid.times()[:-1]):
+        j = min(int(t / coarse.grid.dt), coarse.grid.n_steps - 1)
+        w = (t - coarse.times[j]) / coarse.grid.dt
+        row = (1.0 - w) * coarse.values[j] + w * coarse.values[j + 1]
+        growth = [g.gamma(t) for g in market.groups]
+        assert np.abs(gap[n] - row[:2]).max() <= 1e-15
+        assert np.abs(weights[n].ravel() - row[2:6]).max() <= 1e-15
+        assert np.abs(drift[n] - growth - row[6:]).max() <= 1e-15
+
+
+def test_oversized_ensemble_is_refused_before_any_allocation():
+    market = two_groups(n1=4, n2=16)
+    strategy = closed_strategy(market, TimeGrid(t_end=1.0, n_steps=50))
+    # 10**10 paths x 20 banks x 51 nodes x 8 bytes: about 82 TB.
+    spec = NoiseSpec.from_market(market, seed=0, n_paths=10**10)
+    assert (spec.n_paths * 20 * 51 * 8) > simulate.MAX_ENSEMBLE_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            simulate_closed_loop(market, strategy, 0.0, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
