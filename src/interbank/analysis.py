@@ -378,9 +378,9 @@ def hjb_residual(closed_path: CoefficientPath,
         segment = rng.integers(0, closed_path.grid.n_steps)
         t = (segment + 0.5) * grid_dt
         x = rng.uniform(-2.0, 2.0, size=n_banks)
-        coef = closed_path.at(t)
-        dcoef = (closed_path.at(min(t + dt_fd, t_end))
-                 - closed_path.at(max(t - dt_fd, 0.0))) / (2.0 * dt_fd)
+        coef, later, earlier = closed_path.at(
+            [t, min(t + dt_fd, t_end), max(t - dt_fd, 0.0)])
+        dcoef = (later - earlier) / (2.0 * dt_fd)
         m = averagers @ x
         mix = (1.0 - lam) * m + lam * (beta @ m)
         gam = np.array([gammas[0](t), gammas[1](t)])

@@ -569,8 +569,8 @@ _NUMBERS = ["0", "1", "2", "0.5", "-1", "2.5", "1e300", "-1e-300", "nan",
 _SMALL_COUNTS = ["1", "2", "3", "8", "0", "-4", "2.5", "x", "", "nan", "1e2"]
 _FUZZ_VALUES = {
     "rho": _NUMBERS, "horizon": _NUMBERS, "beta": _NUMBERS + ["0.2, 0.8"],
-    "steps": _SMALL_COUNTS, "paths": _SMALL_COUNTS, "jobs": ["1", "2", "0",
-                                                             "-1", "x"],
+    "steps": _SMALL_COUNTS, "paths": _SMALL_COUNTS,
+    "jobs": ["1", "2", "0", "-1", "x"],
     "seed": ["0", "7", "-1", "x", str(2**64)],
     "x0": ["0", "0.1~0.2", "1~-1", "nan", "0, 1", "0, 1, 2", "~", "a"],
     "raw_dump": ["true", "false", "maybe", ""], "mc": ["true", "no", "2"],
@@ -592,8 +592,6 @@ _GROUP_VALUES = {
               "x:y", "0.5, :1", "nan"],
     "foo": ["1"],
 }
-
-
 _FUZZ_BASE = {
     "": {"steps": "8", "paths": "4", "seed": "1", "axis": "n_total",
          "values": "10, 20", "barrier": "-0.5", "mc": "true"},
