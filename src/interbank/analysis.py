@@ -19,7 +19,6 @@ import numpy as np
 
 from .equilibrium import feedback_closed, feedback_mfg, feedback_open, liquidity_rate
 from .model import (
-    GroupParams,
     MarketParams,
     Mode,
     TimeGrid,
@@ -39,6 +38,12 @@ from .riccati import (
 # continuously monitored flat barrier (Broadie-Glasserman-Kou constant
 # zeta(1/2)/sqrt(2*pi)).
 BGK_BETA = 0.5826
+
+# A horizon sweep passes when each rate curve stays within _PLATEAU_TOL
+# of |rate(0)| on the first _PLATEAU_FRACTION of its horizon.
+_PLATEAU_TOL = 0.01
+_PLATEAU_FRACTION = 0.5
+_DT_FD = 1e-5  # half-width of hjb_residual's central time difference
 
 
 class DomainError(ValueError):
@@ -144,9 +149,10 @@ def _sizes_for(beta: tuple[float, ...], n_total: float) -> tuple[int, ...]:
     sizes = tuple(int(round(b * n_total)) for b in beta)
     if sum(sizes) != n_total:
         raise ValueError(f"total {n_total} does not split integrally at "
-                         f"weights {beta}: groups of {sizes}")
+                         f"weights beta = {beta}: n_banks would be {sizes}")
     if any(n < 1 for n in sizes):
-        raise ValueError(f"total {n_total} leaves an empty group at {beta}")
+        raise ValueError(f"total {n_total} leaves an empty group at weights "
+                         f"beta = {beta}: n_banks would be {sizes}")
     return sizes
 
 
@@ -277,15 +283,18 @@ def sweep_liquidity(market: MarketParams | ValidatedMarket, axis: SweepAxis,
     _check_monotone(values)
     markets = []
     for v in values:
-        if axis is SweepAxis.LAMBDA2:
-            groups = (base.groups[0],
-                      dataclasses.replace(base.groups[1], lam=float(v)))
-            varied = dataclasses.replace(base, groups=groups)
-        elif axis is SweepAxis.HORIZON:
-            varied = dataclasses.replace(base, horizon=float(v))
-        else:
-            varied = _with_sizes(base, _sizes_for(vm.beta, v))
-        markets.append(validate(varied, Mode.CLOSED_LOOP))
+        try:
+            if axis is SweepAxis.LAMBDA2:
+                groups = (base.groups[0],
+                          dataclasses.replace(base.groups[1], lam=float(v)))
+                varied = dataclasses.replace(base, groups=groups)
+            elif axis is SweepAxis.HORIZON:
+                varied = dataclasses.replace(base, horizon=float(v))
+            else:
+                varied = _with_sizes(base, _sizes_for(vm.beta, v))
+            markets.append(validate(varied, Mode.CLOSED_LOOP))
+        except ValueError as exc:
+            raise type(exc)(f"{axis.value} = {v:g}: {exc}") from None
     times, curves, rate0 = [], [], []
     for varied in markets:
         grid = None
@@ -300,8 +309,7 @@ def sweep_liquidity(market: MarketParams | ValidatedMarket, axis: SweepAxis,
                        curves=tuple(curves), rate0=tuple(rate0))
 
 
-def sweep_claim(result: SweepResult, *, plateau_tol: float = 0.01,
-                plateau_fraction: float = 0.5) -> tuple[str, bool]:
+def sweep_claim(result: SweepResult) -> tuple[str, bool]:
     """The qualitative behavior each axis is expected to show, evaluated
     on the sweep: monotone increase of rate(0) for LAMBDA2 and N_TOTAL,
     near-constancy of each curve on the front part of the horizon for
@@ -310,10 +318,10 @@ def sweep_claim(result: SweepResult, *, plateau_tol: float = 0.01,
     if result.axis is SweepAxis.HORIZON:
         ok = True
         for t, curve, r0 in zip(result.times, result.curves, result.rate0):
-            front = curve[t <= plateau_fraction * t[-1]]
-            ok &= float(front.max() - front.min()) <= plateau_tol * abs(r0)
-        return (f"rate(t) within {plateau_tol:.0%} of constant on the first "
-                f"{plateau_fraction:.0%} of the horizon", bool(ok))
+            front = curve[t <= _PLATEAU_FRACTION * t[-1]]
+            ok &= float(front.max() - front.min()) <= _PLATEAU_TOL * abs(r0)
+        return (f"rate(t) within {_PLATEAU_TOL:.0%} of constant on the first "
+                f"{_PLATEAU_FRACTION:.0%} of the horizon", bool(ok))
     diffs = np.diff(result.rate0)
     name = "lambda2" if result.axis is SweepAxis.LAMBDA2 else "N"
     return (f"rate(0) strictly increasing in {name}", bool(np.all(diffs > 0)))
@@ -333,8 +341,7 @@ def _covariance(vm: ValidatedMarket, group_index: np.ndarray) -> np.ndarray:
 
 def hjb_residual(closed_path: CoefficientPath,
                  market: MarketParams | ValidatedMarket,
-                 sample_points: int, *, dt_fd: float = 1e-5,
-                 seed: int = 0) -> float:
+                 sample_points: int, *, seed: int = 0) -> float:
     """Worst scaled residual of the dynamic-programming equation at random
     states.
 
@@ -379,8 +386,8 @@ def hjb_residual(closed_path: CoefficientPath,
         t = (segment + 0.5) * grid_dt
         x = rng.uniform(-2.0, 2.0, size=n_banks)
         coef, later, earlier = closed_path.at(
-            [t, min(t + dt_fd, t_end), max(t - dt_fd, 0.0)])
-        dcoef = (later - earlier) / (2.0 * dt_fd)
+            [t, min(t + _DT_FD, t_end), max(t - _DT_FD, 0.0)])
+        dcoef = (later - earlier) / (2.0 * _DT_FD)
         m = averagers @ x
         mix = (1.0 - lam) * m + lam * (beta @ m)
         gam = np.array([gammas[0](t), gammas[1](t)])

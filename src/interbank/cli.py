@@ -1,7 +1,8 @@
 """Command-line interface: solve, simulate, sweep, check, prob.
 
 Configuration is a flat key-value text file with one [group.k] section per
-group; an unknown key or section is rejected (exit 2)::
+group, numbered 1 to d; an unknown, repeated or misnumbered key or section
+is rejected (exit 2), and the message names it::
 
     rho = 0.0
     horizon = 1.0
@@ -38,11 +39,10 @@ hard checks passed, 1 a hard check failed, 2 rejected parameters,
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 
@@ -123,7 +123,8 @@ class RunConfig:
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, str]]:
-    """Split a config file into sections of raw key-value strings."""
+    """Split a config file into sections of raw key-value strings; a
+    section, or a key within one section, may appear only once."""
     sections: dict[str, dict[str, str]] = {"": {}}
     current = sections[""]
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -132,13 +133,32 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            current = sections.setdefault(name, {})
+            if name in sections:
+                raise ValueError(f"line {lineno}: section [{name}] repeated")
+            current = sections[name] = {}
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        current[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in current:
+            raise ValueError(f"line {lineno}: key {key!r} repeated")
+        current[key] = value
     return sections
+
+
+def _read(entries: dict[str, str], key: str, parse, default=..., section=""):
+    """``parse`` applied to a key's text, or ``default`` when the key is
+    absent (required if no default); a failure names the key and text."""
+    where = f"[{section}] {key}" if section else key
+    if key not in entries:
+        if default is ...:
+            raise ValueError(f"{where} is required")
+        return default
+    text = entries[key]
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{where} = {text or '(empty)'}: {exc}") from None
 
 
 def _parse_gamma(text: str) -> StepFunction:
@@ -152,10 +172,10 @@ def _parse_gamma(text: str) -> StepFunction:
     return StepFunction(breaks=tuple(breaks), values=tuple(values))
 
 
-def _finite(text: str, key: str) -> float:
+def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {text.strip()!r}")
+        raise ValueError(f"must be finite, got {text.strip()!r}")
     return value
 
 
@@ -164,11 +184,13 @@ def _parse_x0(text: str, d: int) -> tuple[tuple[float, float], ...]:
     if len(tokens) == 1:
         tokens = tokens * d
     if len(tokens) != d:
-        raise ValueError(f"x0 needs one entry or one per group ({d})")
+        raise ValueError(f"need one entry or one per group ({d})")
     out = []
     for token in tokens:
         mean, _, std = token.partition("~")
-        out.append((_finite(mean, "x0"), _finite(std, "x0") if std else 0.0))
+        out.append((_finite(mean), _finite(std) if std else 0.0))
+        if out[-1][1] < 0.0:
+            raise ValueError("standard deviations must be nonnegative")
     return tuple(out)
 
 
@@ -196,6 +218,10 @@ def _parse_target(text: str, barrier: float) -> DefaultSpec:
     return DefaultSpec.single_bank(barrier, *indices)
 
 
+def _list(top: dict[str, str], key: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in top.get(key, "").split(",") if s.strip())
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -210,39 +236,37 @@ def _build_market(sections: dict[str, dict[str, str]]) -> MarketParams:
     unknown = set(top) - set(_TOP_KEYS)
     if unknown:
         raise ValueError(f"unknown top-level keys {sorted(unknown)}")
-    for name in sections:
-        if name and not re.fullmatch(r"group\.[0-9]+", name):
-            raise ValueError(f"unknown section [{name}]")
-    names = sorted(
-        (name for name in sections if name),
-        key=lambda name: int(name.split(".", 1)[1]),
-    )
+    names = [name for name in sections if name]
     if not names:
         raise ValueError("at least one [group.k] section is required")
+    expected = [f"group.{k}" for k in range(1, len(names) + 1)]
+    if set(names) != set(expected):
+        raise ValueError(
+            f"sections must be [group.1] to [group.{len(names)}], without "
+            f"gaps or leading zeros; got [{'], ['.join(names)}]")
     groups = []
-    for name in names:
+    for name in expected:
         entries = sections[name]
         unknown = set(entries) - set(_GROUP_KEYS)
         if unknown:
             raise ValueError(f"[{name}]: unknown keys {sorted(unknown)}")
+        read = functools.partial(_read, entries, section=name)
         groups.append(GroupParams(
-            sigma=float(entries.get("sigma", "1.0")),
-            q=float(entries["q"]),
-            eps=float(entries["eps"]),
-            c=float(entries.get("c", "0.0")),
-            lam=float(entries.get("lam", "0.0")),
-            rho_k=float(entries.get("rho_k", "0.0")),
-            gamma=_parse_gamma(entries.get("gamma", "0.0")),
-            n_banks=int(entries["n_banks"]) if "n_banks" in entries else None,
+            sigma=read("sigma", float, 1.0),
+            q=read("q", float),
+            eps=read("eps", float),
+            c=read("c", float, 0.0),
+            lam=read("lam", float, 0.0),
+            rho_k=read("rho_k", float, 0.0),
+            gamma=read("gamma", _parse_gamma, StepFunction.constant(0.0)),
+            n_banks=read("n_banks", int, None),
         ))
-    beta = None
-    if "beta" in top:
-        beta = tuple(_finite(b, "beta") for b in top["beta"].split(","))
     return MarketParams(
-        rho=float(top.get("rho", "0.0")),
-        horizon=float(top.get("horizon", "1.0")),
+        rho=_read(top, "rho", float, 0.0),
+        horizon=_read(top, "horizon", float, 1.0),
         groups=tuple(groups),
-        beta=beta,
+        beta=_read(top, "beta", lambda t: tuple(map(_finite, t.split(","))),
+                   None),
     )
 
 
@@ -251,41 +275,33 @@ def build_runconfig(command: str, sections: dict[str, dict[str, str]],
     top = sections[""]
     market = _build_market(sections)
     d = len(market.groups)
-    n_steps = overrides.steps if overrides.steps is not None else int(
-        top.get("steps", "2000"))
-    seed = overrides.seed if overrides.seed is not None else int(
-        top.get("seed", "0"))
-    n_paths = overrides.paths if overrides.paths is not None else int(
-        top.get("paths", "1000"))
-    out_dir = overrides.out or top.get("out", "out")
-    barrier = None
-    if "barrier" in top:
-        barrier = _parse_target(top.get("target", "global"),
-                                float(top["barrier"]))
-    axis = SweepAxis(top["axis"]) if "axis" in top else None
-    values = tuple(
-        float(v) for v in top["values"].split(",")) if "values" in top else ()
-    systems = tuple(
-        s.strip() for s in top.get("systems", "").split(",") if s.strip())
-    checks = tuple(
-        s.strip() for s in top.get("checks", "").split(",") if s.strip())
+
+    def count(key, flag, default):
+        return flag if flag is not None else _read(top, key, int, default)
+
+    level = _read(top, "barrier",
+                  lambda t: DefaultSpec.global_average(float(t)).level, None)
+    barrier = None if level is None else _read(
+        top, "target", lambda t: _parse_target(t, level),
+        DefaultSpec.global_average(level))
     return RunConfig(
         command=command,
         market=market,
-        n_steps=n_steps,
-        seed=seed,
-        n_paths=n_paths,
-        out_dir=out_dir,
-        jobs=int(top["jobs"]) if "jobs" in top else None,
+        n_steps=count("steps", overrides.steps, 2000),
+        seed=count("seed", overrides.seed, 0),
+        n_paths=count("paths", overrides.paths, 1000),
+        out_dir=overrides.out or top.get("out", "out"),
+        jobs=_read(top, "jobs", int, None),
         quiet=overrides.quiet,
-        systems=systems,
-        x0=_parse_x0(top.get("x0", "0.0"), d),
+        systems=_list(top, "systems"),
+        x0=_read(top, "x0", lambda t: _parse_x0(t, d), ((0.0, 0.0),) * d),
         barrier=barrier,
-        mc=_parse_bool(top.get("mc", "false")),
-        raw_dump=_parse_bool(top.get("raw_dump", "false")),
-        axis=axis,
-        values=values,
-        checks=checks,
+        mc=_read(top, "mc", _parse_bool, False),
+        raw_dump=_read(top, "raw_dump", _parse_bool, False),
+        axis=_read(top, "axis", SweepAxis, None),
+        values=_read(top, "values", lambda t: tuple(map(float, t.split(","))),
+                     ()),
+        checks=_list(top, "checks"),
     )
 
 
@@ -407,7 +423,7 @@ def cmd_solve(config: RunConfig) -> int:
     outputs = []
     for name in systems:
         if name not in _SOLVERS:
-            raise ValueError(f"unknown system {name!r}")
+            raise ValueError(f"systems: unknown system {name!r}")
         path = _SOLVERS[name](config.market, _grid(config))
         filename = os.path.join(config.out_dir, f"{name}.csv")
         path.write_csv(filename)
@@ -497,15 +513,16 @@ def cmd_check(config: RunConfig) -> int:
     results = []
     market = config.market
     grid = _grid(config)
+    # identity and bounds read the same limiting solution.
+    if {"identity", "bounds"} & set(checks):
+        limiting = solve_limiting(market, grid)
     for name in checks:
         if name == "identity":
-            limiting = solve_limiting(market, grid)
             eta, phi = check_sum_identity(limiting)
             value, threshold = max(eta, phi), 1e-8
             ok = value < threshold
             detail = f"max|etahat4+etahat5|={eta:.3e} max|phihat4+phihat5|={phi:.3e}"
         elif name == "bounds":
-            limiting = solve_limiting(market, grid)
             value, threshold = check_prop1_bounds(limiting, market), -1e-8
             ok = value >= threshold
             detail = f"min slack={value:.3e}"
@@ -514,7 +531,7 @@ def cmd_check(config: RunConfig) -> int:
             ok = value < threshold
             detail = f"max|sum_h psim_k_h|={value:.3e}"
         else:
-            raise ValueError(f"unknown check {name!r}")
+            raise ValueError(f"checks: unknown check {name!r}")
         results.append((name, value, threshold, ok))
         print(f"{'PASS' if ok else 'FAIL'} check {name}: {detail} "
               f"(threshold {threshold:g})")
@@ -635,6 +652,12 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             sections = parse_config_text(fh.read())
         config = build_runconfig(args.command, sections, args)
+        # Counts that no command can run with, from the config or a flag.
+        for key, value, least in (("steps", config.n_steps, 2),
+                                  ("paths", config.n_paths, 1),
+                                  ("jobs", config.jobs, 1)):
+            if value is not None and value < least:
+                raise ValueError(f"{key} = {value}: must be at least {least}")
         groups = config.market.groups
         sized = all(g.n_banks is not None for g in groups)
         validated = validate(config.market, Mode.CLOSED_LOOP

@@ -88,9 +88,6 @@ class StepFunction:
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.values)
 
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.values)
-
 
 def as_step_function(value: "StepFunction | float | int") -> StepFunction:
     """Coerce a plain number to a constant :class:`StepFunction`."""
@@ -179,7 +176,6 @@ class ValidatedMarket:
     """A market that passed :func:`validate`, with derived quantities attached."""
 
     market: MarketParams
-    mode: Mode
     beta: tuple[float, ...]
     n_total: int | None
     warnings: tuple[str, ...]
@@ -202,7 +198,8 @@ class ValidatedMarket:
 
     def group_sizes(self) -> tuple[int, ...]:
         if any(g.n_banks is None for g in self.groups):
-            raise RejectedParams("group sizes N_k are not set for this market")
+            raise RejectedParams("group sizes n_banks are not set for this "
+                                 "market")
         return tuple(g.n_banks for g in self.groups)  # type: ignore[misc]
 
     def inv_tilde_sizes(self) -> tuple[float, ...]:
@@ -262,8 +259,9 @@ def validate(market: MarketParams | ValidatedMarket,
     if d < 1:
         raise RejectedParams("at least one group is required")
     if mode in TWO_GROUP_MODES and d != 2:
+        got = ", ".join(f"group {k}" for k in range(1, d + 1))
         raise RejectedParams(
-            f"{mode.value} mode is defined for exactly two groups, got {d}"
+            f"{mode.value} mode is defined for exactly two groups, got {got}"
         )
     if not 0.0 < market.horizon < math.inf:
         raise RejectedParams("horizon must be positive and finite")
@@ -306,12 +304,13 @@ def validate(market: MarketParams | ValidatedMarket,
                 "limiting-system analysis assumes 0 < lam < 1"
             )
 
-    sizes_known = all(g.n_banks is not None for g in groups)
-    if mode in FINITE_PLAYER_MODES and not sizes_known:
-        raise RejectedParams(f"{mode.value} mode requires n_banks for every group")
+    unsized = [k for k, g in enumerate(groups, start=1) if g.n_banks is None]
+    if mode in FINITE_PLAYER_MODES and unsized:
+        raise RejectedParams(f"group {unsized[0]}: {mode.value} mode requires "
+                             "n_banks for every group")
 
     n_total: int | None = None
-    if sizes_known:
+    if not unsized:
         # Group sizes win over any explicitly supplied weights.
         n_total = sum(g.n_banks for g in groups)  # type: ignore[misc]
         beta = tuple(g.n_banks / n_total for g in groups)  # type: ignore[operator]
@@ -325,7 +324,8 @@ def validate(market: MarketParams | ValidatedMarket,
         beta = market.beta
     else:
         raise RejectedParams(
-            f"{mode.value} mode requires either n_banks or beta for every group"
+            f"group {unsized[0]}: {mode.value} mode requires either n_banks "
+            "or beta for every group"
         )
     assert abs(sum(beta) - 1.0) <= BETA_SUM_TOL
 
@@ -340,7 +340,6 @@ def validate(market: MarketParams | ValidatedMarket,
 
     return ValidatedMarket(
         market=market,
-        mode=mode,
         beta=beta,
         n_total=n_total,
         warnings=tuple(warnings),

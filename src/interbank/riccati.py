@@ -108,10 +108,6 @@ class OdeSystem:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.labels)
-
 
 @dataclass(frozen=True)
 class CoefficientPath:
@@ -144,10 +140,6 @@ class CoefficientPath:
     @property
     def horizon(self) -> float:
         return self.grid.t_end
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]
 
     def column(self, label: str) -> np.ndarray:
         try:
@@ -239,7 +231,7 @@ def integrate_backward(system: OdeSystem, grid: TimeGrid) -> CoefficientPath:
     """
     rhs = system.rhs
     times = grid.times().tolist()
-    values = np.empty((grid.n_steps + 1, system.dimension))
+    values = np.empty((grid.n_steps + 1, len(system.labels)))
     values[-1] = system.terminal
     y = system.terminal.tolist()
     h = -grid.dt

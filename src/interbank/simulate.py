@@ -120,10 +120,6 @@ class IncrementBatch:
     d: int
 
     @property
-    def n_paths(self) -> int:
-        return self.increments.shape[0]
-
-    @property
     def drivers(self) -> np.ndarray:
         out = np.zeros(self.increments.shape[:2] + (1 + self.d,))
         out[:, :, list(self.active)] = self.increments[:, :, :len(self.active)]
@@ -146,8 +142,7 @@ def _active_driver_columns(spec: NoiseSpec) -> tuple[int, ...]:
 
 def generate_increments(spec: NoiseSpec, grid: TimeGrid,
                         n_banks_per_group: Sequence[int],
-                        batch_paths: int = BATCH_PATHS, *,
-                        reuse_buffers: bool = False,
+                        batch_paths: int = BATCH_PATHS
                         ) -> Iterator[IncrementBatch]:
     """Yield per-path driver and idiosyncratic increments in fixed batches.
 
@@ -161,10 +156,6 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     only on (spec, grid, n_banks_per_group), so simulations of the group
     means alone reuse the identical driver columns.  Callers that step
     group means pass slot counts per group in place of bank counts.
-
-    With ``reuse_buffers`` every yielded batch is a view into one arena
-    that the next iteration overwrites; enable it only when each batch is
-    fully consumed before the generator advances.
     """
     sizes = tuple(int(n) for n in n_banks_per_group)
     if len(sizes) != spec.d:
@@ -174,13 +165,10 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     active = _active_driver_columns(spec)
     width = len(active) + n_banks
     root = math.sqrt(grid.dt)
-    arena = None
     for start in range(0, spec.n_paths, batch_paths):
         count = min(batch_paths, spec.n_paths - start)
-        if arena is None or not reuse_buffers:
-            arena = (np.empty((count, n_banks)),
-                     np.empty((count, n_steps, width)))
-        x0, block = (a[:count] for a in arena)
+        x0 = np.empty((count, n_banks))
+        block = np.empty((count, n_steps, width))
         for j in range(count):
             seq = np.random.SeedSequence(entropy=(spec.seed, start + j))
             rng = np.random.Generator(np.random.PCG64(seq))
@@ -296,26 +284,12 @@ class TrajectoryEnsemble:
     def d(self) -> int:
         return self.group_averages.shape[1]
 
-    def target_series(self, default: DefaultSpec) -> np.ndarray:
-        """The monitored series, one row per path."""
-        if default.kind is TargetKind.GLOBAL_AVERAGE:
-            return self.global_average
-        if default.kind is TargetKind.GROUP_AVERAGE:
-            return self.group_averages[:, default.group, :]
-        flat = _flat_bank_index(self.group_index, default.group, default.bank)
-        return self.states[:, flat, :]
-
 
 def _group_projector(group_index: Sequence[int], d: int) -> np.ndarray:
     proj = np.zeros((d, len(group_index)))
     for i, k in enumerate(group_index):
         proj[k, i] = 1.0
     return proj / proj.sum(axis=1, keepdims=True)
-
-
-def _flat_bank_index(group_index: Sequence[int], group: int, bank: int) -> int:
-    members = [i for i, k in enumerate(group_index) if k == group]
-    return members[bank]
 
 
 def _expand_x0(x0, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -329,17 +303,17 @@ def _expand_x0(x0, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         per_group = [(float(x0), 0.0)] * d
     else:
         if len(x0) != d:
-            raise ValueError(f"x0 needs one entry per group ({d})")
+            raise ValueError(f"start states need one entry per group ({d})")
         per_group = [
             (float(e[0]), float(e[1])) if not np.isscalar(e) else (float(e), 0.0)
             for e in x0
         ]
     if not all(map(math.isfinite, np.ravel(per_group))):
-        raise ValueError("x0 means and standard deviations must be finite")
+        raise ValueError("start means and standard deviations must be finite")
     mean = np.concatenate([np.full(n, m) for n, (m, _) in zip(sizes, per_group)])
     std = np.concatenate([np.full(n, s) for n, (_, s) in zip(sizes, per_group)])
     if (std < 0.0).any():
-        raise ValueError("x0 standard deviations must be nonnegative")
+        raise ValueError("start standard deviations must be nonnegative")
     return mean, std
 
 
@@ -351,9 +325,15 @@ def _strategy_tables(strategy: FeedbackStrategy, vm: ValidatedMarket,
     if abs(strategy.horizon - grid.t_end) > 1e-9 * max(1.0, grid.t_end):
         raise ValueError("strategy horizon does not match the simulation grid")
     times = grid.times()[:grid.n_steps]
-    growth = np.array([[g.gamma(t) for g in vm.groups] for t in times])
     gap, weights, inter = strategy.at(times)
-    return gap, weights, inter + growth
+    return gap, weights, inter + _growth_rates(vm, times)
+
+
+def _growth_rates(vm: ValidatedMarket, times: np.ndarray) -> np.ndarray:
+    """Every group's growth rate at ``times``, [times, d], looked up like
+    :class:`~interbank.model.StepFunction` does: left-continuous."""
+    return np.stack([np.asarray(g.gamma.values)[np.searchsorted(
+        g.gamma.breaks, times, side="left")] for g in vm.groups], axis=1)
 
 
 def _loadings(vm: ValidatedMarket, spec: NoiseSpec, groups: np.ndarray,
@@ -386,14 +366,9 @@ def _mixed_noise(batch: IncrementBatch, driver: np.ndarray,
 
 def _run_batches(spec: NoiseSpec, grid: TimeGrid, sizes, worker,
                  jobs: int | None, batch_paths: int = BATCH_PATHS) -> Iterable:
-    # Serial runs consume each batch before the next draw, so they can use
-    # the overwrite arena; pool.map holds many batches in flight and needs
-    # fresh arrays.
-    if jobs is None or jobs <= 1:
-        batches = generate_increments(spec, grid, sizes, batch_paths,
-                                      reuse_buffers=True)
-        return [worker(b) for b in batches]
     batches = generate_increments(spec, grid, sizes, batch_paths)
+    if jobs is None or jobs <= 1:
+        return [worker(b) for b in batches]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, batches))
 
@@ -518,6 +493,7 @@ def simulate_mfg_mean(market: MarketParams | ValidatedMarket,
     the ``n_banks_per_group`` used by a finite simulation with the same
     spec and grid reproduces its exact driver increments, coupling the
     mean flow to the ensemble; the default draws no idiosyncratic columns.
+    ``m0`` is the deterministic start: one mean, or one per group.
 
     Returns an array [n_paths, d, n_steps + 1].
     """
@@ -529,10 +505,9 @@ def simulate_mfg_mean(market: MarketParams | ValidatedMarket,
     if n_banks_per_group is None:
         n_banks_per_group = (0,) * d
     driver, _ = _loadings(vm, spec, np.arange(d))
-    start_mean = np.full(d, float(m0)) if np.isscalar(m0) else np.asarray(
-        m0, dtype=float)
-    if start_mean.shape != (d,):
-        raise ValueError(f"m0 needs one mean per group ({d})")
+    start_mean, spread = _expand_x0(m0, (1,) * d)
+    if spread.any():
+        raise ValueError("m0 is one start mean per group, with no spread")
 
     def worker(batch: IncrementBatch) -> tuple[int, np.ndarray]:
         noise = batch.increments[:, :, :len(driver)] @ driver

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import interbank.cli as cli
 from interbank.cli import (
     RunConfig,
     _parse_bool,
@@ -22,6 +25,7 @@ from interbank.cli import (
     runconfig_from_manifest,
 )
 from interbank.model import StepFunction
+from interbank.riccati import solve_limiting
 from interbank.simulate import DefaultSpec, TargetKind
 
 TWO_GROUP = """\
@@ -199,7 +203,7 @@ def test_rejected_params_exit_code(tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    text = TWO_GROUP + "\n[group.2]\nwhatever = 3\n"
+    text = TWO_GROUP + "whatever = 3\n"  # lands in [group.2]
     rc, _ = run(tmp_path, "solve", text)
     assert rc == 2
     assert "config error" in capsys.readouterr().err
@@ -210,7 +214,7 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 def test_blow_up_exit_code(tmp_path, capsys):
-    text = TWO_GROUP + "\n[group.1]\ngamma = 1e16\n"
+    text = TWO_GROUP.replace("n_banks = 4\n", "n_banks = 4\ngamma = 1e16\n")
     rc, _ = run(tmp_path, "solve", text)
     assert rc == 3
     assert "blow-up" in capsys.readouterr().err
@@ -429,6 +433,52 @@ def test_sweep_total_that_does_not_split_exit_code(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "sweep_n_total.csv"))
 
 
+@pytest.mark.parametrize("text, named", [
+    (TWO_GROUP + "\n[group.1]\nlam = 0.2\n", "section [group.1] repeated"),
+    (TWO_GROUP.replace("[group.2]", "[group.3]"), "[group.1], [group.3]"),
+    (TWO_GROUP + "\n[group.02]\nq = 2.0\neps = 5.0\n", "[group.02]"),
+    ("steps = 20\n" + TWO_GROUP.replace("steps = 200", "steps = 30"),
+     "key 'steps' repeated"),
+    ("jobs = -3\n" + TWO_GROUP, "jobs = -3"),
+], ids=["repeated-section", "numbering-gap", "leading-zero", "repeated-key",
+        "negative-jobs"])
+def test_misread_config_text_is_rejected(tmp_path, capsys, text, named):
+    rc, out = run(tmp_path, "solve", text)
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "solve_manifest.json"))
+
+
+@pytest.mark.parametrize("command, text, named", [
+    ("solve", TWO_GROUP.replace("steps = 200", "steps = 1"), "steps = 1"),
+    ("simulate", TWO_GROUP.replace("paths = 64", "paths = 0"), "paths = 0"),
+    ("sweep", "axis = n_total\nvalues =\n" + TWO_GROUP, "values = (empty)"),
+    ("solve", TWO_GROUP.replace("lam = 0.1\n", "lam = 0.1\ngamma = 0.5, :1\n"),
+     "[group.1] gamma = 0.5, :1"),
+    ("solve", TWO_GROUP.replace("eps = 4.5\n", ""), "[group.2] eps is required"),
+    ("sweep", "axis = lambda2\nvalues = 0.5, 1.5\n" + TWO_GROUP,
+     "lambda2 = 1.5: group 2: lam must lie"),
+], ids=["steps", "paths", "empty-values", "gamma", "missing-eps",
+        "sweep-value"])
+def test_config_errors_name_their_key(tmp_path, capsys, command, text, named):
+    rc, _ = run(tmp_path, command, text)
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
+def test_check_solves_each_system_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_limiting(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_limiting", counted)
+    rc, _ = run(tmp_path, "check", "checks = identity, bounds\n" + TWO_GROUP)
+    assert rc == 0
+    assert len(calls) == 1
+
+
 # Two groups of 4 + 16 banks, rho = 0.6, rho_k = 0.3, lam_k = 0 and no
 # growth: the global average is a driftless Brownian motion with variance
 # rate 0.6^2 + 0.64 * (0.2^2 (0.09 + 0.91/4) + 0.8^2 (0.09 + 0.91/16)).
@@ -603,34 +653,62 @@ _FUZZ_BASE = {
 @st.composite
 def _fuzz_configs(draw):
     """A small valid two-group config with up to four entries replaced,
-    added or removed, in known or unknown keys and sections."""
+    added or removed, in known or unknown keys and sections, plus every
+    section, key and value the example changed."""
     sections = {name: dict(entries) for name, entries in _FUZZ_BASE.items()}
+    changed = set()
     for _ in range(draw(st.integers(0, 4))):
         name = draw(st.sampled_from(["", "group.1", "group.2", "group.3",
                                      "grup.2"]))
         pool = _FUZZ_VALUES if name == "" else _GROUP_VALUES
         key = draw(st.sampled_from(sorted(pool)))
         entries = sections.setdefault(name, {})
+        changed |= {name, key} - {""}
         if draw(st.booleans()) and key in entries and key not in (
                 "steps", "paths"):
             del entries[key]
         else:
-            entries[key] = draw(st.sampled_from(pool[key]))
+            entries[key] = value = draw(st.sampled_from(pool[key]))
+            changed |= {value, *re.split(r"[,:~]", value)}
     lines = []
     for name, entries in sections.items():
         lines += [f"[{name}]"] if name else []
         lines += [f"{k} = {v}" for k, v in entries.items()]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", changed
+
+
+def _names_one_of(message, tokens):
+    """Whether ``message`` holds one of ``tokens`` as a whole word; a
+    number also matches in any float spelling, a section [group.k] also
+    as "group k"."""
+    words = set()
+    for token in map(str.strip, tokens):
+        if not token:
+            continue
+        words.add(token)
+        if token.startswith("group."):
+            words.add("group " + token[6:])
+        try:
+            words |= {f"{float(token):g}", repr(float(token))}
+        except ValueError:
+            pass
+    return any(re.search(rf"(?<![\w.]){re.escape(w)}(?![\w])", message)
+               for w in words)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["solve", "simulate", "sweep", "check", "prob"]),
        _fuzz_configs())
-def test_fuzzed_configs_map_to_exit_codes(command, text):
+def test_fuzzed_configs_map_to_exit_codes(command, example):
+    text, changed = example
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.write(text)
-        rc = main([command, "--config", cfg, "--out",
-                   os.path.join(tmp, "out"), "--quiet"])
+        with contextlib.redirect_stderr(err):
+            rc = main([command, "--config", cfg, "--out",
+                       os.path.join(tmp, "out"), "--quiet"])
     assert rc in (0, 1, 2, 3), text
+    if rc == 2:
+        assert _names_one_of(err.getvalue(), changed), (text, err.getvalue())

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -69,7 +70,7 @@ def test_increments_deterministic_and_batch_invariant():
 
     small = list(generate_increments(spec, grid, (2, 3), batch_paths=7))
     assert [x.start for x in small] == [0, 7, 14, 21]
-    assert [x.n_paths for x in small] == [7, 7, 7, 2]
+    assert [len(x.x0_normals) for x in small] == [7, 7, 7, 2]
     joined = np.concatenate([x.drivers for x in small])
     assert np.array_equal(joined, a[0].drivers)
 
@@ -231,20 +232,17 @@ def test_ensemble_checks_consistency():
     assert np.array_equal(again.x0, ens.states[:, :, 0])
 
 
-def test_target_series_selection():
-    market = two_groups(n1=2, n2=2)
-    spec = NoiseSpec.from_market(market, seed=1, n_paths=4)
-    grid = TimeGrid(t_end=1.0, n_steps=8)
-    ens = simulate_closed_loop(market, closed_strategy(market, grid), 0.0,
-                               spec, grid=grid)
-    assert np.array_equal(ens.target_series(DefaultSpec.global_average(0.0)),
-                          ens.global_average)
-    assert np.array_equal(
-        ens.target_series(DefaultSpec.group_average(0.0, 1)),
-        ens.group_averages[:, 1, :])
-    assert np.array_equal(
-        ens.target_series(DefaultSpec.single_bank(0.0, 1, 0)),
-        ens.states[:, 2, :])
+def test_growth_rates_follow_the_step_function():
+    # Left continuity: at a break the rate in force before the jump holds.
+    gamma = StepFunction(breaks=(0.25, 0.5, 0.5625), values=(0.3, -0.2, 1.0,
+                                                              0.1))
+    market = two_groups(n1=2, n2=3, gamma=(gamma, -0.4))
+    vm = validate(market, Mode.MFG)
+    times = TimeGrid(t_end=1.0, n_steps=16).times()
+    assert {0.25, 0.5, 0.5625} <= set(times)
+    got = simulate._growth_rates(vm, times)
+    want = [[gamma(t), -0.4] for t in times]
+    assert np.array_equal(got, want)
 
 
 def test_default_spec_validation():
@@ -398,6 +396,21 @@ def test_mfg_mean_single_group_decoupled():
     noise = 1.3 * 0.6 * np.cumsum(batch.drivers[:, :, 0], axis=1)
     want = 0.25 + 0.4 * GRID.times()[1:] + noise
     assert np.abs(means[:, 0, 1:] - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("m0, message", [
+    (math.nan, "finite"),
+    ((0.0, math.inf), "finite"),
+    ((0.1, -0.1, 0.3), "one entry per group"),
+    (((0.1, 0.2), 0.0), "no spread"),
+])
+def test_mfg_mean_rejects_bad_start_means(m0, message):
+    market = two_groups(beta=(0.2, 0.8), c=(0.6, 0.6), lam=(0.4, 0.5))
+    grid = TimeGrid(t_end=1.0, n_steps=20)
+    spec = NoiseSpec(rho=0.0, rho_k=(0.0, 0.0), seed=5, n_paths=3)
+    with pytest.raises(ValueError, match=message):
+        simulate_mfg_mean(market, solve_mfg(market, grid), spec, m0=m0,
+                          grid=grid)
 
 
 def test_mfg_mean_deterministic_flow_matches_ode():
@@ -638,7 +651,8 @@ def test_bank_target_matches_the_bank_simulation_in_law():
                                  x0=((0.1, 0.3), 0.0), grid=grid)
     ens = simulate_closed_loop(market, strategy, ((0.1, 0.3), 0.0),
                                dataclasses.replace(spec, seed=42), grid=grid)
-    full = float((ens.target_series(default).min(axis=1) <= -1.2).mean())
+    # Bank 2 of group 1 is row 1 of the per-bank states.
+    full = float((ens.states[:, 1, :].min(axis=1) <= -1.2).mean())
     se = np.sqrt(full * (1.0 - full) / spec.n_paths)
     assert 0.05 < full < 0.95
     assert abs(est.probability - full) < 4.0 * np.sqrt(2.0) * se
