@@ -3,9 +3,11 @@
 The installed console script is called ``interbank``; this demo calls
 the same entry point in process.  A run is described by an INI-style
 config: top-level keys for the market and the run, one [group.k]
-section per group.  Every command writes its outputs plus a JSON
-manifest (the resolved config and the output list) to the --out
-directory, so a run can be reproduced from its manifest alone.
+section per group; the flags --steps, --seed, --paths and --out replace
+those keys.  Every command writes its outputs plus a JSON manifest to
+the --out directory: the package version, the output list, and the
+config text the run read with the flags written in.  Running the same
+command on that text repeats the run.
 
 Commands:
     solve      integrate coefficient systems, one CSV per system

@@ -27,13 +27,15 @@ Top-level keys: the market's ``rho``, ``horizon`` and ``beta``; the run's
 per-group start, "mean" or "mean~std" for i.i.d. normal starts),
 ``raw_dump`` (simulate), ``barrier``/``target``/``mc`` (prob),
 ``axis``/``values`` (sweep) and ``checks`` (check: identity, bounds,
-rowsums).  The flags --out, --seed, --steps, --paths override the
-corresponding config keys.
+rowsums).  The flags --out, --seed, --steps, --paths replace the
+corresponding config keys in the text before it is read, so every key,
+from the file or a flag, is parsed and checked once, before any work.
 
-Every run writes CSV artifacts atomically plus a JSON manifest that
-re-parses to the resolved configuration.  Exit codes: 0 success and all
-hard checks passed, 1 a hard check failed, 2 rejected parameters,
-3 integration or simulation blow-up.
+Every run writes CSV artifacts atomically plus a JSON manifest holding
+the package version and the config text the run read, flags applied;
+running the same command on that text repeats the run.  Exit codes:
+0 success and all hard checks passed, 1 a hard check failed, 2 rejected
+parameters, 3 integration or simulation blow-up.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ _SOLVERS = {
     "limiting": solve_limiting,
     "mfg": solve_mfg,
 }
+_CHECKS = ("identity", "bounds", "rowsums")
 
 _GROUP_KEYS = ("sigma", "q", "eps", "c", "lam", "rho_k", "gamma", "n_banks")
 _TOP_KEYS = ("rho", "horizon", "beta", "steps", "seed", "paths", "jobs",
@@ -102,9 +105,11 @@ _TOP_KEYS = ("rho", "horizon", "beta", "steps", "seed", "paths", "jobs",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings of one CLI invocation."""
+    """Fully resolved settings of one CLI invocation; ``text`` is the
+    config text they were read from, flags applied."""
 
     command: str
+    text: str
     market: MarketParams
     n_steps: int
     seed: int
@@ -187,8 +192,8 @@ def _parse_x0(text: str, d: int) -> tuple[tuple[float, float], ...]:
         raise ValueError(f"need one entry or one per group ({d})")
     out = []
     for token in tokens:
-        mean, _, std = token.partition("~")
-        out.append((_finite(mean), _finite(std) if std else 0.0))
+        mean, tilde, std = token.partition("~")
+        out.append((_finite(mean), _finite(std) if tilde else 0.0))
         if out[-1][1] < 0.0:
             raise ValueError("standard deviations must be nonnegative")
     return tuple(out)
@@ -218,8 +223,26 @@ def _parse_target(text: str, barrier: float) -> DefaultSpec:
     return DefaultSpec.single_bank(barrier, *indices)
 
 
-def _list(top: dict[str, str], key: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in top.get(key, "").split(",") if s.strip())
+def _names(known):
+    """Parser of a comma-separated list drawn from ``known``."""
+    def parse(text: str) -> tuple[str, ...]:
+        names = tuple(s.strip() for s in text.split(",") if s.strip())
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise ValueError(f"unknown {unknown}; expected some of "
+                             f"{', '.join(known)}")
+        return names
+    return parse
+
+
+def _at_least(least: int):
+    """Parser of an integer count no smaller than ``least``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise ValueError(f"must be at least {least}")
+        return value
+    return parse
 
 
 def _parse_bool(text: str) -> bool:
@@ -270,125 +293,68 @@ def _build_market(sections: dict[str, dict[str, str]]) -> MarketParams:
     )
 
 
+def _config_text(sections: dict[str, dict[str, str]]) -> str:
+    """``sections`` as config text, one ``key = value`` line per entry."""
+    lines = []
+    for name, entries in sections.items():
+        lines += [f"[{name}]"] if name else []
+        lines += [f"{key} = {value}" for key, value in entries.items()]
+    return "\n".join(lines) + "\n"
+
+
 def build_runconfig(command: str, sections: dict[str, dict[str, str]],
                     overrides: argparse.Namespace) -> RunConfig:
-    top = sections[""]
+    """Read every key once; the flags --steps, --seed, --paths and --out
+    are written into the top-level section first, as if the file held
+    them."""
+    top = dict(sections[""])
+    for key in ("steps", "seed", "paths", "out"):
+        if getattr(overrides, key) is not None:
+            top[key] = str(getattr(overrides, key))
+    sections = {**sections, "": top}
     market = _build_market(sections)
     d = len(market.groups)
-
-    def count(key, flag, default):
-        return flag if flag is not None else _read(top, key, int, default)
-
     level = _read(top, "barrier",
                   lambda t: DefaultSpec.global_average(float(t)).level, None)
-    barrier = None if level is None else _read(
-        top, "target", lambda t: _parse_target(t, level),
-        DefaultSpec.global_average(level))
+    # The target is read, and so checked, with or without a barrier.
+    spec_level = 0.0 if level is None else level
+    barrier = _read(top, "target", lambda t: _parse_target(t, spec_level),
+                    DefaultSpec.global_average(spec_level))
     return RunConfig(
         command=command,
+        text=_config_text(sections),
         market=market,
-        n_steps=count("steps", overrides.steps, 2000),
-        seed=count("seed", overrides.seed, 0),
-        n_paths=count("paths", overrides.paths, 1000),
-        out_dir=overrides.out or top.get("out", "out"),
-        jobs=_read(top, "jobs", int, None),
+        n_steps=_read(top, "steps", _at_least(2), 2000),
+        seed=_read(top, "seed", int, 0),
+        n_paths=_read(top, "paths", _at_least(1), 1000),
+        out_dir=_read(top, "out", str, "out"),
+        jobs=_read(top, "jobs", _at_least(1), None),
         quiet=overrides.quiet,
-        systems=_list(top, "systems"),
+        systems=_read(top, "systems", _names(_SOLVERS), ()),
         x0=_read(top, "x0", lambda t: _parse_x0(t, d), ((0.0, 0.0),) * d),
-        barrier=barrier,
+        barrier=None if level is None else barrier,
         mc=_read(top, "mc", _parse_bool, False),
         raw_dump=_read(top, "raw_dump", _parse_bool, False),
         axis=_read(top, "axis", SweepAxis, None),
         values=_read(top, "values", lambda t: tuple(map(float, t.split(","))),
                      ()),
-        checks=_list(top, "checks"),
+        checks=_read(top, "checks", _names(_CHECKS), ()),
     )
 
 
 def config_to_manifest(config: RunConfig, outputs: list[str]) -> dict:
-    """JSON-ready echo of the resolved run; re-parses to the same RunConfig."""
-    market = config.market
-    groups = []
-    for g in market.groups:
-        groups.append({
-            "sigma": g.sigma, "q": g.q, "eps": g.eps, "c": g.c,
-            "lam": g.lam, "rho_k": g.rho_k, "n_banks": g.n_banks,
-            "gamma": {"breaks": list(g.gamma.breaks),
-                      "values": list(g.gamma.values)},
-        })
-    barrier = None
-    if config.barrier is not None:
-        barrier = {
-            "level": config.barrier.level,
-            "kind": config.barrier.kind.value,
-            "group": config.barrier.group,
-            "bank": config.barrier.bank,
-        }
-    return {
-        "version": __version__,
-        "command": config.command,
-        "market": {
-            "rho": market.rho,
-            "horizon": market.horizon,
-            "beta": list(market.beta) if market.beta is not None else None,
-            "groups": groups,
-        },
-        "settings": {
-            "steps": config.n_steps,
-            "seed": config.seed,
-            "paths": config.n_paths,
-            "out": config.out_dir,
-            "jobs": config.jobs,
-            "systems": list(config.systems),
-            "x0": [list(pair) for pair in config.x0],
-            "mc": config.mc,
-            "raw_dump": config.raw_dump,
-            "axis": config.axis.value if config.axis else None,
-            "values": list(config.values),
-            "checks": list(config.checks),
-        },
-        "barrier": barrier,
-        "outputs": outputs,
-    }
+    """JSON-ready echo of the run: the config text it read, flags applied."""
+    return {"version": __version__, "command": config.command,
+            "config": config.text, "outputs": outputs}
 
 
 def runconfig_from_manifest(manifest: dict) -> RunConfig:
-    market = manifest["market"]
-    groups = tuple(
-        GroupParams(
-            sigma=g["sigma"], q=g["q"], eps=g["eps"], c=g["c"], lam=g["lam"],
-            rho_k=g["rho_k"], n_banks=g["n_banks"],
-            gamma=StepFunction(breaks=tuple(g["gamma"]["breaks"]),
-                               values=tuple(g["gamma"]["values"])),
-        )
-        for g in market["groups"]
-    )
-    settings = manifest["settings"]
-    barrier = None
-    if manifest.get("barrier"):
-        raw = manifest["barrier"]
-        barrier = DefaultSpec(level=raw["level"], kind=TargetKind(raw["kind"]),
-                              group=raw["group"], bank=raw["bank"])
-    return RunConfig(
-        command=manifest["command"],
-        market=MarketParams(
-            rho=market["rho"], horizon=market["horizon"], groups=groups,
-            beta=tuple(market["beta"]) if market["beta"] else None,
-        ),
-        n_steps=settings["steps"],
-        seed=settings["seed"],
-        n_paths=settings["paths"],
-        out_dir=settings["out"],
-        jobs=settings["jobs"],
-        systems=tuple(settings["systems"]),
-        x0=tuple(tuple(pair) for pair in settings["x0"]),
-        barrier=barrier,
-        mc=settings["mc"],
-        raw_dump=settings["raw_dump"],
-        axis=SweepAxis(settings["axis"]) if settings["axis"] else None,
-        values=tuple(settings["values"]),
-        checks=tuple(settings["checks"]),
-    )
+    """The settings of the run a manifest records, read from its config
+    text with no flags."""
+    no_flags = argparse.Namespace(steps=None, seed=None, paths=None, out=None,
+                                  quiet=False)
+    return build_runconfig(manifest["command"],
+                           parse_config_text(manifest["config"]), no_flags)
 
 
 def _say(config: RunConfig, message: str) -> None:
@@ -422,8 +388,6 @@ def cmd_solve(config: RunConfig) -> int:
     systems = config.systems or _default_systems(config)
     outputs = []
     for name in systems:
-        if name not in _SOLVERS:
-            raise ValueError(f"systems: unknown system {name!r}")
         path = _SOLVERS[name](config.market, _grid(config))
         filename = os.path.join(config.out_dir, f"{name}.csv")
         path.write_csv(filename)
@@ -509,7 +473,7 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_check(config: RunConfig) -> int:
-    checks = config.checks or ("identity", "bounds", "rowsums")
+    checks = config.checks or _CHECKS
     results = []
     market = config.market
     grid = _grid(config)
@@ -526,12 +490,10 @@ def cmd_check(config: RunConfig) -> int:
             value, threshold = check_prop1_bounds(limiting, market), -1e-8
             ok = value >= threshold
             detail = f"min slack={value:.3e}"
-        elif name == "rowsums":
+        else:  # rowsums
             value, threshold = check_mfg_row_sums(solve_mfg(market, grid)), 1e-8
             ok = value < threshold
             detail = f"max|sum_h psim_k_h|={value:.3e}"
-        else:
-            raise ValueError(f"checks: unknown check {name!r}")
         results.append((name, value, threshold, ok))
         print(f"{'PASS' if ok else 'FAIL'} check {name}: {detail} "
               f"(threshold {threshold:g})")
@@ -652,12 +614,6 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             sections = parse_config_text(fh.read())
         config = build_runconfig(args.command, sections, args)
-        # Counts that no command can run with, from the config or a flag.
-        for key, value, least in (("steps", config.n_steps, 2),
-                                  ("paths", config.n_paths, 1),
-                                  ("jobs", config.jobs, 1)):
-            if value is not None and value < least:
-                raise ValueError(f"{key} = {value}: must be at least {least}")
         groups = config.market.groups
         sized = all(g.n_banks is not None for g in groups)
         validated = validate(config.market, Mode.CLOSED_LOOP

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import interbank.cli as cli
+from interbank import riccati
 from interbank.cli import (
     RunConfig,
     _parse_bool,
@@ -238,9 +239,10 @@ def test_missing_group_sizes_rejected(tmp_path):
 @pytest.mark.parametrize("flag, field", [("--steps", "n_steps"),
                                          ("--paths", "n_paths")])
 def test_zero_step_or_path_override_rejected(tmp_path, flag, field):
-    config = build_runconfig("simulate", parse_config_text(TWO_GROUP),
-                             _overrides(**{flag[2:]: 0}))
-    assert getattr(config, field) == 0
+    # A flag is read as config text, so its value is checked like the file's.
+    with pytest.raises(ValueError, match=f"^{flag[2:]} = 0: must be at least"):
+        build_runconfig("simulate", parse_config_text(TWO_GROUP),
+                        _overrides(**{flag[2:]: 0}))
     rc, _ = run(tmp_path, "simulate", TWO_GROUP, flag, "0", "--quiet")
     assert rc == 2
 
@@ -440,8 +442,10 @@ def test_sweep_total_that_does_not_split_exit_code(tmp_path, capsys):
     ("steps = 20\n" + TWO_GROUP.replace("steps = 200", "steps = 30"),
      "key 'steps' repeated"),
     ("jobs = -3\n" + TWO_GROUP, "jobs = -3"),
+    ("target = nonsense:1:2:3\n" + TWO_GROUP, "target = nonsense:1:2:3"),
+    ("x0 = 0.1~\n" + TWO_GROUP, "x0 = 0.1~"),
 ], ids=["repeated-section", "numbering-gap", "leading-zero", "repeated-key",
-        "negative-jobs"])
+        "negative-jobs", "target-without-barrier", "x0-empty-std"])
 def test_misread_config_text_is_rejected(tmp_path, capsys, text, named):
     rc, out = run(tmp_path, "solve", text)
     assert rc == 2
@@ -477,6 +481,76 @@ def test_check_solves_each_system_once(tmp_path, monkeypatch):
     rc, _ = run(tmp_path, "check", "checks = identity, bounds\n" + TWO_GROUP)
     assert rc == 0
     assert len(calls) == 1
+
+
+def _readme():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _readme_config():
+    return _readme().split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("command",
+                         ["solve", "simulate", "sweep", "check", "prob"])
+def test_manifest_config_repeats_the_run(tmp_path, command):
+    text = "raw_dump = true\n" + _readme_config()
+    rc, out = run(tmp_path, command, text, "--steps", "60", "--seed", "5",
+                  "--paths", "40", "--quiet")
+    with open(os.path.join(out, f"{command}_manifest.json")) as fh:
+        manifest = json.load(fh)
+    cfg = write_config(tmp_path, manifest["config"], name="manifest.cfg")
+    again = str(tmp_path / "again")
+    assert main([command, "--config", cfg, "--out", again, "--quiet"]) == rc
+    assert sorted(os.listdir(again)) == sorted(os.listdir(out))
+    assert manifest["outputs"]
+    for path in manifest["outputs"]:
+        with open(path, "rb") as fh:
+            first = fh.read()
+        with open(os.path.join(again, os.path.basename(path)), "rb") as fh:
+            assert fh.read() == first, path
+
+
+@pytest.mark.parametrize("command, line", [
+    ("solve", "systems = closed, open, limiting, bogus"),
+    ("check", "checks = identity, bogus"),
+], ids=["systems", "checks"])
+def test_unknown_names_are_rejected_before_any_solve(tmp_path, monkeypatch,
+                                                     capsys, command, line):
+    calls = []
+    integrate = riccati.integrate_backward
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "integrate_backward", counted)
+    rc, out = run(tmp_path, command, line + "\n" + TWO_GROUP)
+    assert rc == 2
+    assert "bogus" in capsys.readouterr().err
+    assert calls == []
+    assert not os.path.exists(out) or os.listdir(out) == []
+
+
+def test_docs_list_the_accepted_keys_and_names():
+    readme = _readme()
+    top = readme.split("Accepted top-level keys:", 1)[1].split(". Group", 1)[0]
+    assert re.findall(r"`(\w+)`", top) == list(cli._TOP_KEYS)
+    group = readme.split("Group sections are `[group.k]`", 1)[1].split(".")[0]
+    assert re.findall(r"`(\w+)`", group) == list(cli._GROUP_KEYS)
+    example = parse_config_text(_readme_config())[""]
+    assert example["systems"] == ", ".join(cli._SOLVERS)
+    assert example["checks"] == ", ".join(cli._CHECKS)
+    doc = cli.__doc__
+    block, keys = doc.split("::", 1)[1].split("Top-level keys:", 1)
+    assert set(parse_config_text(block)["group.1"]) == set(cli._GROUP_KEYS)
+    keys = keys.split("The flags", 1)[0]
+    assert set(re.findall(r"``(\w+)``", keys)) == set(cli._TOP_KEYS)
+    for key, names in (("systems", cli._SOLVERS), ("checks", cli._CHECKS)):
+        listed = re.search(rf"``{key}`` \(\w+: ([\w,\s]+)\)", doc).group(1)
+        assert re.split(r",\s+", listed) == list(names)
 
 
 # Two groups of 4 + 16 banks, rho = 0.6, rho_k = 0.3, lam_k = 0 and no
