@@ -84,9 +84,8 @@ from .simulate import (
     NoiseSpec,
     SimulationBlowUp,
     TargetKind,
-    distance_process,
+    _simulate_group_means,
     mc_hitting_probability,
-    simulate_closed_loop,
 )
 
 _SOLVERS = {
@@ -302,6 +301,17 @@ def _config_text(sections: dict[str, dict[str, str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _flag_text(key: str, value) -> str:
+    """A flag's value as config text; a value that the text would read
+    back differently (a ``#``, a line break, or leading or trailing
+    spaces) is refused."""
+    text = str(value)
+    if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+        raise ValueError(f"--{key} {text!r}: config text cannot hold a '#', "
+                         "a line break, or leading or trailing spaces")
+    return text
+
+
 def build_runconfig(command: str, sections: dict[str, dict[str, str]],
                     overrides: argparse.Namespace) -> RunConfig:
     """Read every key once; the flags --steps, --seed, --paths and --out
@@ -310,7 +320,7 @@ def build_runconfig(command: str, sections: dict[str, dict[str, str]],
     top = dict(sections[""])
     for key in ("steps", "seed", "paths", "out"):
         if getattr(overrides, key) is not None:
-            top[key] = str(getattr(overrides, key))
+            top[key] = _flag_text(key, getattr(overrides, key))
     sections = {**sections, "": top}
     market = _build_market(sections)
     d = len(market.groups)
@@ -410,31 +420,35 @@ def _quantile_header(d: int) -> list[str]:
 
 def cmd_simulate(config: RunConfig) -> int:
     spec = NoiseSpec.from_market(config.market, config.seed, config.n_paths)
-    strategy = default_strategy(config.market, _grid(config))
-    ensemble = simulate_closed_loop(config.market, strategy, config.x0, spec,
-                                    jobs=config.jobs)
-    d = ensemble.d
-    rows = np.empty((ensemble.grid.n_steps + 1, len(_quantile_header(d))))
-    rows[:, 0] = ensemble.times
+    grid = _grid(config)
+    strategy = default_strategy(config.market, grid)
+    # [nodes, paths, d]; the per-bank paths only when they are dumped.
+    means, ensemble = _simulate_group_means(
+        config.market, strategy, config.x0, spec, grid=grid,
+        jobs=config.jobs, keep_banks=config.raw_dump)
+    d = means.shape[2]
+    rows = np.empty((grid.n_steps + 1, len(_quantile_header(d))))
+    rows[:, 0] = grid.times()
     col = 1
     for k in range(d):
-        series = ensemble.group_averages[:, k, :]
-        rows[:, col] = series.mean(axis=0)
+        series = means[:, :, k]
+        rows[:, col] = series.mean(axis=1)
         rows[:, col + 1 : col + 6] = np.quantile(
-            series, [0.05, 0.25, 0.50, 0.75, 0.95], axis=0).T
+            series, [0.05, 0.25, 0.50, 0.75, 0.95], axis=1).T
         col += 6
-    rows[:, col] = ensemble.global_average.mean(axis=0)
+    sizes = np.array([g.n_banks for g in config.market.groups], dtype=float)
+    rows[:, col] = (means @ (sizes / sizes.sum())).mean(axis=1)
     col += 1
     if d == 2:
-        distance = distance_process(ensemble)
-        rows[:, col] = distance.mean(axis=0)
-        rows[:, col + 1] = distance.std(axis=0)
+        distance = means[:, :, 0] - means[:, :, 1]
+        rows[:, col] = distance.mean(axis=1)
+        rows[:, col + 1] = distance.std(axis=1)
     summary = os.path.join(config.out_dir, "ensemble_summary.csv")
     lines = [",".join(_quantile_header(d))]
     lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
     atomic_write_text(summary, "\n".join(lines) + "\n")
     outputs = [summary]
-    _say(config, f"wrote {summary} ({ensemble.n_paths} paths)")
+    _say(config, f"wrote {summary} ({config.n_paths} paths)")
     if config.raw_dump:
         raw = os.path.join(config.out_dir, "paths.bin")
         header = (f"raw float64 little-endian paths={ensemble.n_paths} "

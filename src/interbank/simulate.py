@@ -8,9 +8,10 @@ with a nonzero loading are drawn, and one small product mixes them in.
 One Euler kernel steps every series.  Under an affine rule the
 within-group gap terms sum to zero, so the group means follow a closed
 d-dimensional equation, and a bank is its group mean plus a deviation
-that decays at the gap gain.  The full simulator steps both; default
-probabilities and mean-field means step the means alone, so their noise
-needs one slot per group, not one column per bank.
+that decays at the gap gain.  The full simulator steps both; the
+ensemble summary steps the means alone on the same per-bank stream, and
+default probabilities and mean-field means step them on noise with one
+slot per group, not one column per bank.
 
 Randomness is keyed per path: path p draws its entire normal block from
 its own generator seeded with (seed, p), so any partition of paths into
@@ -23,11 +24,12 @@ worker count.
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -47,8 +49,9 @@ from .riccati import BLOWUP_LIMIT, CoefficientPath
 # reorder any floating-point reduction.
 BATCH_PATHS = 512
 
-# Largest per-bank ensemble, paths x banks x nodes doubles, that
-# simulate_closed_loop stores; larger requests fail before any draw.
+# Largest array a closed-loop run stores: the per-bank ensemble, paths x
+# banks x nodes doubles, or, when only the group means are kept, paths x d
+# x nodes; larger requests fail before any draw.
 MAX_ENSEMBLE_BYTES = 2**30
 
 _UNIT_NORM_TOL = 1e-14
@@ -177,6 +180,9 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
             block[j] *= root
         yield IncrementBatch(start=start, x0_normals=x0, increments=block,
                              active=active, d=spec.d)
+        # The consumer is done with this batch: free it before the next
+        # draw, so only one block is alive at a time.
+        del x0, block
 
 
 class TargetKind(enum.Enum):
@@ -365,12 +371,26 @@ def _mixed_noise(batch: IncrementBatch, driver: np.ndarray,
 
 
 def _run_batches(spec: NoiseSpec, grid: TimeGrid, sizes, worker,
-                 jobs: int | None, batch_paths: int = BATCH_PATHS) -> Iterable:
+                 jobs: int | None, batch_paths: int = BATCH_PATHS) -> Iterator:
+    """``worker`` applied to every batch, yielded lazily in batch order.
+
+    A batch is freed once its worker returns, so a serial run holds one
+    noise block at a time provided the caller drops each result before it
+    asks for the next; with ``jobs`` threads at most ``jobs`` batches are
+    drawn and not yet consumed.
+    """
     batches = generate_increments(spec, grid, sizes, batch_paths)
     if jobs is None or jobs <= 1:
-        return [worker(b) for b in batches]
+        yield from map(worker, batches)
+        return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, batches))
+        pending = collections.deque()
+        for batch in batches:
+            pending.append(pool.submit(worker, batch))
+            if len(pending) == jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _euler_means(start: np.ndarray, weights: np.ndarray,
@@ -436,13 +456,38 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     every bank is kept, so an ensemble above ``MAX_ENSEMBLE_BYTES``
     raises ValueError.
     """
+    return _simulate_group_means(market, strategy, X0, spec, grid=grid,
+                                 jobs=jobs, batch_paths=batch_paths,
+                                 keep_banks=True)[1]
+
+
+def _simulate_group_means(market: MarketParams | ValidatedMarket,
+                          strategy: FeedbackStrategy, X0, spec: NoiseSpec,
+                          *, grid: TimeGrid | None = None,
+                          jobs: int | None = None,
+                          batch_paths: int = BATCH_PATHS,
+                          keep_banks: bool = False
+                          ) -> tuple[np.ndarray, TrajectoryEnsemble | None]:
+    """The group means of :func:`simulate_closed_loop`'s kernel, time-major
+    [n_steps + 1, paths, d], and with ``keep_banks`` its ensemble as well.
+
+    The per-bank stream, generators and layout are those of the full
+    simulation, but a group's mean increment is the drawn block times the
+    group sums of the columns' loadings (average, then mix).  Without
+    ``keep_banks`` no bank's increment or path is formed, and the cap
+    ``MAX_ENSEMBLE_BYTES`` applies to the stored means instead of the
+    ensemble.  The means do not depend on ``keep_banks``, ``batch_paths``
+    or ``jobs``.
+    """
     # MFG mode takes any group count; the simulators also need sizes.
     vm = validate(market, Mode.MFG)
     grid = grid or strategy.path.grid
     sizes = vm.group_sizes()
-    size = spec.n_paths * sum(sizes) * (grid.n_steps + 1) * 8
+    stored, what = ((sum(sizes), "ensemble") if keep_banks
+                    else (vm.d, "group means"))
+    size = spec.n_paths * stored * (grid.n_steps + 1) * 8
     if size > MAX_ENSEMBLE_BYTES:
-        raise ValueError(f"the ensemble would take {size / 2**30:.3g} GiB, "
+        raise ValueError(f"the {what} would take {size / 2**30:.3g} GiB, "
                          f"above the {MAX_ENSEMBLE_BYTES / 2**30:g} GiB cap; "
                          "use fewer paths or steps")
     group_index = np.repeat(np.arange(vm.d), sizes)
@@ -452,15 +497,25 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     decay = -gap_t[:, group_index]
     mean, std = _expand_x0(X0, sizes)
     proj = _group_projector(group_index, vm.d)
+    # Average, then mix: each drawn column's loading on every group mean,
+    # so one product turns a batch into the mean increments.
+    mean_loads = np.vstack([driver @ proj.T, (proj * own).T])
 
-    def worker(batch: IncrementBatch) -> tuple[int, np.ndarray]:
+    def worker(batch: IncrementBatch):
+        x0 = mean + std * batch.x0_normals
+        # Summed bank by bank in order, as the ensemble sums its stored
+        # start states, so the start means equal its start averages bit
+        # for bit whatever the batch size.
+        m0 = np.stack([np.cumsum(x0[:, banks] * proj[k, banks],
+                                 axis=1)[:, -1]
+                       for k, banks in enumerate(members)], axis=1)
+        mean_noise = batch.increments @ mean_loads
+        means = _euler_means(m0, w_t, drift, mean_noise, grid)
+        if not keep_banks:
+            return batch.start, means, None
         # Every batch reaches exactly one worker, so its noise may be
         # mixed and overwritten in place.
         noise = _mixed_noise(batch, driver, own)
-        mean_noise = noise @ proj.T
-        x0 = mean + std * batch.x0_normals
-        m0 = np.einsum("pb,kb->pk", x0, proj)
-        means = _euler_means(m0, w_t, drift, mean_noise, grid)
         for k, banks in enumerate(members):
             noise[:, :, banks] -= mean_noise[:, :, k : k + 1]
         states = _euler_means(x0 - m0[:, group_index], decay, 0.0, noise,
@@ -468,13 +523,23 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
         for k, banks in enumerate(members):
             states[:, :, banks] += means[:, :, k : k + 1]
         states[0] = x0
-        return batch.start, states
+        return batch.start, means, states
 
-    all_states = np.empty((spec.n_paths, len(group_index), grid.n_steps + 1))
-    for start, states in _run_batches(spec, grid, sizes, worker, jobs,
-                                      batch_paths):
-        all_states[start : start + states.shape[1]] = states.transpose(1, 2, 0)
-    return TrajectoryEnsemble.from_states(grid, all_states, group_index)
+    n_nodes = grid.n_steps + 1
+    all_means = np.empty((n_nodes, spec.n_paths, vm.d))
+    all_states = (np.empty((spec.n_paths, len(group_index), n_nodes))
+                  if keep_banks else None)
+    for start, means, states in _run_batches(spec, grid, sizes, worker, jobs,
+                                             batch_paths):
+        stop = start + means.shape[1]
+        all_means[:, start:stop] = means
+        if keep_banks:
+            all_states[start:stop] = states.transpose(1, 2, 0)
+        # Free this batch's results before the next batch is drawn.
+        del means, states
+    ensemble = (TrajectoryEnsemble.from_states(grid, all_states, group_index)
+                if keep_banks else None)
+    return all_means, ensemble
 
 
 def simulate_mfg_mean(market: MarketParams | ValidatedMarket,

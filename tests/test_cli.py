@@ -6,13 +6,14 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import interbank.cli as cli
-from interbank import riccati
+from interbank import riccati, simulate
 from interbank.cli import (
     RunConfig,
     _parse_bool,
@@ -354,11 +355,57 @@ def test_readme_config_is_valid():
 
 
 def test_simulate_refuses_an_oversized_ensemble(tmp_path, capsys):
-    # 10**8 paths x 20 banks x 201 nodes would take 3.2 TB.
+    # 10**8 paths x 2 group means x 201 nodes would take 322 GB.
     rc, out = run(tmp_path, "simulate", TWO_GROUP, "--paths", "100000000")
     assert rc == 2
     assert "cap" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "ensemble_summary.csv"))
+
+
+class _PastTheSizeCheck(Exception):
+    """Raised by the first step of a simulation after its size check."""
+
+
+@pytest.mark.parametrize("raw_dump, stored", [(False, 2), (True, 20)])
+def test_readme_states_the_simulate_memory_cap(tmp_path, monkeypatch, capsys,
+                                               raw_dump, stored):
+    # README: paths x d x (steps + 1) doubles, or paths x banks x
+    # (steps + 1) with raw_dump, capped at 1 GiB.
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    assert ("stores paths × d × (steps + 1) doubles" in text
+            and "paths × banks × (steps + 1) doubles" in text
+            and "1 GiB" in text and simulate.MAX_ENSEMBLE_BYTES == 2**30)
+    config = ("raw_dump = true\n" if raw_dump else "") + TWO_GROUP
+    row = stored * 201 * 8
+    above = simulate.MAX_ENSEMBLE_BYTES // row + 1
+    tracemalloc.start()
+    try:
+        rc, out = run(tmp_path, "simulate", config, "--paths", str(above))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and "cap" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not os.path.exists(os.path.join(out, "ensemble_summary.csv"))
+
+    def past(*args, **kwargs):
+        raise _PastTheSizeCheck
+    monkeypatch.setattr(simulate, "_loadings", past)
+    with pytest.raises(_PastTheSizeCheck):
+        run(tmp_path, "simulate", config, "--paths", str(above - 1))
+
+
+def test_simulate_summary_does_not_depend_on_raw_dump(tmp_path):
+    text = "rho = 0.4\nx0 = 0.3~0.2, -0.1~0.4\n" + TWO_GROUP.replace(
+        "rho = 0.0\n", "").replace("lam = 0.1\n", "lam = 0.1\nrho_k = 0.3\n")
+    _, plain = run(tmp_path, "simulate", text, out="plain")
+    _, dumped = run(tmp_path, "simulate", "raw_dump = true\n" + text,
+                    out="dumped")
+    read = lambda d: open(os.path.join(d, "ensemble_summary.csv"), "rb").read()
+    assert read(plain) == read(dumped)
+    assert os.path.exists(os.path.join(dumped, "paths.bin"))
 
 
 def test_sweep_population_passes(tmp_path, capsys):
@@ -435,19 +482,28 @@ def test_sweep_total_that_does_not_split_exit_code(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "sweep_n_total.csv"))
 
 
-@pytest.mark.parametrize("text, named", [
-    (TWO_GROUP + "\n[group.1]\nlam = 0.2\n", "section [group.1] repeated"),
-    (TWO_GROUP.replace("[group.2]", "[group.3]"), "[group.1], [group.3]"),
-    (TWO_GROUP + "\n[group.02]\nq = 2.0\neps = 5.0\n", "[group.02]"),
+@pytest.mark.parametrize("text, named, out", [
+    (TWO_GROUP + "\n[group.1]\nlam = 0.2\n", "section [group.1] repeated",
+     "out"),
+    (TWO_GROUP.replace("[group.2]", "[group.3]"), "[group.1], [group.3]",
+     "out"),
+    (TWO_GROUP + "\n[group.02]\nq = 2.0\neps = 5.0\n", "[group.02]", "out"),
     ("steps = 20\n" + TWO_GROUP.replace("steps = 200", "steps = 30"),
-     "key 'steps' repeated"),
-    ("jobs = -3\n" + TWO_GROUP, "jobs = -3"),
-    ("target = nonsense:1:2:3\n" + TWO_GROUP, "target = nonsense:1:2:3"),
-    ("x0 = 0.1~\n" + TWO_GROUP, "x0 = 0.1~"),
+     "key 'steps' repeated", "out"),
+    ("jobs = -3\n" + TWO_GROUP, "jobs = -3", "out"),
+    ("target = nonsense:1:2:3\n" + TWO_GROUP, "target = nonsense:1:2:3",
+     "out"),
+    ("x0 = 0.1~\n" + TWO_GROUP, "x0 = 0.1~", "out"),
+    # The manifest's config text would read these --out values back as
+    # another directory: "o" for "o#1".
+    (TWO_GROUP, "--out", "o#1"),
+    (TWO_GROUP, "--out", "o\nsteps = 3"),
+    (TWO_GROUP, "--out", "o "),
 ], ids=["repeated-section", "numbering-gap", "leading-zero", "repeated-key",
-        "negative-jobs", "target-without-barrier", "x0-empty-std"])
-def test_misread_config_text_is_rejected(tmp_path, capsys, text, named):
-    rc, out = run(tmp_path, "solve", text)
+        "negative-jobs", "target-without-barrier", "x0-empty-std",
+        "out-comment", "out-line-break", "out-trailing-space"])
+def test_misread_config_text_is_rejected(tmp_path, capsys, text, named, out):
+    rc, out = run(tmp_path, "solve", text, out=out)
     assert rc == 2
     assert named in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "solve_manifest.json"))

@@ -505,18 +505,27 @@ _RULES = {"closed": (solve_closed_loop, feedback_closed),
           "mfg": (solve_mfg, feedback_mfg)}
 
 
-@pytest.mark.parametrize("jobs", [None, 2])
-@pytest.mark.parametrize("name, rule, x0", [
+_CASES = [
     ("stepg", "closed", ((0.2, 0.3), (-0.1, 0.5))),
     ("rich", "open", ((0.1, 0.0), (0.1, 0.0))),
     ("three", "mfg", ((0.0, 0.2), (0.1, 0.0), (-0.2, 0.3))),
-])
-def test_simulation_matches_the_per_bank_reference(name, rule, x0, jobs):
+]
+
+
+def _case(name, rule, n_paths=40):
+    """Market, 100-step grid, rule and noise spec of one of ``_CASES``."""
     market = _three_groups() if name == "three" else market_from_params(name)
     grid = TimeGrid(t_end=market.horizon, n_steps=100)
     solve, feedback = _RULES[rule]
     strategy = feedback(solve(market, grid), market)
-    spec = NoiseSpec.from_market(market, seed=13, n_paths=40)
+    spec = NoiseSpec.from_market(market, seed=13, n_paths=n_paths)
+    return market, grid, strategy, spec
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+@pytest.mark.parametrize("name, rule, x0", _CASES)
+def test_simulation_matches_the_per_bank_reference(name, rule, x0, jobs):
+    market, grid, strategy, spec = _case(name, rule)
     # Several batches, so the serial run reuses its buffers and the
     # threaded run has more than one batch in flight.
     ens = simulate_closed_loop(market, strategy, x0, spec, grid=grid,
@@ -524,6 +533,88 @@ def test_simulation_matches_the_per_bank_reference(name, rule, x0, jobs):
     want = _reference_states(market, strategy, x0, spec, grid)
     assert np.array_equal(ens.x0, want[:, :, 0])
     assert np.abs(ens.states - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("name, rule, x0", _CASES)
+def test_group_means_match_the_ensemble_averages(name, rule, x0):
+    # The means-only run averages the drawn columns before mixing them;
+    # the ensemble averages its stored bank paths.  Same stream, same
+    # law, so the two agree path by path to rounding.
+    market, grid, strategy, spec = _case(name, rule)
+    means, ensemble = simulate._simulate_group_means(market, strategy, x0,
+                                                     spec, grid=grid)
+    assert ensemble is None
+    averages = simulate_closed_loop(market, strategy, x0, spec,
+                                    grid=grid).group_averages
+    averages = averages.transpose(2, 0, 1)
+    assert means.shape == averages.shape
+    assert np.array_equal(means[0], averages[0])
+    assert np.abs(means - averages).max() < 1e-12
+
+
+def test_group_means_are_bit_identical_across_batches_and_jobs():
+    market, grid, strategy, spec = _case("stepg", "closed", BATCH_PATHS + 17)
+    x0 = ((0.2, 0.3), (-0.1, 0.5))
+
+    def means(**kw):
+        return simulate._simulate_group_means(market, strategy, x0, spec,
+                                              grid=grid, **kw)[0]
+    want = means()
+    for kw in (dict(batch_paths=1), dict(batch_paths=7),
+               dict(batch_paths=7, jobs=2), dict(jobs=2)):
+        assert np.array_equal(means(**kw), want), kw
+    # The per-bank run steps the same means.
+    both, ensemble = simulate._simulate_group_means(
+        market, strategy, x0, spec, grid=grid, batch_paths=7,
+        keep_banks=True)
+    assert np.array_equal(both, want) and ensemble.n_paths == spec.n_paths
+
+
+def _memory_case():
+    """``stepg`` (4 + 16 banks) on 200 steps in 12 batches of 64 paths, and
+    the bytes of one drawn batch: start normals and increment block."""
+    market = market_from_params("stepg")
+    grid = TimeGrid(t_end=market.horizon, n_steps=200)
+    spec = NoiseSpec.from_market(market, seed=3, n_paths=12 * 64)
+    width = len(simulate._active_driver_columns(spec)) + 20
+    block = 64 * (20 + grid.n_steps * width) * 8
+    # numpy imports its random module on first use, not before tracing.
+    np.random.SeedSequence(0)
+    return market, grid, closed_strategy(market, grid), spec, block
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_means_only_run_holds_one_noise_block():
+    # A batch is freed before the next one is drawn: the peak stays under
+    # the stored means plus 1.5 blocks, where two live blocks would not.
+    market, grid, strategy, spec, block = _memory_case()
+    (means, _), peak = _traced_peak(lambda: simulate._simulate_group_means(
+        market, strategy, ((0.0, 0.1), (0.2, 0.3)), spec, grid=grid,
+        batch_paths=64))
+    assert peak < means.nbytes + 1.5 * block
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+def test_bank_simulation_peak_is_the_ensemble_and_a_few_batches(jobs):
+    # Batches are consumed as they finish, never listed: a list of the 12
+    # batches' results would double the ensemble.
+    market, grid, strategy, spec, block = _memory_case()
+    ens, peak = _traced_peak(lambda: simulate_closed_loop(
+        market, strategy, ((0.0, 0.1), (0.2, 0.3)), spec, grid=grid,
+        jobs=jobs, batch_paths=64))
+    # The ensemble, and the kernel's group means kept beside it.
+    stored = (ens.states.nbytes + 2 * ens.group_averages.nbytes
+              + ens.global_average.nbytes)
+    batch = block + 64 * 20 * (grid.n_steps + 1) * 8
+    assert peak < stored + 2 * batch
 
 
 def test_group_mean_kernel_reproduces_the_bank_simulation():
