@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -36,6 +37,12 @@ def noise_loadings(rho: float, rho_k: float) -> tuple[float, float, float]:
     group = math.sqrt(1.0 - rho * rho) * rho_k
     own = math.sqrt(max(0.0, (1.0 - rho * rho) * (1.0 - rho_k * rho_k)))
     return common, group, own
+
+
+def _as_float(value):
+    """A real number as a Python float; any other value as it is, for
+    :func:`validate` to reject."""
+    return float(value) if isinstance(value, numbers.Real) else value
 
 
 class RejectedParams(ValueError):
@@ -65,13 +72,17 @@ class StepFunction:
     ``values[i]`` applies on the interval ``(breaks[i-1], breaks[i]]``;
     ``values[0]`` applies up to and including ``breaks[0]``, and the last
     value from ``breaks[-1]`` onward.  Left continuity means the lookup at
-    a jump time returns the value in force just before the jump.
+    a jump time returns the value in force just before the jump.  Real
+    breaks and values are stored as Python floats.
     """
 
     breaks: tuple[float, ...]
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for name in ("breaks", "values"):
+            object.__setattr__(self, name,
+                               tuple(map(_as_float, getattr(self, name))))
         if len(self.values) != len(self.breaks) + 1:
             raise ValueError("need exactly one more value than break points")
         if any(b >= a for a, b in zip(self.breaks[1:], self.breaks)):
@@ -110,6 +121,11 @@ class GroupParams:
     gamma    deterministic growth rate of log-capitalization
     n_banks  group size; may be None when only the limiting weight
              beta_k is relevant
+
+    Real numbers are stored as Python floats and an integral n_banks as a
+    Python int, so the coefficient systems, which close over these
+    numbers, run on float arithmetic whatever type the caller passed
+    (numpy scalars, say).
     """
 
     sigma: float
@@ -122,6 +138,10 @@ class GroupParams:
     n_banks: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("sigma", "q", "eps", "c", "lam", "rho_k"):
+            object.__setattr__(self, name, _as_float(getattr(self, name)))
+        if isinstance(self.n_banks, numbers.Integral):
+            object.__setattr__(self, "n_banks", int(self.n_banks))
         object.__setattr__(self, "gamma", as_step_function(self.gamma))
 
     @property
@@ -136,7 +156,8 @@ class MarketParams:
 
     ``beta`` may be given directly for limiting/mean-field use; when every
     group carries ``n_banks`` the weights are derived as N_k / N instead
-    and any explicit ``beta`` is ignored.
+    and any explicit ``beta`` is ignored.  ``rho`` and ``horizon`` are
+    stored as Python floats when they are real numbers.
     """
 
     rho: float
@@ -145,6 +166,8 @@ class MarketParams:
     beta: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rho", _as_float(self.rho))
+        object.__setattr__(self, "horizon", _as_float(self.horizon))
         object.__setattr__(self, "groups", tuple(self.groups))
         if self.beta is not None:
             object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))

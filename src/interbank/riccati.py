@@ -141,12 +141,14 @@ class CoefficientPath:
     def horizon(self) -> float:
         return self.grid.t_end
 
-    def column(self, label: str) -> np.ndarray:
+    def _index(self, label: str) -> int:
         try:
-            j = self.labels.index(label)
+            return self.labels.index(label)
         except ValueError:
             raise KeyError(f"no component labeled {label!r}") from None
-        return self.values[:, j]
+
+    def column(self, label: str) -> np.ndarray:
+        return self.values[:, self._index(label)]
 
     def at(self, t) -> np.ndarray:
         """All components at time t by linear interpolation between nodes;
@@ -170,7 +172,7 @@ class CoefficientPath:
         return (1.0 - w) * self.values[j] + w * self.values[j + 1]
 
     def value_at(self, t: float, label: str) -> float:
-        return float(self.at(t)[self.labels.index(label)])
+        return float(self.at(t)[self._index(label)])
 
     def write_csv(self, path: str | os.PathLike) -> None:
         """Write ``t`` plus one column per component, 17 significant digits."""
@@ -447,6 +449,33 @@ def open_loop_system(vm: ValidatedMarket) -> OdeSystem:
     return OdeSystem(rhs=rhs, terminal=terminal, labels=OPEN_LABELS)
 
 
+def _mfg_rhs_source(d: int) -> str:
+    """Source of the mean-field right-hand side for d groups, unrolled.
+
+    Every name is built from ``range(d)`` alone: ``a<k>``, ``p<k>_<h>`` and
+    ``m<k>`` are the components, ``g<k>`` and ``c<j>_<h>`` the shifted
+    means and interaction columns, and the market's numbers (``tq<k>``,
+    ``q<k>``, ``e<k>``, ``qo<k>_<h>``, ``eo<k>_<h>``, ``gam<k>``) are
+    globals bound by :func:`mfg_system`.  Each sum runs in index order.
+    """
+    r = range(d)
+    state = ([f"a{k}" for k in r] + [f"p{k}_{h}" for k in r for h in r]
+             + [f"m{k}" for k in r])
+    out = [f"tq{k} * a{k} + a{k} * a{k} - e{k}" for k in r]
+    out += [
+        f"q{k} * p{k}_{h} - ({' + '.join(f'p{k}_{j} * c{j}_{h}' for j in r)})"
+        f" - eo{k}_{h}"
+        for k in r for h in r
+    ]
+    out += [f"q{k} * m{k} - ({' + '.join(f'p{k}_{j} * g{j}' for j in r)})"
+            for k in r]
+    lines = ["def rhs(t, y):", f"    {', '.join(state)} = y"]
+    lines += [f"    g{k} = m{k} + gam{k}(t)" for k in r]
+    lines += [f"    c{j}_{h} = p{j}_{h} + qo{j}_{h}" for j in r for h in r]
+    lines += ["    return ["] + [f"        {x}," for x in out] + ["    ]"]
+    return "\n".join(lines) + "\n"
+
+
 def mfg_system(vm: ValidatedMarket) -> OdeSystem:
     """Mean-field coefficient system for d groups.
 
@@ -454,30 +483,31 @@ def mfg_system(vm: ValidatedMarket) -> OdeSystem:
     etam_k of the squared deviation from the own-group mean, the d x d
     mean-interaction matrix psim_k_h (row k gives how group k's value
     loads on each group mean), and the intercepts mum_k.
+
+    The right-hand side is straight-line code generated for this d and
+    compiled once per market: deta_k = 2 q_k eta_k + eta_k^2 - e_k,
+    dpsi = q psi - psi (psi + q off) - e off and dmu = q mu - psi (mu +
+    gamma), row by row with every matrix product summed in index order.
+    The market's numbers reach it through the namespace, never the text.
     """
     groups = vm.groups
     d = vm.d
-    q = np.array([g.q for g in groups])
-    e = np.array([g.eps_slack for g in groups])
-    c = np.array([g.c for g in groups])
-    gammas = [g.gamma for g in groups]
-    off = tracking_offsets(vm)
-    q_off = q[:, None] * off
-    e_off = e[:, None] * off
-
-    def rhs(t: float, y: Sequence[float]) -> list[float]:
-        y = np.array(y)
-        eta = y[:d]
-        psi = y[d : d + d * d].reshape(d, d)
-        mu = y[d + d * d :]
-        gam = np.array([g(t) for g in gammas])
-        deta = 2.0 * q * eta + eta * eta - e
-        dpsi = q[:, None] * psi - psi @ (psi + q_off) - e_off
-        dmu = q * mu - psi @ (mu + gam)
-        return np.concatenate([deta, dpsi.ravel(), dmu]).tolist()
-
-    terminal = np.concatenate([c, (c[:, None] * off).ravel(), np.zeros(d)])
-    return OdeSystem(rhs=rhs, terminal=terminal, labels=mfg_labels(d))
+    off = tracking_offsets(vm).tolist()
+    namespace: dict = {}
+    for k, g in enumerate(groups):
+        e = g.eps_slack
+        namespace.update({f"tq{k}": 2.0 * g.q, f"q{k}": g.q, f"e{k}": e,
+                          f"gam{k}": g.gamma})
+        for h, o in enumerate(off[k]):
+            namespace[f"qo{k}_{h}"] = g.q * o
+            namespace[f"eo{k}_{h}"] = e * o
+    exec(compile(_mfg_rhs_source(d), f"<mfg_system d={d}>", "exec"),
+         namespace)
+    terminal = ([g.c for g in groups]
+                + [g.c * o for g, row in zip(groups, off) for o in row]
+                + [0.0] * d)
+    return OdeSystem(rhs=namespace["rhs"], terminal=terminal,
+                     labels=mfg_labels(d))
 
 
 def _default_grid(vm: ValidatedMarket) -> TimeGrid:

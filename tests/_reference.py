@@ -14,8 +14,10 @@ fails.  Diagnostics go to stderr, the frozen module to stdout.
 
 The module also keeps :func:`rk4_backward_arrays`, the library's backward
 RK4 loop as it ran on numpy arrays before the integrator moved to Python
-floats.  The tests hold the library to it bit for bit; the frozen values
-do not use it.
+floats, and :func:`mfg_rhs_arrays`, the library's mean-field right-hand
+side as it ran on numpy arrays before it became generated straight-line
+code.  The tests hold the library to them; the frozen values do not use
+them.
 """
 
 import sys
@@ -159,6 +161,38 @@ def rk4_backward_arrays(system, grid):
                               system.labels[int(np.argmax(bad))])
         values[j - 1] = y
     return values
+
+
+# ----------------------------------------------------------------------
+# The library's mean-field right-hand side as it ran on numpy arrays.
+
+
+def mfg_rhs_arrays(vm):
+    """The former numpy right-hand side of the library's ``mfg_system``
+    for a ``ValidatedMarket``; ``tracking_offsets`` is written inline."""
+    groups = vm.groups
+    d = vm.d
+    q = np.array([g.q for g in groups])
+    e = np.array([g.eps_slack for g in groups])
+    gammas = [g.gamma for g in groups]
+    lam = np.array([g.lam for g in groups])
+    beta = np.array(vm.beta)
+    off = lam[:, None] * (beta[None, :] - np.eye(len(beta)))
+    q_off = q[:, None] * off
+    e_off = e[:, None] * off
+
+    def rhs(t, y):
+        y = np.array(y)
+        eta = y[:d]
+        psi = y[d : d + d * d].reshape(d, d)
+        mu = y[d + d * d :]
+        gam = np.array([g(t) for g in gammas])
+        deta = 2.0 * q * eta + eta * eta - e
+        dpsi = q[:, None] * psi - psi @ (psi + q_off) - e_off
+        dmu = q * mu - psi @ (mu + gam)
+        return np.concatenate([deta, dpsi.ravel(), dmu]).tolist()
+
+    return rhs
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 import _frozen
 
 from interbank.model import GroupParams, MarketParams, StepFunction, two_groups
@@ -29,6 +31,25 @@ def market_from_params(name: str) -> MarketParams:
         for q, e, c, l, g in zip(p["q"], p["eps"], p["c"], p["lam"], gammas)
     )
     return MarketParams(rho=0.0, horizon=p["T"], groups=groups, beta=p["beta"])
+
+
+def random_mfg_market(d: int, seed: int) -> MarketParams:
+    """A d-group mean-field market with distinct random constants, terminal
+    weights above the existence threshold and a growth rate per group
+    that jumps once at a random time."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.5, 2.5, d)
+    lam = rng.uniform(0.2, 0.9, d)
+    floor = max(0.0, ((q * lam)[:, None] / lam[None, :] - q[None, :]).max())
+    w = rng.uniform(0.2, 1.0, d)
+    groups = tuple(
+        GroupParams(sigma=1.0, q=q[k], eps=q[k] * q[k] + rng.uniform(0.1, 3.0),
+                    c=floor + rng.uniform(0.1, 1.0), lam=lam[k],
+                    gamma=StepFunction(breaks=(rng.uniform(0.1, 0.9),),
+                                       values=tuple(rng.uniform(-0.5, 0.5, 2))))
+        for k in range(d))
+    return MarketParams(rho=0.0, horizon=1.0, groups=groups,
+                        beta=tuple(w / w.sum()))
 
 
 def weights_market(**overrides) -> MarketParams:

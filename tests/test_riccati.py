@@ -8,9 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 import _frozen as fz
 import _reference
-from conftest import market_from_params, scalar_riccati, weights_market
+from conftest import (
+    gamma_from_spec,
+    market_from_params,
+    random_mfg_market,
+    scalar_riccati,
+    weights_market,
+)
 
-from interbank.model import Mode, TimeGrid, two_groups, validate
+from interbank.model import (
+    Mode,
+    StepFunction,
+    TimeGrid,
+    two_groups,
+    validate,
+)
 from interbank.riccati import (
     BLOWUP_LIMIT,
     BlowUp,
@@ -194,13 +206,77 @@ BUILDERS = {
 
 @pytest.mark.parametrize("name, kind", [
     (name, kind) for name in ("benchmark", "rich", "stepg") for kind in SOLVERS
-] + [("mfg3", "mfg")])
+] + [("mfg3", "mfg"), ("mfg1", "mfg"), ("mfg5", "mfg")])
 def test_solvers_match_the_array_loop_bit_for_bit(name, kind):
-    market = market_from_params(name)
+    if name in ("mfg1", "mfg5"):
+        market = random_mfg_market(int(name[-1]), seed=5)
+    else:
+        market = market_from_params(name)
     builder, mode = BUILDERS[kind]
     grid = TimeGrid(t_end=market.horizon, n_steps=400)
     want = _reference.rk4_backward_arrays(builder(validate(market, mode)), grid)
     assert np.array_equal(SOLVERS[kind](market, grid).values, want)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_mfg_rhs_matches_the_numpy_rhs(d):
+    # The generated RHS sums each matrix product in index order, numpy's
+    # BLAS product need not: equal bit for bit only when no sum has two
+    # terms, and to roundoff of the state's scale otherwise.
+    vm = validate(random_mfg_market(d, seed=d), Mode.MFG)
+    rhs = mfg_system(vm).rhs
+    want_rhs = _reference.mfg_rhs_arrays(vm)
+    rng = np.random.default_rng(100 + d)
+    for _ in range(200):
+        y = rng.uniform(-1.0, 1.0, d + d * d + d).tolist()
+        t = float(rng.uniform(0.0, 1.0))
+        got, want = np.array(rhs(t, y)), np.array(want_rhs(t, y))
+        if d == 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            tol = 1e-15 * (1.0 + np.abs(y).max())
+            assert np.abs(got - want).max() <= tol, (t, y)
+
+
+def test_mfg_rhs_source_holds_no_market_number():
+    first, second = (mfg_system(validate(random_mfg_market(3, seed), Mode.MFG))
+                     for seed in (1, 2))
+    assert first.rhs(0.5, first.terminal.tolist()) != second.rhs(
+        0.5, second.terminal.tolist())
+    assert first.rhs.__code__.co_code == second.rhs.__code__.co_code
+    assert first.rhs.__code__.co_filename == "<mfg_system d=3>"
+    assert not [c for c in first.rhs.__code__.co_consts
+                if isinstance(c, float)]
+
+
+def test_numpy_numbers_are_stored_as_python_floats():
+    # Solves on numpy scalars run several times slower than on floats, so
+    # every market number is stored as a float whatever type it came in.
+    p = fz.PARAMS["stepg"]
+    reals = ("sigma", "q", "eps", "c", "lam", "rho_k")
+
+    def build(real, integer):
+        gammas = tuple(
+            StepFunction(breaks=tuple(map(real, g.breaks)),
+                         values=tuple(map(real, g.values)))
+            for g in map(gamma_from_spec, p["gamma"]))
+        return two_groups(
+            rho=real(p["rho"]), horizon=real(p["T"]),
+            n1=integer(p["N"][0]), n2=integer(p["N"][1]), gamma=gammas,
+            **{key: tuple(map(real, p[key])) for key in reals})
+
+    market = build(np.float64, np.int64)
+    assert type(market.rho) is float and type(market.horizon) is float
+    for g in market.groups:
+        assert [type(getattr(g, key)) for key in reals] == [float] * 6
+        assert type(g.n_banks) is int
+        assert {type(x) for x in g.gamma.breaks + g.gamma.values} == {float}
+    plain = build(float, int)
+    assert market == plain
+    grid = TimeGrid(t_end=1.0, n_steps=200)
+    for kind, solve in SOLVERS.items():
+        assert solve(market, grid).values.tobytes() == solve(
+            plain, grid).values.tobytes(), kind
 
 
 def test_blow_up_matches_the_array_loop():
@@ -264,8 +340,9 @@ def test_path_interpolation_and_range():
         path.at(-0.01)
     with pytest.raises(ValueError):
         path.at(1.01)
-    with pytest.raises(KeyError):
-        path.column("nope")
+    for lookup in (path.column, lambda label: path.value_at(0.5, label)):
+        with pytest.raises(KeyError, match="no component labeled 'nope'"):
+            lookup("nope")
 
 
 def _node_interpolation(path, t):
