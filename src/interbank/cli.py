@@ -84,8 +84,9 @@ from .simulate import (
     NoiseSpec,
     SimulationBlowUp,
     TargetKind,
-    _simulate_group_means,
     mc_hitting_probability,
+    simulate_closed_loop,
+    simulate_group_means,
 )
 
 _SOLVERS = {
@@ -422,10 +423,13 @@ def cmd_simulate(config: RunConfig) -> int:
     spec = NoiseSpec.from_market(config.market, config.seed, config.n_paths)
     grid = _grid(config)
     strategy = default_strategy(config.market, grid)
-    # [nodes, paths, d]; the per-bank paths only when they are dumped.
-    means, ensemble = _simulate_group_means(
-        config.market, strategy, config.x0, spec, grid=grid,
-        jobs=config.jobs, keep_banks=config.raw_dump)
+    # Dumped bank paths come first: theirs is the larger cap, so an
+    # oversized run is refused before any draw.
+    if config.raw_dump:
+        ensemble = simulate_closed_loop(config.market, strategy, config.x0,
+                                        spec, grid=grid, jobs=config.jobs)
+    means = simulate_group_means(config.market, strategy, config.x0, spec,
+                                 grid=grid, jobs=config.jobs)
     d = means.shape[2]
     rows = np.empty((grid.n_steps + 1, len(_quantile_header(d))))
     rows[:, 0] = grid.times()

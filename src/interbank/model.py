@@ -122,10 +122,10 @@ class GroupParams:
     n_banks  group size; may be None when only the limiting weight
              beta_k is relevant
 
-    Real numbers are stored as Python floats and an integral n_banks as a
-    Python int, so the coefficient systems, which close over these
-    numbers, run on float arithmetic whatever type the caller passed
-    (numpy scalars, say).
+    Real numbers are stored as Python floats and an integral n_banks, an
+    integral float included, as a Python int, so the coefficient systems,
+    which close over these numbers, run on float arithmetic whatever type
+    the caller passed (numpy scalars, say).
     """
 
     sigma: float
@@ -140,8 +140,10 @@ class GroupParams:
     def __post_init__(self) -> None:
         for name in ("sigma", "q", "eps", "c", "lam", "rho_k"):
             object.__setattr__(self, name, _as_float(getattr(self, name)))
-        if isinstance(self.n_banks, numbers.Integral):
-            object.__setattr__(self, "n_banks", int(self.n_banks))
+        n = self.n_banks
+        if isinstance(n, numbers.Integral) or (
+                isinstance(n, numbers.Real) and float(n).is_integer()):
+            object.__setattr__(self, "n_banks", int(n))
         object.__setattr__(self, "gamma", as_step_function(self.gamma))
 
     @property
@@ -314,8 +316,10 @@ def validate(market: MarketParams | ValidatedMarket,
             raise RejectedParams(f"group {k}: lam must lie in [0, 1]")
         if not -1.0 <= g.rho_k <= 1.0:
             raise RejectedParams(f"group {k}: rho_k must lie in [-1, 1]")
-        if g.n_banks is not None and g.n_banks < 1:
-            raise RejectedParams(f"group {k}: n_banks must be positive")
+        if g.n_banks is not None and not (isinstance(g.n_banks, int)
+                                          and g.n_banks >= 1):
+            raise RejectedParams(
+                f"group {k}: n_banks must be a positive whole number")
         if g.q * g.q == g.eps:
             warnings.append(
                 f"group {k}: eps - q**2 == 0; degenerate case, the limiting "

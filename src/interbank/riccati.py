@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -214,7 +215,8 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
-def integrate_backward(system: OdeSystem, grid: TimeGrid) -> CoefficientPath:
+def integrate_backward(system: OdeSystem, grid: TimeGrid,
+                       breaks: Sequence[float] = ()) -> CoefficientPath:
     """Integrate a terminal-value system from t = T down to t = 0.
 
     Classic fourth-order Runge-Kutta applied with the fixed step -dt
@@ -222,10 +224,14 @@ def integrate_backward(system: OdeSystem, grid: TimeGrid) -> CoefficientPath:
     error is O(dt^4) for smooth right-hand sides.  The endpoint stages
     are evaluated a hair inside the step: the only explicit time
     dependence comes through the piecewise-constant forcing rates, so a
-    rate jump on a grid node then stays one-sided and costs no accuracy.
-    The state and stages are lists of Python floats, each formed with the
-    operations of the equivalent array expression in the same order, so
-    the results equal those of a numpy-array loop bit for bit.
+    rate jump on a grid node stays one-sided and costs no accuracy.  A
+    step whose interior holds one of the rates' ``breaks`` is taken as
+    two or more RK4 steps that meet at each break, with the same nudges,
+    so a jump off the grid costs no accuracy either; every other step
+    uses h = -dt exactly.  The state and stages are lists of Python
+    floats, each formed with the operations of the equivalent array
+    expression in the same order, so the results equal those of a
+    numpy-array loop bit for bit.
 
     Raises:
       BlowUp: once any component is non-finite or exceeds BLOWUP_LIMIT in
@@ -236,18 +242,34 @@ def integrate_backward(system: OdeSystem, grid: TimeGrid) -> CoefficientPath:
     values = np.empty((grid.n_steps + 1, len(system.labels)))
     values[-1] = system.terminal
     y = system.terminal.tolist()
-    h = -grid.dt
-    half = 0.5 * h
-    sixth = h / 6.0
     nudge = 1e-9 * grid.dt
-    for j in range(grid.n_steps, 0, -1):
-        t = times[j]
+    # Steps holding a break more than a nudge inside, keyed by their
+    # upper node j, and every time they stop at, from t_j down.
+    splits = {}
+    for b in sorted(set(breaks), reverse=True):
+        j = bisect_left(times, b)
+        if 0 < j <= grid.n_steps and (
+                times[j - 1] + nudge < b < times[j] - nudge):
+            splits.setdefault(j, [times[j]]).append(b)
+
+    def rk4(t: float, h: float, y: list[float]) -> list[float]:
+        half = 0.5 * h
+        sixth = h / 6.0
         k1 = rhs(t - nudge, y)
         k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
         k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
         k4 = rhs(t + h + nudge, [a + h * b for a, b in zip(y, k3)])
-        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+    h = -grid.dt
+    for j in range(grid.n_steps, 0, -1):
+        if j in splits:
+            stops = splits[j] + [times[j - 1]]
+            for t, t_next in zip(stops, stops[1:]):
+                y = rk4(t, t_next - t, y)
+        else:
+            y = rk4(times[j], h, y)
         # The sum of magnitudes is NaN, infinite or above the limit
         # whenever a single component is; only then look for which.
         if not sum(map(abs, y)) <= BLOWUP_LIMIT:
@@ -514,12 +536,18 @@ def _default_grid(vm: ValidatedMarket) -> TimeGrid:
     return TimeGrid(t_end=vm.horizon, n_steps=DEFAULT_STEPS)
 
 
+def _rate_breaks(vm: ValidatedMarket) -> tuple[float, ...]:
+    """Every group's growth-rate jump times."""
+    return tuple(b for g in vm.groups for b in g.gamma.breaks)
+
+
 def solve_closed_loop(
     market: MarketParams | ValidatedMarket, grid: TimeGrid | None = None
 ) -> CoefficientPath:
     """Solve the 20-equation closed-loop system on the given grid."""
     vm = validate(market, Mode.CLOSED_LOOP)
-    return integrate_backward(closed_loop_system(vm), grid or _default_grid(vm))
+    return integrate_backward(closed_loop_system(vm), grid or _default_grid(vm),
+                              _rate_breaks(vm))
 
 
 def solve_limiting(
@@ -535,7 +563,8 @@ def solve_open_loop(
 ) -> CoefficientPath:
     """Solve the 8-equation open-loop adjoint system on the given grid."""
     vm = validate(market, Mode.OPEN_LOOP)
-    return integrate_backward(open_loop_system(vm), grid or _default_grid(vm))
+    return integrate_backward(open_loop_system(vm), grid or _default_grid(vm),
+                              _rate_breaks(vm))
 
 
 def solve_mfg(
@@ -543,4 +572,5 @@ def solve_mfg(
 ) -> CoefficientPath:
     """Solve the mean-field system for any number of groups."""
     vm = validate(market, Mode.MFG)
-    return integrate_backward(mfg_system(vm), grid or _default_grid(vm))
+    return integrate_backward(mfg_system(vm), grid or _default_grid(vm),
+                              _rate_breaks(vm))

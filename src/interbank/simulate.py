@@ -8,10 +8,9 @@ with a nonzero loading are drawn, and one small product mixes them in.
 One Euler kernel steps every series.  Under an affine rule the
 within-group gap terms sum to zero, so the group means follow a closed
 d-dimensional equation, and a bank is its group mean plus a deviation
-that decays at the gap gain.  The full simulator steps both; the
-ensemble summary steps the means alone on the same per-bank stream, and
-default probabilities and mean-field means step them on noise with one
-slot per group, not one column per bank.
+that decays at the gap gain.  The full simulator steps both on one
+column per bank; group-mean runs and default probabilities step the
+means alone on noise with one slot per group, not one column per bank.
 
 Randomness is keyed per path: path p draws its entire normal block from
 its own generator seeded with (seed, p), so any partition of paths into
@@ -33,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .equilibrium import FeedbackStrategy, default_strategy, feedback_mfg
+from .equilibrium import FeedbackStrategy, default_strategy
 from .model import (
     MarketParams,
     Mode,
@@ -42,16 +41,16 @@ from .model import (
     noise_loadings,
     validate,
 )
-from .riccati import BLOWUP_LIMIT, CoefficientPath
+from .riccati import BLOWUP_LIMIT
 
 # Fixed number of paths per work unit.  Batch boundaries depend only on
 # this constant, never on the worker count, so parallel schedules cannot
 # reorder any floating-point reduction.
 BATCH_PATHS = 512
 
-# Largest array a closed-loop run stores: the per-bank ensemble, paths x
-# banks x nodes doubles, or, when only the group means are kept, paths x d
-# x nodes; larger requests fail before any draw.
+# Largest array a simulation stores: the per-bank ensemble, paths x banks
+# x nodes doubles, or the group means, paths x d x nodes; larger requests
+# fail before any draw.
 MAX_ENSEMBLE_BYTES = 2**30
 
 _UNIT_NORM_TOL = 1e-14
@@ -156,9 +155,8 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     sqrt(1-rho^2)*rho_k == 0 for group k) can never reach a bank, so it
     draws no randomness and has no column; fully independent markets pay
     for exactly one normal per bank per step.  The layout depends
-    only on (spec, grid, n_banks_per_group), so simulations of the group
-    means alone reuse the identical driver columns.  Callers that step
-    group means pass slot counts per group in place of bank counts.
+    only on (spec, grid, n_banks_per_group).  Callers that step group
+    means pass slot counts per group in place of bank counts.
     """
     sizes = tuple(int(n) for n in n_banks_per_group)
     if len(sizes) != spec.d:
@@ -362,11 +360,13 @@ def _loadings(vm: ValidatedMarket, spec: NoiseSpec, groups: np.ndarray,
 def _mixed_noise(batch: IncrementBatch, driver: np.ndarray,
                  own: np.ndarray) -> np.ndarray:
     """Per-column diffusion increments from the :func:`_loadings` pair,
-    formed in the batch's idiosyncratic block: mix each batch only once."""
+    formed in the batch's idiosyncratic block, once per batch; drivers are
+    added path by path, so no product of the batch's size is formed."""
     noise = batch.idiosyncratic
     noise *= own
     if len(driver):
-        noise += batch.increments[:, :, :len(driver)] @ driver
+        for p in range(len(noise)):
+            noise[p] += batch.increments[p, :, :len(driver)] @ driver
     return noise
 
 
@@ -412,15 +412,16 @@ def _euler_means(start: np.ndarray, weights: np.ndarray,
     times = grid.times()
     n_paths, n_steps, width = noise.shape
     wdt = weights * dt if weights.any() else None
+    ddt = drift * dt if np.any(drift) else None
     # Time-major: each step reads and writes contiguous rows.  Node n + 1
-    # holds its increment until the step adds the state of node n to it.
+    # holds its increment until the step adds the drift and node n's state.
     out = np.empty((n_steps + 1, n_paths, width))
     out[0] = start
     out[1:] = noise.transpose(1, 0, 2)
-    if np.any(drift):
-        out[1:] += (drift * dt)[:, None, :]
     for n in range(n_steps):
         m, nxt = out[n], out[n + 1]
+        if ddt is not None:
+            nxt += ddt[n]
         nxt += m
         if wdt is not None:
             nxt += (m * wdt[n] if wdt.ndim == 2
@@ -428,6 +429,16 @@ def _euler_means(start: np.ndarray, weights: np.ndarray,
         if not np.abs(nxt).max() <= BLOWUP_LIMIT:
             raise SimulationBlowUp(float(times[n + 1]))
     return out
+
+
+def _check_stored(spec: NoiseSpec, series: int, grid: TimeGrid) -> None:
+    """Refuse, before any draw, to store ``series`` doubles per node and
+    path beyond ``MAX_ENSEMBLE_BYTES``."""
+    size = spec.n_paths * series * (grid.n_steps + 1) * 8
+    if size > MAX_ENSEMBLE_BYTES:
+        raise ValueError(f"storing {size / 2**30:.3g} GiB is above the "
+                         f"{MAX_ENSEMBLE_BYTES / 2**30:g} GiB cap; use fewer "
+                         "paths or steps")
 
 
 def simulate_closed_loop(market: MarketParams | ValidatedMarket,
@@ -456,40 +467,11 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     every bank is kept, so an ensemble above ``MAX_ENSEMBLE_BYTES``
     raises ValueError.
     """
-    return _simulate_group_means(market, strategy, X0, spec, grid=grid,
-                                 jobs=jobs, batch_paths=batch_paths,
-                                 keep_banks=True)[1]
-
-
-def _simulate_group_means(market: MarketParams | ValidatedMarket,
-                          strategy: FeedbackStrategy, X0, spec: NoiseSpec,
-                          *, grid: TimeGrid | None = None,
-                          jobs: int | None = None,
-                          batch_paths: int = BATCH_PATHS,
-                          keep_banks: bool = False
-                          ) -> tuple[np.ndarray, TrajectoryEnsemble | None]:
-    """The group means of :func:`simulate_closed_loop`'s kernel, time-major
-    [n_steps + 1, paths, d], and with ``keep_banks`` its ensemble as well.
-
-    The per-bank stream, generators and layout are those of the full
-    simulation, but a group's mean increment is the drawn block times the
-    group sums of the columns' loadings (average, then mix).  Without
-    ``keep_banks`` no bank's increment or path is formed, and the cap
-    ``MAX_ENSEMBLE_BYTES`` applies to the stored means instead of the
-    ensemble.  The means do not depend on ``keep_banks``, ``batch_paths``
-    or ``jobs``.
-    """
     # MFG mode takes any group count; the simulators also need sizes.
     vm = validate(market, Mode.MFG)
     grid = grid or strategy.path.grid
     sizes = vm.group_sizes()
-    stored, what = ((sum(sizes), "ensemble") if keep_banks
-                    else (vm.d, "group means"))
-    size = spec.n_paths * stored * (grid.n_steps + 1) * 8
-    if size > MAX_ENSEMBLE_BYTES:
-        raise ValueError(f"the {what} would take {size / 2**30:.3g} GiB, "
-                         f"above the {MAX_ENSEMBLE_BYTES / 2**30:g} GiB cap; "
-                         "use fewer paths or steps")
+    _check_stored(spec, sum(sizes), grid)
     group_index = np.repeat(np.arange(vm.d), sizes)
     members = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
     driver, own = _loadings(vm, spec, group_index)
@@ -503,16 +485,12 @@ def _simulate_group_means(market: MarketParams | ValidatedMarket,
 
     def worker(batch: IncrementBatch):
         x0 = mean + std * batch.x0_normals
-        # Summed bank by bank in order, as the ensemble sums its stored
-        # start states, so the start means equal its start averages bit
-        # for bit whatever the batch size.
+        # Summed bank by bank, so no batch size changes their bits.
         m0 = np.stack([np.cumsum(x0[:, banks] * proj[k, banks],
                                  axis=1)[:, -1]
                        for k, banks in enumerate(members)], axis=1)
         mean_noise = batch.increments @ mean_loads
         means = _euler_means(m0, w_t, drift, mean_noise, grid)
-        if not keep_banks:
-            return batch.start, means, None
         # Every batch reaches exactly one worker, so its noise may be
         # mixed and overwritten in place.
         noise = _mixed_noise(batch, driver, own)
@@ -523,66 +501,93 @@ def _simulate_group_means(market: MarketParams | ValidatedMarket,
         for k, banks in enumerate(members):
             states[:, :, banks] += means[:, :, k : k + 1]
         states[0] = x0
-        return batch.start, means, states
+        return batch.start, states
 
-    n_nodes = grid.n_steps + 1
-    all_means = np.empty((n_nodes, spec.n_paths, vm.d))
-    all_states = (np.empty((spec.n_paths, len(group_index), n_nodes))
-                  if keep_banks else None)
-    for start, means, states in _run_batches(spec, grid, sizes, worker, jobs,
-                                             batch_paths):
-        stop = start + means.shape[1]
-        all_means[:, start:stop] = means
-        if keep_banks:
-            all_states[start:stop] = states.transpose(1, 2, 0)
-        # Free this batch's results before the next batch is drawn.
-        del means, states
-    ensemble = (TrajectoryEnsemble.from_states(grid, all_states, group_index)
-                if keep_banks else None)
-    return all_means, ensemble
+    all_states = np.empty((spec.n_paths, len(group_index), grid.n_steps + 1))
+    for start, states in _run_batches(spec, grid, sizes, worker, jobs,
+                                      batch_paths):
+        all_states[start : start + states.shape[1]] = states.transpose(1, 2, 0)
+        # Free this batch's paths before the next batch is drawn.
+        del states
+    return TrajectoryEnsemble.from_states(grid, all_states, group_index)
 
 
-def simulate_mfg_mean(market: MarketParams | ValidatedMarket,
-                      mfg_path: CoefficientPath, spec: NoiseSpec,
-                      *, m0=0.0, grid: TimeGrid | None = None,
-                      n_banks_per_group: Sequence[int] | None = None,
-                      jobs: int | None = None,
-                      batch_paths: int = BATCH_PATHS) -> np.ndarray:
-    """Conditional group means under the mean-field equilibrium.
+def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
+                        spec: NoiseSpec, grid: TimeGrid, reduce,
+                        jobs: int | None, batch_paths: int,
+                        bank_group: int | None = None) -> Iterator:
+    """``reduce`` of each batch's carried series [nodes, paths, slots],
+    yielded in batch order, on ``generate_increments(spec, grid, slots)``.
 
-    dm_k = (sum_h psi~_{k,h} m_h + mu_k + gamma_k) dt
-           + sigma_k (rho dW0 + sqrt(1-rho^2) rho_k dWk),
+    Group k's mean has one slot, scaled by sigma_k c_i / sqrt(N_k) and
+    started at mean_k + std_k / sqrt(N_k) Z.  With ``bank_group`` = g one
+    more slot, right after group g's mean, carries a bank's deviation y
+    from that mean, started at std_g sqrt(1 - 1/N_g) Z' and stepped as
+    y_{n+1} = y_n (1 - gap_n dt) + sigma_g c_i sqrt((1 - 1/N_g) dt) Z',
+    independent of the means.
+    """
+    slots = [1] * vm.d
+    if bank_group is not None:
+        slots[bank_group] = 2
+    groups = np.repeat(np.arange(vm.d), slots)
+    means = np.cumsum([0] + slots[:-1])
+    is_mean = np.isin(np.arange(len(groups)), means)
+    n_k = np.array(vm.group_sizes(), dtype=float)[groups]
+    scale = np.where(is_mean, 1.0 / np.sqrt(n_k), np.sqrt(1.0 - 1.0 / n_k))
+    driver, own = _loadings(vm, spec, groups, scale)
+    # A deviation slot carries no common noise.
+    driver[:, ~is_mean] = 0.0
+    mean, std = _expand_x0(x0, (1,) * vm.d)
+    start_loc = np.where(is_mean, mean[groups], 0.0)
+    start_scale = std[groups] * scale
 
-    the group-mean recursion with the idiosyncratic term dropped
-    (N_k = infinity), driven by the 1 + d common drivers only.  Passing
-    the ``n_banks_per_group`` used by a finite simulation with the same
-    spec and grid reproduces its exact driver increments, coupling the
-    mean flow to the ensemble; the default draws no idiosyncratic columns.
-    ``m0`` is the deterministic start: one mean, or one per group.
+    gap_t, w_t, b_t = _strategy_tables(strategy, vm, grid)
+    weights = np.zeros((grid.n_steps, len(groups), len(groups)))
+    weights[:, means[:, None], means] = w_t
+    drift = np.zeros((grid.n_steps, len(groups)))
+    drift[:, means] = b_t
+    if bank_group is not None:
+        deviation = means[bank_group] + 1
+        weights[:, deviation, deviation] = -gap_t[:, bank_group]
 
-    Returns an array [n_paths, d, n_steps + 1].
+    def worker(batch: IncrementBatch):
+        noise = _mixed_noise(batch, driver, own)
+        start = start_loc + start_scale * batch.x0_normals
+        return reduce(_euler_means(start, weights, drift, noise, grid))
+
+    return _run_batches(spec, grid, slots, worker, jobs, batch_paths)
+
+
+def simulate_group_means(market: MarketParams | ValidatedMarket,
+                         strategy: FeedbackStrategy, X0, spec: NoiseSpec,
+                         *, grid: TimeGrid | None = None,
+                         jobs: int | None = None,
+                         batch_paths: int = BATCH_PATHS) -> np.ndarray:
+    """The group means of :func:`simulate_closed_loop`, in law, time-major
+    [n_steps + 1, paths, d].
+
+    Under an affine rule the group means follow a closed d-dimensional
+    equation, so they are stepped alone and the cost scales with d, not
+    the number of banks.  The noise is ``generate_increments(spec, grid,
+    (1,) * d)``: per path d start normals and, per step, the active
+    drivers plus one idiosyncratic slot per group, scaled by sigma_k c_i /
+    sqrt(N_k).  For one seed the draws differ from those of
+    :func:`simulate_closed_loop`; the law of the means does not.  The
+    result does not depend on ``batch_paths`` or ``jobs``.  Means above
+    ``MAX_ENSEMBLE_BYTES`` raise ValueError before any draw.
     """
     vm = validate(market, Mode.MFG)
-    d = vm.d
-    strategy = feedback_mfg(mfg_path, vm)
-    grid = grid or mfg_path.grid
-    _, w_t, drift = _strategy_tables(strategy, vm, grid)
-    if n_banks_per_group is None:
-        n_banks_per_group = (0,) * d
-    driver, _ = _loadings(vm, spec, np.arange(d))
-    start_mean, spread = _expand_x0(m0, (1,) * d)
-    if spread.any():
-        raise ValueError("m0 is one start mean per group, with no spread")
-
-    def worker(batch: IncrementBatch) -> tuple[int, np.ndarray]:
-        noise = batch.increments[:, :, :len(driver)] @ driver
-        means = _euler_means(start_mean, w_t, drift, noise, grid)
-        return batch.start, means.transpose(1, 2, 0)
-
-    out = np.empty((spec.n_paths, d, grid.n_steps + 1))
-    for start, means in _run_batches(spec, grid, n_banks_per_group, worker,
-                                     jobs, batch_paths):
-        out[start : start + means.shape[0]] = means
+    grid = grid or strategy.path.grid
+    _check_stored(spec, vm.d, grid)
+    out = np.empty((grid.n_steps + 1, spec.n_paths, vm.d))
+    stop = 0
+    for means in _group_mean_batches(vm, strategy, X0, spec, grid,
+                                     lambda carried: carried, jobs,
+                                     batch_paths):
+        start, stop = stop, stop + means.shape[1]
+        out[:, start:stop] = means
+        # Free this batch's means before the next batch is drawn.
+        del means
     return out
 
 
@@ -611,15 +616,12 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
                            batch_paths: int = BATCH_PATHS) -> HittingEstimate:
     """Fraction of paths whose target series reaches the barrier by T.
 
-    Only the group means are stepped: under an affine rule they follow a
-    closed d-dimensional equation.  The noise is ``generate_increments(
-    spec, grid, (1,) * d)``: per path d start normals and, per step, the
-    active drivers plus one idiosyncratic slot per group, scaled by
-    sigma_k c_i / sqrt(N_k).  A single-bank target adds a slot in its
-    group for the bank's deviation y from the group mean,
-    y_{n+1} = y_n (1 - gap_n dt) + sigma_k c_i sqrt((1 - 1/N_k) dt) Z',
-    independent of the mean.  For one seed the draws differ from those of
-    :func:`simulate_closed_loop`; the law of the estimate does not.
+    Only the group means are stepped, on the stream of
+    :func:`simulate_group_means`.  A single-bank target adds a slot in its
+    group for the bank's deviation from the group mean, which decays at
+    the gap gain and is independent of the means.  For one seed the draws
+    differ from those of :func:`simulate_closed_loop`; the law of the
+    estimate does not.
 
     The barrier is monitored at grid nodes only (t=0 included), so
     excursions below the level inside a step go unseen: the estimate is
@@ -631,53 +633,26 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
     :func:`~interbank.equilibrium.default_strategy`.
     """
     vm = validate(market, Mode.MFG)
-    sizes = vm.group_sizes()
+    default.check_sizes(vm.group_sizes())
     if strategy is None:
         strategy = default_strategy(vm, grid)
     grid = grid or strategy.path.grid
-    d = vm.d
-    slots = [1] * d
-    default.check_sizes(sizes)
-    if default.kind is TargetKind.SINGLE_BANK:
-        slots[default.group] = 2
-    groups = np.repeat(np.arange(d), slots)
-    means = np.cumsum([0] + slots[:-1])
-    is_mean = np.isin(np.arange(len(groups)), means)
-    n_k = np.array(sizes, dtype=float)[groups]
-    scale = np.where(is_mean, 1.0 / np.sqrt(n_k), np.sqrt(1.0 - 1.0 / n_k))
-    driver, own = _loadings(vm, spec, groups, scale)
-    # A deviation slot carries no common noise.
-    driver[:, ~is_mean] = 0.0
-    mean, std = _expand_x0(x0, (1,) * d)
-    start_loc = np.where(is_mean, mean[groups], 0.0)
-    start_scale = std[groups] * scale
-
-    gap_t, w_t, b_t = _strategy_tables(strategy, vm, grid)
-    width = len(groups)
-    weights = np.zeros((grid.n_steps, width, width))
-    weights[:, means[:, None], means] = w_t
-    drift = np.zeros((grid.n_steps, width))
-    drift[:, means] = b_t
-    # The monitored series as a linear form in the carried series.
-    target = np.zeros(width)
+    # The monitored series as a linear form in the carried series; every
+    # slot before the target group's mean is a mean.
+    bank = default.kind is TargetKind.SINGLE_BANK
     if default.kind is TargetKind.GLOBAL_AVERAGE:
-        target[means] = vm.beta
+        target = np.array(vm.beta)
     else:
-        target[means[default.group]] = 1.0
-    if default.kind is TargetKind.SINGLE_BANK:
-        deviation = means[default.group] + 1
-        weights[:, deviation, deviation] = -gap_t[:, default.group]
-        target[deviation] = 1.0
-    level = default.level
+        target = np.zeros(vm.d + bank)
+        target[default.group : default.group + 1 + bank] = 1.0
 
-    def worker(batch: IncrementBatch) -> int:
-        noise = _mixed_noise(batch, driver, own)
-        start = start_loc + start_scale * batch.x0_normals
-        carried = _euler_means(start, weights, drift, noise, grid)
+    def count(carried: np.ndarray) -> int:
         series = np.einsum("nps,s->np", carried, target)
-        return int((series.min(axis=0) <= level).sum())
+        return int((series.min(axis=0) <= default.level).sum())
 
-    hits = sum(_run_batches(spec, grid, slots, worker, jobs, batch_paths))
+    hits = sum(_group_mean_batches(vm, strategy, x0, spec, grid, count, jobs,
+                                   batch_paths,
+                                   default.group if bank else None))
     p = hits / spec.n_paths
     stderr = math.sqrt(p * (1.0 - p) / spec.n_paths)
     return HittingEstimate(probability=p, stderr=stderr, n_hits=hits,

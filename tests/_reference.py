@@ -14,7 +14,7 @@ fails.  Diagnostics go to stderr, the frozen module to stdout.
 
 The module also keeps :func:`rk4_backward_arrays`, the library's backward
 RK4 loop as it ran on numpy arrays before the integrator moved to Python
-floats, and :func:`mfg_rhs_arrays`, the library's mean-field right-hand
+floats, with steps split at rate jumps as the library splits them, and :func:`mfg_rhs_arrays`, the library's mean-field right-hand
 side as it ran on numpy arrays before it became generated straight-line
 code.  The tests hold the library to them; the frozen values do not use
 them.
@@ -133,28 +133,40 @@ class ArrayBlowUp(RuntimeError):
         self.component = component
 
 
-def rk4_backward_arrays(system, grid):
+def rk4_backward_arrays(system, grid, breaks=()):
     """Integrate an ``OdeSystem`` backward over a ``TimeGrid``.
 
     Every stage is a numpy array expression, as in the library before its
     integrator moved to Python floats; the right-hand side's output is
-    taken through ``np.asarray``.  Returns the [nodes, components] values
-    or raises :class:`ArrayBlowUp` naming the node time and first label.
+    taken through ``np.asarray``.  A step holding a break more than the
+    nudge inside is taken as RK4 steps that meet at each such break.
+    Returns the [nodes, components] values or raises :class:`ArrayBlowUp`
+    naming the node time and first label.
     """
     rhs = system.rhs
     times = grid.times()
     values = np.empty((grid.n_steps + 1, len(system.labels)))
     values[-1] = system.terminal
     y = np.array(system.terminal, dtype=float)
-    h = -grid.dt
     nudge = 1e-9 * grid.dt
-    for j in range(grid.n_steps, 0, -1):
-        t = times[j]
+
+    def rk4(t, h, y):
         k1 = np.asarray(rhs(t - nudge, y))
         k2 = np.asarray(rhs(t + 0.5 * h, y + (0.5 * h) * k1))
         k3 = np.asarray(rhs(t + 0.5 * h, y + (0.5 * h) * k2))
         k4 = np.asarray(rhs(t + h + nudge, y + h * k3))
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    for j in range(grid.n_steps, 0, -1):
+        t, t_low = float(times[j]), float(times[j - 1])
+        inside = sorted((b for b in breaks
+                         if t_low + nudge < b < t - nudge), reverse=True)
+        if inside:
+            stops = [t, *inside, t_low]
+            for a, b in zip(stops, stops[1:]):
+                y = rk4(a, b - a, y)
+        else:
+            y = rk4(t, -grid.dt, y)
         bad = ~np.isfinite(y) | (np.abs(y) > 1e12)
         if bad.any():
             raise ArrayBlowUp(float(times[j - 1]),

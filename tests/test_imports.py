@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+no module imports another one's private names."""
 
 import ast
 import pathlib
@@ -48,3 +49,20 @@ def test_no_unused_imports(path):
               if name not in _used(tree)
               and name not in RE_EXPORTS.get(path.stem, ())}
     assert not unused, f"{path.name}: imported but unused {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_private_names_cross_modules(path):
+    # A name with one leading underscore is private to its module; dunder
+    # names such as __version__ are public.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("interbank"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert not private, f"{path.name}: imports private names {private}"

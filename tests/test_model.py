@@ -136,6 +136,12 @@ def test_rejections(overrides):
 def test_rejects_bad_sizes_and_weights():
     with pytest.raises(RejectedParams):
         validate(two_groups(n1=0, n2=16), Mode.CLOSED_LOOP)
+    with pytest.raises(RejectedParams, match="whole number"):
+        validate(two_groups(n1=3.5, n2=16), Mode.CLOSED_LOOP)
+    # An integral float is a bank count, stored as a Python int.
+    vm = validate(two_groups(n1=np.float64(4.0), n2=16.0), Mode.CLOSED_LOOP)
+    assert vm.n_total == 20 and type(vm.n_total) is int
+    assert all(type(g.n_banks) is int for g in vm.groups)
     with pytest.raises(RejectedParams):
         validate(two_groups(beta=(0.2, 0.7)), Mode.LIMITING)
     with pytest.raises(RejectedParams):

@@ -186,6 +186,48 @@ def test_step_halving_error_ratio():
     assert 12.0 <= ratio <= 20.0
 
 
+@pytest.mark.parametrize("steps", [125, 401, 1999])
+@pytest.mark.parametrize("kind", ["closed", "open", "mfg"])
+def test_rate_jumps_off_the_grid_keep_fourth_order(kind, steps):
+    # stepg's first growth rate jumps at t = 0.5, off these grids: split
+    # at the jump, each step stays within the frozen RK4 tolerance.
+    market = market_from_params("stepg")
+    grid = TimeGrid(t_end=market.horizon, n_steps=steps)
+    path = SOLVERS[kind](market, grid)
+    bound = 1e-10 * (grid.dt / 5e-4) ** 4
+    for label, want in fz.COEFFS[("stepg", kind, 0.0)].items():
+        got = path.value_at(0.0, label)
+        assert abs(got - want) < bound * (1.0 + abs(want)), (label, got, want)
+
+
+@pytest.mark.parametrize("steps", [400, 2000])
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in ("benchmark", "rich", "stepg") for kind in SOLVERS
+] + [("mfg3", "mfg")])
+def test_rate_jumps_on_the_grid_change_no_bit(name, kind, steps):
+    market = market_from_params(name)
+    builder, mode = BUILDERS[kind]
+    grid = TimeGrid(t_end=market.horizon, n_steps=steps)
+    plain = integrate_backward(builder(validate(market, mode)), grid)
+    assert (SOLVERS[kind](market, grid).values.tobytes()
+            == plain.values.tobytes())
+
+
+def test_steps_split_at_every_jump_inside_them():
+    # dy/dt = f(t) for a step function f with two jumps inside the step
+    # from 0.5 to 0.25: RK4 split at both integrates it exactly, and
+    # unsplit it does not.
+    f = StepFunction(breaks=(0.3, 0.4), values=(1.0, -2.0, 0.5))
+    system = OdeSystem(rhs=lambda t, y: [f(t)], terminal=np.zeros(1),
+                       labels=("y",))
+    grid = TimeGrid(t_end=1.0, n_steps=4)
+    want = [-0.4, -0.15, -0.25, -0.125, 0.0]
+    split = integrate_backward(system, grid, (0.4, 0.3, 0.3, 1.0, 2.0))
+    assert np.abs(split.values[:, 0] - want).max() < 1e-15
+    plain = integrate_backward(system, grid)
+    assert np.abs(plain.values[:2, 0] - want[:2]).max() > 1e-3
+
+
 def test_blow_up_reports_component_and_time():
     market = two_groups(n1=4, n2=16, eps=(4e7, 4.5))
     with pytest.raises(BlowUp) as exc_info:
@@ -214,7 +256,12 @@ def test_solvers_match_the_array_loop_bit_for_bit(name, kind):
         market = market_from_params(name)
     builder, mode = BUILDERS[kind]
     grid = TimeGrid(t_end=market.horizon, n_steps=400)
-    want = _reference.rk4_backward_arrays(builder(validate(market, mode)), grid)
+    # The random markets' growth rates jump off the grid; the limiting
+    # system has no growth rate.
+    breaks = ([b for g in market.groups for b in g.gamma.breaks]
+              if kind != "limiting" else [])
+    want = _reference.rk4_backward_arrays(builder(validate(market, mode)),
+                                          grid, breaks)
     assert np.array_equal(SOLVERS[kind](market, grid).values, want)
 
 

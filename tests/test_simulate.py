@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from interbank.simulate import (
     generate_increments,
     mc_hitting_probability,
     simulate_closed_loop,
-    simulate_mfg_mean,
+    simulate_group_means,
     _euler_means,
 )
 
@@ -336,7 +337,6 @@ def test_parallel_run_is_byte_identical():
     # does not depend on n_paths, so a short spec reruns the first paths.
     head = dataclasses.replace(spec, n_paths=60)
     x0 = ((0.1, 0.2), (-0.1, 0.3))
-    mfg_path = solve_mfg(market, grid)
     targets = (level, DefaultSpec.single_bank(-0.6, 1, 2))
 
     def outputs(**kw):
@@ -344,8 +344,8 @@ def test_parallel_run_is_byte_identical():
                                       **kw).states
         hits = [mc_hitting_probability(market, head, t, strategy, x0=x0,
                                        grid=grid, **kw) for t in targets]
-        means = simulate_mfg_mean(market, mfg_path, head, m0=(0.1, -0.1),
-                                  grid=grid, **kw)
+        means = simulate_group_means(market, strategy, x0, head, grid=grid,
+                                     **kw)
         return states, hits, means
 
     want = outputs()
@@ -371,88 +371,11 @@ def test_spec_correlations_must_match_the_market():
         with pytest.raises(ValueError, match="correlations"):
             simulate_closed_loop(market, strategy, 0.0, bad, grid=grid)
         with pytest.raises(ValueError, match="correlations"):
-            simulate_mfg_mean(market, solve_mfg(market, grid), bad, grid=grid)
+            simulate_group_means(market, strategy, 0.0, bad, grid=grid)
         with pytest.raises(ValueError, match="correlations"):
             mc_hitting_probability(market, bad,
                                    DefaultSpec.global_average(-0.6),
                                    strategy, grid=grid)
-
-
-def test_mfg_mean_zero_fixed_point():
-    market = market_from_params("benchmark")  # c = 0, gamma = 0
-    path = solve_mfg(market, GRID)
-    spec = NoiseSpec(rho=0.0, rho_k=(0.0, 0.0), seed=1, n_paths=4)
-    means = simulate_mfg_mean(market, path, spec, grid=GRID)
-    assert np.abs(means).max() == 0.0
-
-
-def test_mfg_mean_single_group_decoupled():
-    g = GroupParams(sigma=1.3, q=2.0, eps=5.0, c=0.0, lam=0.0, gamma=0.4)
-    market = MarketParams(rho=0.6, horizon=1.0, groups=(g,), beta=(1.0,))
-    path = solve_mfg(market, GRID)
-    spec = NoiseSpec(rho=0.6, rho_k=(0.0,), seed=8, n_paths=16)
-    means = simulate_mfg_mean(market, path, spec, m0=0.25, grid=GRID)
-    (batch,) = generate_increments(spec, GRID, (0,))
-    noise = 1.3 * 0.6 * np.cumsum(batch.drivers[:, :, 0], axis=1)
-    want = 0.25 + 0.4 * GRID.times()[1:] + noise
-    assert np.abs(means[:, 0, 1:] - want).max() < 1e-12
-
-
-@pytest.mark.parametrize("m0, message", [
-    (math.nan, "finite"),
-    ((0.0, math.inf), "finite"),
-    ((0.1, -0.1, 0.3), "one entry per group"),
-    (((0.1, 0.2), 0.0), "no spread"),
-])
-def test_mfg_mean_rejects_bad_start_means(m0, message):
-    market = two_groups(beta=(0.2, 0.8), c=(0.6, 0.6), lam=(0.4, 0.5))
-    grid = TimeGrid(t_end=1.0, n_steps=20)
-    spec = NoiseSpec(rho=0.0, rho_k=(0.0, 0.0), seed=5, n_paths=3)
-    with pytest.raises(ValueError, match=message):
-        simulate_mfg_mean(market, solve_mfg(market, grid), spec, m0=m0,
-                          grid=grid)
-
-
-def test_mfg_mean_deterministic_flow_matches_ode():
-    market = two_groups(beta=(0.2, 0.8), gamma=(0.2, -0.1), c=(0.6, 0.6),
-                        lam=(0.4, 0.5))
-    path = solve_mfg(market, GRID)
-    spec = NoiseSpec(rho=0.0, rho_k=(0.0, 0.0), seed=5, n_paths=3)
-    means = simulate_mfg_mean(market, path, spec, grid=GRID)
-    assert np.array_equal(means[0], means[1]) and np.array_equal(
-        means[0], means[2])
-
-    # Noise-free means must follow the linear mean flow; re-integrate it
-    # on a 16x finer grid and compare at the coarse nodes.
-    strategy = feedback_mfg(path, market)
-    fine = TimeGrid(t_end=1.0, n_steps=16 * GRID.n_steps)
-    m = np.zeros(2)
-    ref = [m.copy()]
-    for n in range(fine.n_steps):
-        t = n * fine.dt
-        _, weights, inter = strategy.at(t)
-        rate = (weights @ m + inter
-                + np.array([g.gamma(t) for g in market.groups]))
-        m = m + rate * fine.dt
-        if (n + 1) % 16 == 0:
-            ref.append(m.copy())
-    ref = np.stack(ref, axis=1)
-    assert np.abs(means[0] - ref).max() < 5e-3
-
-
-def test_ensemble_averages_track_mfg_means():
-    market = two_groups(n1=50, n2=200, rho=0.4)
-    grid = TimeGrid(t_end=1.0, n_steps=400)
-    spec = NoiseSpec.from_market(market, seed=17, n_paths=64)
-    ens = simulate_closed_loop(market, closed_strategy(market, grid), 0.0,
-                               spec, grid=grid)
-    means = simulate_mfg_mean(market, solve_mfg(market, grid), spec,
-                              grid=grid, n_banks_per_group=(50, 200))
-    for k, n_banks in enumerate((50, 200)):
-        gap = ens.group_averages[:, k, :] - means[:, k, :]
-        rms = np.sqrt((gap**2).mean())
-        assert rms < 3.0 / np.sqrt(n_banks) + 10.0 * grid.dt
-
 
 
 def _bank_increments(market, batch, group_index):
@@ -535,52 +458,98 @@ def test_simulation_matches_the_per_bank_reference(name, rule, x0, jobs):
     assert np.abs(ens.states - want).max() < 1e-12
 
 
+def _chi2_quantile(p, dof):
+    """Wilson-Hilferty approximation to the chi-square quantile."""
+    z = NormalDist().inv_cdf(p)
+    return dof * (1.0 - 2.0 / (9.0 * dof)
+                  + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
+
+
 @pytest.mark.parametrize("name, rule, x0", _CASES)
 def test_group_means_match_the_ensemble_averages(name, rule, x0):
-    # The means-only run averages the drawn columns before mixing them;
-    # the ensemble averages its stored bank paths.  Same stream, same
-    # law, so the two agree path by path to rounding.
-    market, grid, strategy, spec = _case(name, rule)
-    means, ensemble = simulate._simulate_group_means(market, strategy, x0,
-                                                     spec, grid=grid)
-    assert ensemble is None
-    averages = simulate_closed_loop(market, strategy, x0, spec,
-                                    grid=grid).group_averages
-    averages = averages.transpose(2, 0, 1)
+    # The slot-stream means and the per-bank ensemble's averages are two
+    # independent samples of one Gaussian law.  At each node a two-sample
+    # z-test per group mean and Box's M test of the covariance matrices
+    # (chi-square with d(d+1)/2 degrees of freedom) each hold at 1e-3.
+    market, grid, strategy, spec = _case(name, rule, n_paths=2000)
+    means = simulate_group_means(market, strategy, x0, spec, grid=grid)
+    averages = simulate_closed_loop(
+        market, strategy, x0, dataclasses.replace(spec, seed=spec.seed + 1),
+        grid=grid).group_averages.transpose(2, 0, 1)
     assert means.shape == averages.shape
-    assert np.array_equal(means[0], averages[0])
-    assert np.abs(means - averages).max() < 1e-12
+    n, d = means.shape[1:]
+    nodes = (1, 10, 50, 100)
+    alpha = 1e-3 / len(nodes)
+    z_max = NormalDist().inv_cdf(1.0 - alpha / (2 * d))
+    chi2_max = _chi2_quantile(1.0 - alpha, d * (d + 1) // 2)
+    box = (1.0 - (2 * d * d + 3 * d - 1) / (6.0 * (d + 1)) * 1.5 / (n - 1))
+    for j in nodes:
+        a, b = means[j], averages[j]
+        se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / n)
+        z = (a.mean(axis=0) - b.mean(axis=0)) / se
+        assert np.abs(z).max() < z_max, (j, z)
+        cov_a, cov_b = np.cov(a, rowvar=False), np.cov(b, rowvar=False)
+        logdet = lambda c: np.linalg.slogdet(c)[1]
+        m_stat = (n - 1) * (2.0 * logdet((cov_a + cov_b) / 2.0)
+                            - logdet(cov_a) - logdet(cov_b))
+        assert box * m_stat < chi2_max, (j, box * m_stat)
+
+
+def test_group_means_retrace_the_slot_stream():
+    # lam = 0, c = 0 and gamma = 0 leave the group means driftless: each is
+    # its start mean_k + std_k / sqrt(N_k) Z plus the summed increments
+    # sigma_k (c0 dW0 + cg dWk + ci / sqrt(N_k) dB_k) of the block that
+    # generate_increments(spec, grid, (1, 1)) draws.
+    market = two_groups(n1=3, n2=5, rho=0.3, rho_k=(0.5, 0.2),
+                        sigma=(1.2, 0.8), lam=(0.0, 0.0))
+    grid = TimeGrid(t_end=1.0, n_steps=50)
+    spec = NoiseSpec.from_market(market, seed=4, n_paths=40)
+    strategy = closed_strategy(market, grid)
+    x0 = ((0.2, 0.4), (-0.1, 0.3))
+    means = simulate_group_means(market, strategy, x0, spec, grid=grid,
+                                 batch_paths=16)
+
+    (batch,) = generate_increments(spec, grid, (1, 1))
+    sizes = np.array([3.0, 5.0])
+    loads = np.array([noise_loadings(0.3, rk) for rk in (0.5, 0.2)])
+    inc = np.array([1.2, 0.8]) * (
+        loads[:, 0] * batch.drivers[:, :, :1]
+        + loads[:, 1] * batch.drivers[:, :, 1:]
+        + loads[:, 2] / np.sqrt(sizes) * batch.idiosyncratic)
+    start = (np.array([0.2, -0.1])
+             + np.array([0.4, 0.3]) / np.sqrt(sizes) * batch.x0_normals)
+    want = np.concatenate([start[:, None, :],
+                           start[:, None, :] + np.cumsum(inc, axis=1)],
+                          axis=1)
+    assert means.shape == (51, 40, 2)
+    assert np.abs(means.transpose(1, 0, 2) - want).max() < 1e-12
 
 
 def test_group_means_are_bit_identical_across_batches_and_jobs():
     market, grid, strategy, spec = _case("stepg", "closed", BATCH_PATHS + 17)
     x0 = ((0.2, 0.3), (-0.1, 0.5))
-
-    def means(**kw):
-        return simulate._simulate_group_means(market, strategy, x0, spec,
-                                              grid=grid, **kw)[0]
-    want = means()
-    for kw in (dict(batch_paths=1), dict(batch_paths=7),
-               dict(batch_paths=7, jobs=2), dict(jobs=2)):
-        assert np.array_equal(means(**kw), want), kw
-    # The per-bank run steps the same means.
-    both, ensemble = simulate._simulate_group_means(
-        market, strategy, x0, spec, grid=grid, batch_paths=7,
-        keep_banks=True)
-    assert np.array_equal(both, want) and ensemble.n_paths == spec.n_paths
+    want = simulate_group_means(market, strategy, x0, spec, grid=grid)
+    for batch_paths in (1, 7, BATCH_PATHS):
+        for jobs in (1, 2):
+            got = simulate_group_means(market, strategy, x0, spec, grid=grid,
+                                       jobs=jobs, batch_paths=batch_paths)
+            assert np.array_equal(got, want), (batch_paths, jobs)
 
 
 def _memory_case():
-    """``stepg`` (4 + 16 banks) on 200 steps in 12 batches of 64 paths, and
-    the bytes of one drawn batch: start normals and increment block."""
+    """``stepg`` (4 + 16 banks) on 200 steps in 12 batches of 64 paths."""
     market = market_from_params("stepg")
     grid = TimeGrid(t_end=market.horizon, n_steps=200)
     spec = NoiseSpec.from_market(market, seed=3, n_paths=12 * 64)
-    width = len(simulate._active_driver_columns(spec)) + 20
-    block = 64 * (20 + grid.n_steps * width) * 8
     # numpy imports its random module on first use, not before tracing.
     np.random.SeedSequence(0)
-    return market, grid, closed_strategy(market, grid), spec, block
+    return market, grid, closed_strategy(market, grid), spec
+
+
+def _block(spec, grid, columns):
+    """Bytes of one drawn 64-path batch: start normals and increments."""
+    width = len(simulate._active_driver_columns(spec)) + columns
+    return 64 * (columns + grid.n_steps * width) * 8
 
 
 def _traced_peak(fn):
@@ -595,25 +564,24 @@ def _traced_peak(fn):
 def test_means_only_run_holds_one_noise_block():
     # A batch is freed before the next one is drawn: the peak stays under
     # the stored means plus 1.5 blocks, where two live blocks would not.
-    market, grid, strategy, spec, block = _memory_case()
-    (means, _), peak = _traced_peak(lambda: simulate._simulate_group_means(
+    market, grid, strategy, spec = _memory_case()
+    means, peak = _traced_peak(lambda: simulate_group_means(
         market, strategy, ((0.0, 0.1), (0.2, 0.3)), spec, grid=grid,
         batch_paths=64))
-    assert peak < means.nbytes + 1.5 * block
+    assert peak < means.nbytes + 1.5 * _block(spec, grid, 2)
 
 
 @pytest.mark.parametrize("jobs", [None, 2])
 def test_bank_simulation_peak_is_the_ensemble_and_a_few_batches(jobs):
     # Batches are consumed as they finish, never listed: a list of the 12
     # batches' results would double the ensemble.
-    market, grid, strategy, spec, block = _memory_case()
+    market, grid, strategy, spec = _memory_case()
     ens, peak = _traced_peak(lambda: simulate_closed_loop(
         market, strategy, ((0.0, 0.1), (0.2, 0.3)), spec, grid=grid,
         jobs=jobs, batch_paths=64))
-    # The ensemble, and the kernel's group means kept beside it.
-    stored = (ens.states.nbytes + 2 * ens.group_averages.nbytes
+    stored = (ens.states.nbytes + ens.group_averages.nbytes
               + ens.global_average.nbytes)
-    batch = block + 64 * 20 * (grid.n_steps + 1) * 8
+    batch = _block(spec, grid, 20) + 64 * 20 * (grid.n_steps + 1) * 8
     assert peak < stored + 2 * batch
 
 
