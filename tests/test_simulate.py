@@ -378,6 +378,73 @@ def test_spec_correlations_must_match_the_market():
                                    strategy, grid=grid)
 
 
+def test_mfg_mean_zero_fixed_point():
+    # The group means under the mean-field rule: with c = 0, gamma = 0, a
+    # zero start and no volatility they stay at zero exactly.
+    market = two_groups(n1=4, n2=16, sigma=(0.0, 0.0))
+    strategy = feedback_mfg(solve_mfg(market, GRID), market)
+    spec = NoiseSpec.from_market(market, seed=1, n_paths=4)
+    means = simulate_group_means(market, strategy, 0.0, spec, grid=GRID)
+    assert np.abs(means).max() == 0.0
+
+
+def test_mfg_mean_single_group_decoupled():
+    # One group under the mean-field rule has nothing to track: its mean
+    # is m0 + gamma t plus the summed slot increments
+    # sigma (rho dW0 + ci / sqrt(N) dB).
+    g = GroupParams(sigma=1.3, q=2.0, eps=5.0, c=0.0, lam=0.0, gamma=0.4,
+                    n_banks=10)
+    market = MarketParams(rho=0.6, horizon=1.0, groups=(g,))
+    strategy = feedback_mfg(solve_mfg(market, GRID), market)
+    spec = NoiseSpec(rho=0.6, rho_k=(0.0,), seed=8, n_paths=16)
+    means = simulate_group_means(market, strategy, 0.25, spec, grid=GRID)
+    (batch,) = generate_increments(spec, GRID, (1,))
+    ci = noise_loadings(0.6, 0.0)[2] / math.sqrt(10)
+    noise = 1.3 * np.cumsum(0.6 * batch.drivers[:, :, 0]
+                            + ci * batch.idiosyncratic[:, :, 0], axis=1)
+    want = 0.25 + 0.4 * GRID.times()[1:] + noise
+    assert np.abs(means[1:, :, 0].T - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("m0, message", [
+    (math.nan, "finite"),
+    ((0.0, math.inf), "finite"),
+    ((0.1, -0.1, 0.3), "one entry per group"),
+])
+def test_mfg_mean_rejects_bad_start_means(m0, message):
+    market = two_groups(n1=4, n2=16, c=(0.6, 0.6), lam=(0.4, 0.5))
+    grid = TimeGrid(t_end=1.0, n_steps=20)
+    strategy = feedback_mfg(solve_mfg(market, grid), market)
+    spec = NoiseSpec.from_market(market, seed=5, n_paths=3)
+    with pytest.raises(ValueError, match=message):
+        simulate_group_means(market, strategy, m0, spec, grid=grid)
+
+
+def test_mfg_mean_deterministic_flow_matches_ode():
+    market = two_groups(n1=4, n2=16, sigma=(0.0, 0.0), gamma=(0.2, -0.1),
+                        c=(0.6, 0.6), lam=(0.4, 0.5))
+    strategy = feedback_mfg(solve_mfg(market, GRID), market)
+    spec = NoiseSpec.from_market(market, seed=5, n_paths=3)
+    means = simulate_group_means(market, strategy, 0.0, spec, grid=GRID)
+    assert np.array_equal(means[:, 0], means[:, 1]) and np.array_equal(
+        means[:, 0], means[:, 2])
+
+    # Noise-free means must follow the linear mean flow; re-integrate it
+    # on a 16x finer grid and compare at the coarse nodes.
+    fine = TimeGrid(t_end=1.0, n_steps=16 * GRID.n_steps)
+    m = np.zeros(2)
+    ref = [m.copy()]
+    for n in range(fine.n_steps):
+        t = n * fine.dt
+        _, weights, inter = strategy.at(t)
+        rate = (weights @ m + inter
+                + np.array([g.gamma(t) for g in market.groups]))
+        m = m + rate * fine.dt
+        if (n + 1) % 16 == 0:
+            ref.append(m.copy())
+    assert np.abs(means[:, 0] - np.stack(ref)).max() < 5e-3
+
+
 def _bank_increments(market, batch, group_index):
     """Per-bank mixed increments, computed apart from the simulator."""
     sig = np.array([g.sigma for g in market.groups])[group_index]
