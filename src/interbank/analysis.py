@@ -23,6 +23,7 @@ from .model import (
     Mode,
     TimeGrid,
     ValidatedMarket,
+    noise_loadings,
     validate,
 )
 from .riccati import (
@@ -105,19 +106,18 @@ def check_prop1_bounds(limiting_path: CoefficientPath,
     a negative result means a violation of that magnitude.
     """
     vm = validate(market, Mode.LIMITING)
-    (g1, g2) = vm.groups
-    beta1, beta2 = vm.beta
     s = limiting_path.times
-    rate1 = g1.q + g2.q * g2.lam * beta1 + g1.q * g1.lam * beta2
-    rate2 = g2.q + g1.q * g1.lam * beta2 + g2.q * g2.lam * beta1
-    checked = limiting_path.column("etahat5")[::-1]
-    bound = (g1.c * g1.lam * beta2 * np.exp(-rate1 * s)
-             + g1.eps_slack * g1.lam * beta2 / rate1)
-    slack = min(checked.min(), (bound - checked).min())
-    checked = limiting_path.column("phihat4")[::-1]
-    bound = (g2.c * g2.lam * beta1 * np.exp(-rate2 * s)
-             + g2.eps_slack * g2.lam * beta1 / rate2)
-    return float(min(slack, checked.min(), (bound - checked).min()))
+    slack = math.inf
+    for k, name in enumerate(("etahat5", "phihat4")):
+        own, other = vm.groups[k], vm.groups[1 - k]
+        beta_own, beta_other = vm.beta[k], vm.beta[1 - k]
+        rate = (own.q + other.q * other.lam * beta_own
+                + own.q * own.lam * beta_other)
+        checked = limiting_path.column(name)[::-1]
+        bound = (own.c * own.lam * beta_other * np.exp(-rate * s)
+                 + own.eps_slack * own.lam * beta_other / rate)
+        slack = min(slack, checked.min(), (bound - checked).min())
+    return float(slack)
 
 
 def check_mfg_row_sums(mfg_path: CoefficientPath) -> float:
@@ -328,15 +328,23 @@ def sweep_claim(result: SweepResult) -> tuple[str, bool]:
 
 
 def _covariance(vm: ValidatedMarket, group_index: np.ndarray) -> np.ndarray:
-    sig = np.array([vm.groups[k].sigma for k in group_index])
-    rho_k = np.array([vm.groups[k].rho_k for k in group_index])
-    same_group = group_index[:, None] == group_index[None, :]
-    corr = np.full((len(sig), len(sig)), vm.rho**2)
-    corr[same_group] = (vm.rho**2
-                        + (1.0 - vm.rho**2) * (rho_k[:, None] * rho_k)[
-                            same_group])
+    """Per-bank noise covariance per unit time, sigma_i sigma_j times the
+    correlation from :func:`noise_loadings`: c0^2 across groups,
+    c0^2 + cg_k^2 within group k and 1 on the diagonal."""
+    within = np.array([c0 * c0 + cg * cg for c0, cg, _ in (
+        noise_loadings(vm.rho, g.rho_k) for g in vm.groups)])
+    sig = np.array([g.sigma for g in vm.groups])[group_index]
+    corr = np.where(group_index[:, None] == group_index,
+                    within[group_index], vm.rho * vm.rho)
     np.fill_diagonal(corr, 1.0)
     return np.outer(sig, sig) * corr
+
+
+def _value_forms(coef: np.ndarray):
+    """Each group's ten closed-loop coefficients as V = z'Hz/2 + l'z + c in
+    z = (m_k - x, m_1, m_2): H [2, 3, 3], l [2, 3] and c [2]."""
+    h = coef.reshape(2, 10)
+    return h[:, [[0, 3, 4], [3, 1, 5], [4, 5, 2]]], h[:, 6:9], h[:, 9]
 
 
 def hjb_residual(closed_path: CoefficientPath,
@@ -345,14 +353,15 @@ def hjb_residual(closed_path: CoefficientPath,
     """Worst scaled residual of the dynamic-programming equation at random
     states.
 
-    At each sample the quadratic value ansatz of one bank per group is
-    assembled from the coefficient path: analytic space gradient and
-    Hessian, finite-difference time derivative of the coefficients, all
-    banks' controls from their own first-order conditions, and the running
-    cost of the probed bank.  If the coefficients solve their equations,
+    Group k's coefficients give the value of its first bank i as the form
+    z'Hz/2 + l'z + c of :func:`_value_forms` in z = B x, where B is the
+    3 x N map with rows m_k - x_i, m_1 and m_2.  Its time derivative is a
+    central difference of the coefficients, its gradient B'(Hz + l) and its
+    Hessian B'HB; every bank plays the first-order condition of its own
+    value.  If the coefficients solve their equations,
 
         dV/dt + sum_j (control_j + gamma_j) dV/dx_j
-              + (1/2) tr(Cov * Hess) + running_cost = 0.
+              + (1/2) <H, B Cov B'> + running_cost = 0.
 
     Sample times are snapped to grid-segment midpoints, where the central
     difference of the piecewise-linear coefficient interpolant matches the
@@ -363,80 +372,45 @@ def hjb_residual(closed_path: CoefficientPath,
         raise ValueError("hjb_residual needs a closed-loop coefficient path")
     vm = validate(market, Mode.CLOSED_LOOP)
     sizes = vm.group_sizes()
-    n_banks = sum(sizes)
     group_index = np.repeat(np.arange(2), sizes)
-    beta = np.asarray(vm.beta)
+    q, eps, lam = np.array([(g.q, g.eps, g.lam) for g in vm.groups]).T
+    averagers = np.eye(2)[:, group_index] / np.array(sizes)[:, None]
+    # B of each group's first bank, [2, 3, N].  Its column at that bank,
+    # dz_j/dx_j, is the same for every bank j of the group.
+    probes = (0, sizes[0])
+    maps = np.stack([averagers[[k, 0, 1]] for k in range(2)])
+    maps[[0, 1], 0, probes] -= 1.0
+    own = maps[[0, 1], :, probes][group_index]
     cov = _covariance(vm, group_index)
-    members = [np.where(group_index == k)[0] for k in range(2)]
-    averagers = np.zeros((2, n_banks))
-    for k in range(2):
-        averagers[k, members[k]] = 1.0 / sizes[k]
-    (g1, g2) = vm.groups
-    q = np.array([g1.q, g2.q])
-    eps = np.array([g1.eps, g2.eps])
-    lam = np.array([g1.lam, g2.lam])
-    gammas = (g1.gamma, g2.gamma)
+    noise = [b @ cov @ b.T for b in maps]
 
-    grid_dt = closed_path.grid.dt
-    t_end = closed_path.grid.t_end
+    grid = closed_path.grid
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(sample_points):
-        segment = rng.integers(0, closed_path.grid.n_steps)
-        t = (segment + 0.5) * grid_dt
-        x = rng.uniform(-2.0, 2.0, size=n_banks)
+        t = (rng.integers(0, grid.n_steps) + 0.5) * grid.dt
+        x = rng.uniform(-2.0, 2.0, size=len(group_index))
         coef, later, earlier = closed_path.at(
-            [t, min(t + _DT_FD, t_end), max(t - _DT_FD, 0.0)])
-        dcoef = (later - earlier) / (2.0 * _DT_FD)
+            [t, min(t + _DT_FD, grid.t_end), max(t - _DT_FD, 0.0)])
+        hess, lin, _ = _value_forms(coef)
+        dhess, dlin, dconst = _value_forms((later - earlier) / (2.0 * _DT_FD))
         m = averagers @ x
-        mix = (1.0 - lam) * m + lam * (beta @ m)
-        gam = np.array([gammas[0](t), gammas[1](t)])
-
-        # Own-state partial derivative of every bank's own value function,
-        # then the first-order-condition controls.
-        own_partial = np.empty(n_banks)
-        for k in range(2):
-            h = coef[:10] if k == 0 else coef[10:]
-            nk = 1.0 / sizes[k]
-            gaps = m[k] - x[members[k]]
-            dgap = h[0] * gaps + h[3] * m[0] + h[4] * m[1] + h[6]
-            dmk = (h[1] * m[0] + h[3] * gaps + h[5] * m[1] + h[7]) if k == 0 \
-                else (h[2] * m[1] + h[4] * gaps + h[5] * m[0] + h[8])
-            own_partial[members[k]] = dgap * (nk - 1.0) + dmk * nk
-        controls = q[group_index] * (mix[group_index] - x) - own_partial
-
-        for k in range(2):
-            h = coef[:10] if k == 0 else coef[10:]
-            dh = dcoef[:10] if k == 0 else dcoef[10:]
-            i = members[k][0]
-            basis = averagers[k] - np.eye(n_banks)[i]
-            gap = m[k] - x[i]
-            # dV/dt from the coefficient time derivatives.
-            dv_dt = (0.5 * dh[0] * gap**2 + 0.5 * dh[1] * m[0]**2
-                     + 0.5 * dh[2] * m[1]**2 + dh[3] * gap * m[0]
-                     + dh[4] * gap * m[1] + dh[5] * m[0] * m[1]
-                     + dh[6] * gap + dh[7] * m[0] + dh[8] * m[1] + dh[9])
-            dgap = h[0] * gap + h[3] * m[0] + h[4] * m[1] + h[6]
-            dm1 = h[1] * m[0] + h[3] * gap + h[5] * m[1] + h[7]
-            dm2 = h[2] * m[1] + h[4] * gap + h[5] * m[0] + h[8]
-            gradient = dgap * basis + dm1 * averagers[0] + dm2 * averagers[1]
-            hessian = (
-                h[0] * np.outer(basis, basis)
-                + h[1] * np.outer(averagers[0], averagers[0])
-                + h[2] * np.outer(averagers[1], averagers[1])
-                + h[3] * (np.outer(basis, averagers[0])
-                          + np.outer(averagers[0], basis))
-                + h[4] * (np.outer(basis, averagers[1])
-                          + np.outer(averagers[1], basis))
-                + h[5] * (np.outer(averagers[0], averagers[1])
-                          + np.outer(averagers[1], averagers[0]))
-            )
-            own_gap = mix[k] - x[i]
+        mix = (1.0 - lam) * m + lam * (m @ vm.beta)
+        # Every bank's own z as a column, the gradient H z + l of its own
+        # value in z, and its control.
+        z = np.vstack((m[group_index] - x, np.tile(m[:, None], len(x))))
+        grads = (np.einsum("jab,bj->ja", hess[group_index], z)
+                 + lin[group_index])
+        controls = (q[group_index] * (mix[group_index] - x)
+                    - np.sum(grads * own, axis=1))
+        gam = np.array([g.gamma(t) for g in vm.groups])
+        drift = controls + gam[group_index]
+        for k, i in enumerate(probes):
+            zi, own_gap = z[:, i], mix[k] - x[i]
             running = (0.5 * controls[i]**2 - q[k] * controls[i] * own_gap
                        + 0.5 * eps[k] * own_gap**2)
-            residual = (dv_dt
-                        + (controls + gam[group_index]) @ gradient
-                        + 0.5 * float(np.sum(cov * hessian))
-                        + running)
+            residual = (0.5 * zi @ dhess[k] @ zi + dlin[k] @ zi + dconst[k]
+                        + grads[i] @ (maps[k] @ drift)
+                        + 0.5 * float(np.sum(hess[k] * noise[k])) + running)
             worst = max(worst, abs(residual) / (1.0 + float(x @ x)))
     return worst

@@ -69,6 +69,7 @@ from .model import (
     RejectedParams,
     StepFunction,
     TimeGrid,
+    noise_loadings,
     validate,
 )
 from .riccati import (
@@ -528,9 +529,10 @@ def _reflection_volatility(config: RunConfig, strategy) -> float | None:
     motion started at 0, where the reflection formula holds; else None.
 
     That needs a global target, gamma = 0, a rule whose average weights
-    and intercepts vanish, and a degenerate start at 0.  The variance rate
-    is then (sum_k beta_k sigma_k)^2 rho^2
-    + (1 - rho^2) sum_k beta_k^2 sigma_k^2 (rho_k^2 + (1 - rho_k^2)/N_k).
+    and intercepts vanish, and a degenerate start at 0.  With the loadings
+    (c0, cg_k, ci_k) of :func:`noise_loadings`, the variance rate is then
+    (sum_k beta_k sigma_k c0)^2
+    + sum_k beta_k^2 sigma_k^2 (cg_k^2 + ci_k^2 / N_k).
     """
     market = config.market
     if (config.barrier.kind is not TargetKind.GLOBAL_AVERAGE
@@ -539,14 +541,11 @@ def _reflection_volatility(config: RunConfig, strategy) -> float | None:
             or any(pair != (0.0, 0.0) for pair in config.x0)):
         return None
     vm = validate(market, Mode.MFG)
-    beta = np.array(vm.beta)
-    sigma = np.array([g.sigma for g in market.groups])
-    rho_k = np.array([g.rho_k for g in market.groups])
+    scale = np.array(vm.beta) * [g.sigma for g in market.groups]
+    c0, cg, ci = np.array([noise_loadings(market.rho, g.rho_k)
+                           for g in market.groups]).T
     sizes = np.array(vm.group_sizes(), dtype=float)
-    rho = market.rho
-    variance = ((beta @ sigma) ** 2 * rho**2 + (1.0 - rho**2)
-                * np.sum((beta * sigma) ** 2
-                         * (rho_k**2 + (1.0 - rho_k**2) / sizes)))
+    variance = (scale @ c0) ** 2 + np.sum(scale**2 * (cg**2 + ci**2 / sizes))
     return float(np.sqrt(variance)) if variance > 0.0 else None
 
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import collections
 import enum
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -243,18 +244,15 @@ class DefaultSpec:
 class TrajectoryEnsemble:
     """Simulated bank paths [paths, banks, nodes] and what derives from them.
 
-    ``group_averages`` [paths, d, nodes], ``global_average`` [paths, nodes],
-    the start states ``x0`` (a view of ``states[:, :, 0]``) and ``times``
-    are computed once, at construction, from ``states`` and ``group_index``.
+    ``group_averages`` [paths, d, nodes] and ``global_average``
+    [paths, nodes] are computed from ``states`` and ``group_index`` when
+    first read and kept; ``x0`` (a view of ``states[:, :, 0]``) and
+    ``times`` are computed on each read.
     """
 
     grid: TimeGrid
     states: np.ndarray
     group_index: tuple[int, ...]
-    group_averages: np.ndarray = field(init=False, repr=False)
-    global_average: np.ndarray = field(init=False, repr=False)
-    x0: np.ndarray = field(init=False, repr=False)
-    times: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "group_index", tuple(self.group_index))
@@ -263,13 +261,23 @@ class TrajectoryEnsemble:
             raise ValueError("states do not match the grid")
         if len(self.group_index) != n_banks:
             raise ValueError("need one group index per bank")
-        proj = _group_projector(self.group_index, max(self.group_index) + 1)
-        states = self.states
-        object.__setattr__(self, "group_averages",
-                           np.einsum("kb,pbn->pkn", proj, states))
-        object.__setattr__(self, "global_average", states.mean(axis=1))
-        object.__setattr__(self, "x0", states[:, :, 0])
-        object.__setattr__(self, "times", self.grid.times())
+
+    @functools.cached_property
+    def group_averages(self) -> np.ndarray:
+        proj = _group_projector(self.group_index, self.d)
+        return np.einsum("kb,pbn->pkn", proj, self.states)
+
+    @functools.cached_property
+    def global_average(self) -> np.ndarray:
+        return self.states.mean(axis=1)
+
+    @property
+    def x0(self) -> np.ndarray:
+        return self.states[:, :, 0]
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.grid.times()
 
     @classmethod
     def from_states(cls, grid: TimeGrid, states: np.ndarray,
@@ -286,7 +294,7 @@ class TrajectoryEnsemble:
 
     @property
     def d(self) -> int:
-        return self.group_averages.shape[1]
+        return int(max(self.group_index)) + 1
 
 
 def _group_projector(group_index: Sequence[int], d: int) -> np.ndarray:

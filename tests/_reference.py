@@ -12,12 +12,15 @@ Riccati equation in closed form.  The script cross-checks its own output
 agreement in degenerate limits) and refuses to emit values if any check
 fails.  Diagnostics go to stderr, the frozen module to stdout.
 
-The module also keeps :func:`rk4_backward_arrays`, the library's backward
-RK4 loop as it ran on numpy arrays before the integrator moved to Python
-floats, with steps split at rate jumps as the library splits them, and :func:`mfg_rhs_arrays`, the library's mean-field right-hand
-side as it ran on numpy arrays before it became generated straight-line
-code.  The tests hold the library to them; the frozen values do not use
-them.
+The module also keeps :func:`rk4_backward_arrays`, the library's
+backward RK4 loop as it ran on numpy arrays before the integrator moved
+to Python floats, with steps split at rate jumps as the library splits
+them; :func:`mfg_rhs_arrays`, the library's mean-field right-hand side as
+it ran on numpy arrays before it became generated straight-line code; and
+:func:`hjb_residual_dense`, the library's dynamic-programming residual as
+it ran with the value ansatz written out term by term and a dense N x N
+Hessian per sample.  The tests hold the library to them; the frozen
+values do not use them.
 """
 
 import sys
@@ -205,6 +208,125 @@ def mfg_rhs_arrays(vm):
         return np.concatenate([deta, dpsi.ravel(), dmu]).tolist()
 
     return rhs
+
+
+# ----------------------------------------------------------------------
+# The library's dynamic-programming residual with a dense Hessian.
+
+HJB_DT_FD = 1e-5
+
+
+def _covariance(vm, group_index):
+    sig = np.array([vm.groups[k].sigma for k in group_index])
+    rho_k = np.array([vm.groups[k].rho_k for k in group_index])
+    same_group = group_index[:, None] == group_index[None, :]
+    corr = np.full((len(sig), len(sig)), vm.rho**2)
+    corr[same_group] = (vm.rho**2
+                        + (1.0 - vm.rho**2) * (rho_k[:, None] * rho_k)[
+                            same_group])
+    np.fill_diagonal(corr, 1.0)
+    return np.outer(sig, sig) * corr
+
+
+def hjb_residual_dense(closed_path, vm, sample_points, *, seed=0):
+    """The library's former ``analysis.hjb_residual`` for a closed-loop
+    ``CoefficientPath`` and a ``ValidatedMarket``: the worst scaled
+    residual of the dynamic-programming equation at random states, with
+    the value ansatz written out term by term and an N x N Hessian per
+    sample.
+
+    At each sample the quadratic value ansatz of one bank per group is
+    assembled from the coefficient path: analytic space gradient and
+    Hessian, finite-difference time derivative of the coefficients, all
+    banks' controls from their own first-order conditions, and the running
+    cost of the probed bank.  If the coefficients solve their equations,
+
+        dV/dt + sum_j (control_j + gamma_j) dV/dx_j
+              + (1/2) tr(Cov * Hess) + running_cost = 0.
+
+    Sample times are snapped to grid-segment midpoints, where the central
+    difference of the piecewise-linear coefficient interpolant matches the
+    true derivative to second order in the grid step.  Returns
+    max |residual| / (1 + |x|^2) over samples and both groups.
+    """
+    sizes = vm.group_sizes()
+    n_banks = sum(sizes)
+    group_index = np.repeat(np.arange(2), sizes)
+    beta = np.asarray(vm.beta)
+    cov = _covariance(vm, group_index)
+    members = [np.where(group_index == k)[0] for k in range(2)]
+    averagers = np.zeros((2, n_banks))
+    for k in range(2):
+        averagers[k, members[k]] = 1.0 / sizes[k]
+    (g1, g2) = vm.groups
+    q = np.array([g1.q, g2.q])
+    eps = np.array([g1.eps, g2.eps])
+    lam = np.array([g1.lam, g2.lam])
+    gammas = (g1.gamma, g2.gamma)
+
+    grid_dt = closed_path.grid.dt
+    t_end = closed_path.grid.t_end
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(sample_points):
+        segment = rng.integers(0, closed_path.grid.n_steps)
+        t = (segment + 0.5) * grid_dt
+        x = rng.uniform(-2.0, 2.0, size=n_banks)
+        coef, later, earlier = closed_path.at(
+            [t, min(t + HJB_DT_FD, t_end), max(t - HJB_DT_FD, 0.0)])
+        dcoef = (later - earlier) / (2.0 * HJB_DT_FD)
+        m = averagers @ x
+        mix = (1.0 - lam) * m + lam * (beta @ m)
+        gam = np.array([gammas[0](t), gammas[1](t)])
+
+        # Own-state partial derivative of every bank's own value function,
+        # then the first-order-condition controls.
+        own_partial = np.empty(n_banks)
+        for k in range(2):
+            h = coef[:10] if k == 0 else coef[10:]
+            nk = 1.0 / sizes[k]
+            gaps = m[k] - x[members[k]]
+            dgap = h[0] * gaps + h[3] * m[0] + h[4] * m[1] + h[6]
+            dmk = (h[1] * m[0] + h[3] * gaps + h[5] * m[1] + h[7]) if k == 0 \
+                else (h[2] * m[1] + h[4] * gaps + h[5] * m[0] + h[8])
+            own_partial[members[k]] = dgap * (nk - 1.0) + dmk * nk
+        controls = q[group_index] * (mix[group_index] - x) - own_partial
+
+        for k in range(2):
+            h = coef[:10] if k == 0 else coef[10:]
+            dh = dcoef[:10] if k == 0 else dcoef[10:]
+            i = members[k][0]
+            basis = averagers[k] - np.eye(n_banks)[i]
+            gap = m[k] - x[i]
+            # dV/dt from the coefficient time derivatives.
+            dv_dt = (0.5 * dh[0] * gap**2 + 0.5 * dh[1] * m[0]**2
+                     + 0.5 * dh[2] * m[1]**2 + dh[3] * gap * m[0]
+                     + dh[4] * gap * m[1] + dh[5] * m[0] * m[1]
+                     + dh[6] * gap + dh[7] * m[0] + dh[8] * m[1] + dh[9])
+            dgap = h[0] * gap + h[3] * m[0] + h[4] * m[1] + h[6]
+            dm1 = h[1] * m[0] + h[3] * gap + h[5] * m[1] + h[7]
+            dm2 = h[2] * m[1] + h[4] * gap + h[5] * m[0] + h[8]
+            gradient = dgap * basis + dm1 * averagers[0] + dm2 * averagers[1]
+            hessian = (
+                h[0] * np.outer(basis, basis)
+                + h[1] * np.outer(averagers[0], averagers[0])
+                + h[2] * np.outer(averagers[1], averagers[1])
+                + h[3] * (np.outer(basis, averagers[0])
+                          + np.outer(averagers[0], basis))
+                + h[4] * (np.outer(basis, averagers[1])
+                          + np.outer(averagers[1], basis))
+                + h[5] * (np.outer(averagers[0], averagers[1])
+                          + np.outer(averagers[1], averagers[0]))
+            )
+            own_gap = mix[k] - x[i]
+            running = (0.5 * controls[i]**2 - q[k] * controls[i] * own_gap
+                       + 0.5 * eps[k] * own_gap**2)
+            residual = (dv_dt
+                        + (controls + gam[group_index]) @ gradient
+                        + 0.5 * float(np.sum(cov * hessian))
+                        + running)
+            worst = max(worst, abs(residual) / (1.0 + float(x @ x)))
+    return worst
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import _frozen
+import _reference
 from conftest import market_from_params
 
 from interbank.analysis import (
@@ -26,7 +27,8 @@ from interbank.analysis import (
     sweep_liquidity,
 )
 from interbank import riccati
-from interbank.model import RejectedParams, TimeGrid, two_groups
+from interbank.model import (Mode, RejectedParams, TimeGrid, two_groups,
+                             validate)
 from interbank.riccati import solve_closed_loop, solve_limiting, solve_mfg
 
 GRID = TimeGrid(t_end=1.0, n_steps=2000)
@@ -234,6 +236,39 @@ def test_hjb_residual_detects_perturbation():
     values[:, 0] += 1e-2
     broken = dataclasses.replace(path, values=values)
     assert hjb_residual(broken, market, 100) >= 1e-3
+
+
+@pytest.mark.parametrize("name,seed,n_steps,samples,perturb", [
+    *((name, seed, 2000, 100, False) for name in ("benchmark", "rich", "stepg")
+      for seed in (0, 5, 7)),
+    ("benchmark", 0, 2000, 100, True),
+    ("large", 3, 400, 20, False),
+])
+def test_hjb_residual_matches_the_dense_reference(name, seed, n_steps,
+                                                  samples, perturb):
+    # The 3 x 3 quadratic form gives the residual of the term-by-term
+    # ansatz with a dense N x N Hessian, to roundoff, at the same samples.
+    if name == "large":
+        market = two_groups(n1=40, n2=160, rho=0.3, rho_k=(0.5, 0.2),
+                            c=(0.3, 0.1), lam=(0.35, 0.6), gamma=(0.2, -0.1))
+    else:
+        market = market_from_params(name)
+    path = solve_closed_loop(market, TimeGrid(t_end=market.horizon,
+                                              n_steps=n_steps))
+    if perturb:
+        values = path.values.copy()
+        values[:, 0] += 1e-2
+        path = dataclasses.replace(path, values=values)
+    got = hjb_residual(path, market, samples, seed=seed)
+    want = _reference.hjb_residual_dense(
+        path, validate(market, Mode.CLOSED_LOOP), samples, seed=seed)
+    assert abs(got - want) <= 1e-15
+    assert (got >= 1e-3) if perturb else (got < 1e-4)
+
+
+def test_hjb_residual_is_zero_for_flat_costs():
+    market = two_groups(n1=4, n2=16, eps=(4.0, 4.0), lam=(0.3, 0.7))
+    assert hjb_residual(solve_closed_loop(market, GRID), market, 50) == 0.0
 
 
 def test_hjb_residual_requires_closed_path():

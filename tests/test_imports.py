@@ -66,3 +66,32 @@ def test_no_private_names_cross_modules(path):
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert not private, f"{path.name}: imports private names {private}"
+
+
+def _module_level_names(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_unused_private_names(path):
+    # A private module-level name is read somewhere in its own module.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = {name: line for name, line in _module_level_names(tree).items()
+              if name.startswith("_") and not name.endswith("__")
+              and name not in read}
+    assert not unused, f"{path.name}: private names never read {unused}"

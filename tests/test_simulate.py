@@ -233,6 +233,27 @@ def test_ensemble_checks_consistency():
     assert np.array_equal(again.x0, ens.states[:, :, 0])
 
 
+def test_ensemble_derives_its_averages_when_first_read():
+    # A run that only writes states derives nothing; once read, the
+    # averages are the projection and the mean the constructor used to form.
+    market = two_groups(n1=2, n2=3, rho=0.3, rho_k=(0.5, 0.2))
+    spec = NoiseSpec.from_market(market, seed=6, n_paths=8)
+    grid = TimeGrid(t_end=1.0, n_steps=16)
+    ens = simulate_closed_loop(market, closed_strategy(market, grid),
+                               ((0.2, 0.1), -0.3), spec, grid=grid)
+    assert "group_averages" not in ens.__dict__
+    assert "global_average" not in ens.__dict__
+    proj = np.array([[0.5, 0.5, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 1 / 3, 1 / 3, 1 / 3]])
+    want = np.einsum("kb,pbn->pkn", proj, ens.states)
+    assert np.array_equal(ens.group_averages, want)
+    assert ens.group_averages is ens.group_averages
+    assert np.array_equal(ens.global_average, ens.states.mean(axis=1))
+    assert np.array_equal(ens.x0, ens.states[:, :, 0])
+    assert np.array_equal(ens.times, grid.times())
+    assert ens.d == 2
+
+
 def test_growth_rates_follow_the_step_function():
     # Left continuity: at a break the rate in force before the jump holds.
     gamma = StepFunction(breaks=(0.25, 0.5, 0.5625), values=(0.3, -0.2, 1.0,
