@@ -134,15 +134,10 @@ def _strategy_gap(a, b) -> float:
     return float(np.abs(a.path.values - b.path.values).max())
 
 
-def _with_sizes(market: MarketParams, sizes: tuple[int, ...]) -> MarketParams:
-    groups = tuple(
-        dataclasses.replace(g, n_banks=n) for g, n in zip(market.groups, sizes)
-    )
-    return dataclasses.replace(market, groups=groups)
-
-
-def _sizes_for(beta: tuple[float, ...], n_total: float) -> tuple[int, ...]:
-    """Group sizes round(beta_k * N) of an integer total N they add up to."""
+def _at_total(vm: ValidatedMarket, n_total: float) -> MarketParams:
+    """The market at weights beta with group sizes round(beta_k * N), for
+    an integer total N those sizes add up to."""
+    beta = vm.beta
     if not float(n_total).is_integer():
         raise ValueError(f"bank total {n_total} is not an integer")
     n_total = int(n_total)
@@ -153,7 +148,9 @@ def _sizes_for(beta: tuple[float, ...], n_total: float) -> tuple[int, ...]:
     if any(n < 1 for n in sizes):
         raise ValueError(f"total {n_total} leaves an empty group at weights "
                          f"beta = {beta}: n_banks would be {sizes}")
-    return sizes
+    groups = tuple(dataclasses.replace(g, n_banks=n)
+                   for g, n in zip(vm.groups, sizes))
+    return dataclasses.replace(vm.market, beta=beta, groups=groups)
 
 
 def _check_increasing(n_values) -> None:
@@ -192,12 +189,9 @@ def convergence_to_mfg(market: MarketParams | ValidatedMarket,
     vm = validate(market, Mode.MFG)
     if vm.d != 2:
         raise ValueError("the finite-group systems are two-group only")
-    ladder = [_sizes_for(vm.beta, n) for n in n_values]
-    n_values = tuple(sum(sizes) for sizes in ladder)
+    markets = [validate(_at_total(vm, n), Mode.CLOSED_LOOP) for n in n_values]
+    n_values = tuple(finite.n_total for finite in markets)
     _check_increasing(n_values)
-    base = dataclasses.replace(vm.market, beta=vm.beta)
-    markets = [validate(_with_sizes(base, sizes), Mode.CLOSED_LOOP)
-               for sizes in ladder]
     reference = feedback_mfg(solve_mfg(vm, grid), vm)
     closed_gaps = []
     open_gaps = []
@@ -223,8 +217,7 @@ def open_vs_limiting(market: MarketParams | ValidatedMarket, n_total: int,
     """Sup-norm gaps between open-loop coefficients at finite N and their
     limiting counterparts, keyed 'etao2 vs etahat4' and so on."""
     vm = validate(market, Mode.LIMITING)
-    finite = _with_sizes(dataclasses.replace(vm.market, beta=vm.beta),
-                         _sizes_for(vm.beta, n_total))
+    finite = _at_total(vm, n_total)
     open_path = solve_open_loop(finite, grid)
     limit_path = solve_limiting(vm, grid)
     pairs = [
@@ -291,7 +284,7 @@ def sweep_liquidity(market: MarketParams | ValidatedMarket, axis: SweepAxis,
             elif axis is SweepAxis.HORIZON:
                 varied = dataclasses.replace(base, horizon=float(v))
             else:
-                varied = _with_sizes(base, _sizes_for(vm.beta, v))
+                varied = _at_total(vm, v)
             markets.append(validate(varied, Mode.CLOSED_LOOP))
         except ValueError as exc:
             raise type(exc)(f"{axis.value} = {v:g}: {exc}") from None

@@ -74,7 +74,9 @@ from .model import (
 )
 from .riccati import (
     BlowUp,
+    atomic_file,
     atomic_write_text,
+    csv_text,
     solve_closed_loop,
     solve_limiting,
     solve_mfg,
@@ -217,11 +219,7 @@ def _parse_target(text: str, barrier: float) -> DefaultSpec:
             f"target {text!r}: indices must be integers") from None
     if any(i < 0 for i in indices):
         raise ValueError(f"target {text!r}: indices start at 1")
-    if kind == "global":
-        return DefaultSpec.global_average(barrier)
-    if kind == "group":
-        return DefaultSpec.group_average(barrier, *indices)
-    return DefaultSpec.single_bank(barrier, *indices)
+    return DefaultSpec(barrier, TargetKind(kind), *indices)
 
 
 def _names(known):
@@ -374,12 +372,6 @@ def _say(config: RunConfig, message: str) -> None:
         print(message)
 
 
-def _write_manifest(config: RunConfig, outputs: list[str]) -> None:
-    path = os.path.join(config.out_dir, f"{config.command}_manifest.json")
-    atomic_write_text(path, json.dumps(config_to_manifest(config, outputs),
-                                       indent=2) + "\n")
-
-
 def _grid(config: RunConfig) -> TimeGrid:
     return TimeGrid(t_end=config.market.horizon, n_steps=config.n_steps)
 
@@ -396,7 +388,11 @@ def _default_systems(config: RunConfig) -> tuple[str, ...]:
     return tuple(systems)
 
 
-def cmd_solve(config: RunConfig) -> int:
+# Every command returns its exit code and the files it wrote; ``main``
+# lists them in the command's manifest.
+
+
+def cmd_solve(config: RunConfig) -> tuple[int, list[str]]:
     systems = config.systems or _default_systems(config)
     outputs = []
     for name in systems:
@@ -405,22 +401,10 @@ def cmd_solve(config: RunConfig) -> int:
         path.write_csv(filename)
         outputs.append(filename)
         _say(config, f"wrote {filename} ({len(path.labels)} components)")
-    _write_manifest(config, outputs)
-    return 0
+    return 0, outputs
 
 
-def _quantile_header(d: int) -> list[str]:
-    cols = ["t"]
-    for k in range(1, d + 1):
-        cols += [f"g{k}_mean", f"g{k}_q05", f"g{k}_q25", f"g{k}_q50",
-                 f"g{k}_q75", f"g{k}_q95"]
-    cols.append("global_mean")
-    if d == 2:
-        cols += ["dist_mean", "dist_std"]
-    return cols
-
-
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: RunConfig) -> tuple[int, list[str]]:
     spec = NoiseSpec.from_market(config.market, config.seed, config.n_paths)
     grid = _grid(config)
     strategy = default_strategy(config.market, grid)
@@ -432,67 +416,60 @@ def cmd_simulate(config: RunConfig) -> int:
     means = simulate_group_means(config.market, strategy, config.x0, spec,
                                  grid=grid, jobs=config.jobs)
     d = means.shape[2]
-    rows = np.empty((grid.n_steps + 1, len(_quantile_header(d))))
-    rows[:, 0] = grid.times()
-    col = 1
-    for k in range(d):
-        series = means[:, :, k]
-        rows[:, col] = series.mean(axis=1)
-        rows[:, col + 1 : col + 6] = np.quantile(
-            series, [0.05, 0.25, 0.50, 0.75, 0.95], axis=1).T
-        col += 6
-    sizes = np.array([g.n_banks for g in config.market.groups], dtype=float)
-    rows[:, col] = (means @ (sizes / sizes.sum())).mean(axis=1)
-    col += 1
+    columns = {"t": grid.times()}
+    for k in range(1, d + 1):
+        series = means[:, :, k - 1]
+        columns[f"g{k}_mean"] = series.mean(axis=1)
+        levels = np.quantile(series, [0.05, 0.25, 0.50, 0.75, 0.95], axis=1)
+        for name, level in zip(("q05", "q25", "q50", "q75", "q95"), levels):
+            columns[f"g{k}_{name}"] = level
+    beta = validate(config.market, Mode.MFG).beta
+    columns["global_mean"] = (means @ beta).mean(axis=1)
     if d == 2:
         distance = means[:, :, 0] - means[:, :, 1]
-        rows[:, col] = distance.mean(axis=1)
-        rows[:, col + 1] = distance.std(axis=1)
+        columns["dist_mean"] = distance.mean(axis=1)
+        columns["dist_std"] = distance.std(axis=1)
     summary = os.path.join(config.out_dir, "ensemble_summary.csv")
-    lines = [",".join(_quantile_header(d))]
-    lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
-    atomic_write_text(summary, "\n".join(lines) + "\n")
+    rows = np.column_stack(list(columns.values())).tolist()
+    atomic_write_text(summary, csv_text(columns, rows))
     outputs = [summary]
     _say(config, f"wrote {summary} ({config.n_paths} paths)")
     if config.raw_dump:
         raw = os.path.join(config.out_dir, "paths.bin")
         header = (f"raw float64 little-endian paths={ensemble.n_paths} "
                   f"banks={ensemble.n_banks} nodes={ensemble.grid.n_steps + 1}\n")
-        tmp = raw + ".tmp"
-        with open(tmp, "wb") as fh:
+        with atomic_file(raw, "wb") as fh:
             fh.write(header.encode("ascii"))
             ensemble.states.astype("<f8", copy=False).tofile(fh)
-        os.replace(tmp, raw)
         outputs.append(raw)
         _say(config, f"wrote {raw}")
-    _write_manifest(config, outputs)
-    return 0
+    return 0, outputs
 
 
-def cmd_sweep(config: RunConfig) -> int:
+def cmd_sweep(config: RunConfig) -> tuple[int, list[str]]:
     if config.axis is None or not config.values:
         raise ValueError("sweep needs 'axis' and 'values' in the config")
     result = sweep_liquidity(config.market, config.axis, config.values,
                              n_steps=config.n_steps)
     filename = os.path.join(config.out_dir,
                             f"sweep_{config.axis.value}.csv")
-    lines = ["axis,value,t,rate"]
-    for value, times, curve in zip(result.values, result.times, result.curves):
-        for t, r in zip(times, curve):
-            lines.append(
-                f"{config.axis.value},{value:.17g},{t:.17g},{r:.17g}")
-    atomic_write_text(filename, "\n".join(lines) + "\n")
-    _write_manifest(config, [filename])
+    rows = [(config.axis.value, value, t, r)
+            for value, times, curve in zip(result.values, result.times,
+                                           result.curves)
+            for t, r in zip(times.tolist(), curve.tolist())]
+    atomic_write_text(filename, csv_text(("axis", "value", "t", "rate"), rows))
     description, ok = sweep_claim(result)
     summary = ", ".join(f"{v:g}:{r:.6g}" for v, r in zip(result.values,
                                                          result.rate0))
     print(f"{'PASS' if ok else 'FAIL'} sweep {config.axis.value}: "
           f"{description}; rate(0) by value: {summary}")
-    return 0 if ok else 1
+    return (0 if ok else 1), [filename]
 
 
-def cmd_check(config: RunConfig) -> int:
-    checks = config.checks or _CHECKS
+def cmd_check(config: RunConfig) -> tuple[int, list[str]]:
+    # identity and bounds read the limiting system, which needs two groups.
+    checks = config.checks or (_CHECKS if len(config.market.groups) == 2
+                               else ("rowsums",))
     results = []
     market = config.market
     grid = _grid(config)
@@ -513,15 +490,13 @@ def cmd_check(config: RunConfig) -> int:
             value, threshold = check_mfg_row_sums(solve_mfg(market, grid)), 1e-8
             ok = value < threshold
             detail = f"max|sum_h psim_k_h|={value:.3e}"
-        results.append((name, value, threshold, ok))
+        results.append((name, value, threshold, int(ok)))
         print(f"{'PASS' if ok else 'FAIL'} check {name}: {detail} "
               f"(threshold {threshold:g})")
     filename = os.path.join(config.out_dir, "check_results.csv")
-    lines = ["check,value,threshold,passed"]
-    lines += [f"{n},{v:.17g},{t:.17g},{int(ok)}" for n, v, t, ok in results]
-    atomic_write_text(filename, "\n".join(lines) + "\n")
-    _write_manifest(config, [filename])
-    return 0 if all(ok for *_, ok in results) else 1
+    atomic_write_text(filename, csv_text(("check", "value", "threshold",
+                                          "passed"), results))
+    return (0 if all(ok for *_, ok in results) else 1), [filename]
 
 
 def _reflection_volatility(config: RunConfig, strategy) -> float | None:
@@ -549,7 +524,7 @@ def _reflection_volatility(config: RunConfig, strategy) -> float | None:
     return float(np.sqrt(variance)) if variance > 0.0 else None
 
 
-def cmd_prob(config: RunConfig) -> int:
+def cmd_prob(config: RunConfig) -> tuple[int, list[str]]:
     if config.barrier is None:
         raise ValueError("prob needs 'barrier' in the config")
     market = config.market
@@ -591,10 +566,8 @@ def cmd_prob(config: RunConfig) -> int:
                   f"monitoring deficit {deficit:.3e})")
         rows += [("n_hits", estimate.n_hits), ("n_paths", estimate.n_paths)]
     filename = os.path.join(config.out_dir, "prob.csv")
-    lines = ["quantity,value"] + [f"{n},{v:.17g}" for n, v in rows]
-    atomic_write_text(filename, "\n".join(lines) + "\n")
-    _write_manifest(config, [filename])
-    return 0 if ok else 1
+    atomic_write_text(filename, csv_text(("quantity", "value"), rows))
+    return (0 if ok else 1), [filename]
 
 
 _COMMANDS = {
@@ -639,7 +612,12 @@ def main(argv=None) -> int:
             if not config.quiet:
                 print(f"warning: {warning}", file=sys.stderr)
         os.makedirs(config.out_dir, exist_ok=True)
-        return _COMMANDS[config.command](config)
+        code, outputs = _COMMANDS[config.command](config)
+        manifest = config_to_manifest(config, outputs)
+        atomic_write_text(
+            os.path.join(config.out_dir, f"{config.command}_manifest.json"),
+            json.dumps(manifest, indent=2) + "\n")
+        return code
     except RejectedParams as exc:
         print(f"rejected parameters: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,7 @@ place and shared between the builders.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 from bisect import bisect_left
@@ -176,11 +177,9 @@ class CoefficientPath:
         return float(self.at(t)[self._index(label)])
 
     def write_csv(self, path: str | os.PathLike) -> None:
-        """Write ``t`` plus one column per component, 17 significant digits."""
-        lines = ["t," + ",".join(self.labels)]
-        for t, row in zip(self.times, self.values):
-            lines.append(",".join(f"{x:.17g}" for x in [t, *row]))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        """Write ``t`` plus one column per component, as :func:`csv_text`."""
+        rows = np.column_stack([self.times, self.values]).tolist()
+        atomic_write_text(path, csv_text(("t", *self.labels), rows))
 
 
 def read_csv(path: str | os.PathLike) -> CoefficientPath:
@@ -200,19 +199,37 @@ def read_csv(path: str | os.PathLike) -> CoefficientPath:
     return CoefficientPath(grid=grid, values=data[:, 1:], labels=tuple(fields[1:]))
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write text so that a crash never leaves a partial file behind."""
+def csv_text(header: Sequence[str], rows) -> str:
+    """A header line and one line per row, newline-terminated: text fields
+    as they are, numbers to 17 significant digits (exact for doubles)."""
+    lines = [",".join(header)]
+    lines += [",".join(x if isinstance(x, str) else f"{x:.17g}" for x in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@contextlib.contextmanager
+def atomic_file(path: str | os.PathLike, mode: str):
+    """A temporary file opened in ``mode`` that replaces ``path`` when the
+    block completes and is removed if it fails, leaving no partial file."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=".tmp-")
+    encoding = None if "b" in mode else "utf-8"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode, encoding=encoding) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | os.PathLike, text: str) -> None:
+    """Write text so that a crash never leaves a partial file behind."""
+    with atomic_file(path, "w") as fh:
+        fh.write(text)
 
 
 def integrate_backward(system: OdeSystem, grid: TimeGrid,

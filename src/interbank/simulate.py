@@ -54,7 +54,6 @@ BATCH_PATHS = 512
 # fail before any draw.
 MAX_ENSEMBLE_BYTES = 2**30
 
-_UNIT_NORM_TOL = 1e-14
 _MAX_SEED = 2**64
 
 
@@ -84,10 +83,6 @@ class NoiseSpec:
         for r in (self.rho, *self.rho_k):
             if not -1.0 <= r <= 1.0:
                 raise ValueError("correlation loadings must lie in [-1, 1]")
-        for rk in self.rho_k:
-            c0, cg, ci = noise_loadings(self.rho, rk)
-            if abs(c0 * c0 + cg * cg + ci * ci - 1.0) >= _UNIT_NORM_TOL:
-                raise ValueError("noise loadings do not square-sum to one")
 
     @classmethod
     def from_market(cls, market: MarketParams | ValidatedMarket, seed: int,

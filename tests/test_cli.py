@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import math
@@ -312,6 +313,22 @@ def test_simulate_raw_dump(tmp_path):
     assert np.abs(states[:, :, 0]).max() == 0.0
 
 
+def test_failed_raw_dump_leaves_no_temporary(tmp_path, monkeypatch, capsys):
+    replace = os.replace
+
+    def disk_full(src, dst):
+        if os.path.basename(dst) == "paths.bin":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", disk_full)
+    text = "raw_dump = true\n" + TWO_GROUP.replace("paths = 64", "paths = 8")
+    rc, out = run(tmp_path, "simulate", text)
+    assert rc == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert os.listdir(out) == ["ensemble_summary.csv"]
+
+
 def test_sweep_lambda2_fails_monotonicity(tmp_path, capsys):
     text = "axis = lambda2\nvalues = 0.1, 0.5, 0.9\n" + TWO_GROUP
     rc, out = run(tmp_path, "sweep", text)
@@ -425,6 +442,33 @@ def test_check_command(tmp_path, capsys):
     assert lines[0] == "check,value,threshold,passed"
     assert len(lines) == 4
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+THREE_GROUP = TWO_GROUP + """
+[group.3]
+q = 1.5
+eps = 4.0
+lam = 0.3
+n_banks = 4
+"""
+
+
+@pytest.mark.parametrize("text", [ONE_GROUP, THREE_GROUP],
+                         ids=["one-group", "three-groups"])
+def test_check_defaults_to_rowsums_without_two_groups(tmp_path, capsys,
+                                                       text):
+    rc, out = run(tmp_path, "check", text)
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("PASS check rowsums")
+    lines = open(os.path.join(out, "check_results.csv")).read().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("rowsums,")
+
+
+@pytest.mark.parametrize("name", ["identity", "bounds"])
+def test_check_limiting_names_need_two_groups(tmp_path, capsys, name):
+    rc, _ = run(tmp_path, "check", f"checks = {name}\n" + THREE_GROUP)
+    assert rc == 2
+    assert "exactly two groups" in capsys.readouterr().err
 
 
 def test_prob_analytic(tmp_path, capsys):

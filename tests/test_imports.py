@@ -51,6 +51,38 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: imported but unused {unused}"
 
 
+def _writes_a_file(node: ast.AST) -> bool:
+    """Whether ``node`` calls ``open`` or ``os.fdopen`` in a mode that
+    writes; a mode that is not a literal counts as writing."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if not ((isinstance(func, ast.Name) and func.id == "open")
+            or (isinstance(func, ast.Attribute) and func.attr == "fdopen")):
+        return False
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+    mode = node.args[1] if len(node.args) > 1 else (modes or [None])[0]
+    if mode is None:
+        return False
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return bool(set(mode.value) & set("wax+"))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_only_riccati_formats_and_writes_files(path):
+    # Every output file is formatted by riccati.csv_text and written by
+    # riccati.atomic_file.
+    if path.name == "riccati.py":
+        return
+    source = path.read_text(encoding="utf-8")
+    assert ".17g" not in source, f"{path.name} formats numbers for output"
+    writes = [node.lineno for node in ast.walk(ast.parse(source))
+              if _writes_a_file(node)]
+    assert not writes, f"{path.name}: opens files for writing at {writes}"
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.stem)
 def test_no_private_names_cross_modules(path):

@@ -50,7 +50,7 @@ def test_step_function_helpers():
 @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 def test_noise_loadings_unit_norm(rho, rho_k):
     c0, cg, ci = noise_loadings(rho, rho_k)
-    assert math.isclose(c0 * c0 + cg * cg + ci * ci, 1.0, abs_tol=1e-12)
+    assert math.isclose(c0 * c0 + cg * cg + ci * ci, 1.0, abs_tol=1e-14)
     assert ci >= 0.0
 
 

@@ -33,6 +33,7 @@ from interbank.riccati import (
     OdeSystem,
     OutOfHorizon,
     closed_loop_system,
+    csv_text,
     integrate_backward,
     limiting_system,
     mfg_labels,
@@ -476,6 +477,13 @@ def test_malformed_csv_raises_only_value_error(text):
             return
     assert np.isfinite(path.values).all()
     assert path.values.shape == (path.grid.n_steps + 1, len(path.labels))
+
+
+def test_csv_text_writes_text_as_is_and_numbers_exactly():
+    text = csv_text(("name", "value"), [("a", 0.1), ("b", 3), ("c", 2 / 3)])
+    assert text == ("name,value\na,0.10000000000000001\nb,3\n"
+                    "c,0.66666666666666663\n")
+    assert csv_text(("t",), []) == "t\n"
 
 
 def test_csv_write_is_atomic(tmp_path):
