@@ -25,7 +25,6 @@ import numpy as np
 from .model import MarketParams, Mode, TimeGrid, ValidatedMarket, validate
 from .riccati import (
     CLOSED_LABELS,
-    LIMITING_LABELS,
     OPEN_LABELS,
     CoefficientPath,
     OutOfHorizon,  # re-exported: a strategy raises it through its path
@@ -142,27 +141,10 @@ def feedback_closed(path: CoefficientPath,
                     market: MarketParams | ValidatedMarket) -> FeedbackStrategy:
     """Feedback rule of the closed-loop equilibrium for two groups.
 
-    Accepts either the 20-component finite-N path, combined with weights
-    (1 - 1/N_k) and 1/N_k, or the 12-component limiting path, in which
-    case the 1/N_k terms are absent and the linear intercepts are zero.
+    Takes the 20-component finite-N path, combined with weights
+    (1 - 1/N_k) and 1/N_k.  Its large-N limit, intercepts included, is
+    the mean-field rule ``feedback_mfg(solve_mfg(market), market)``.
     """
-    if tuple(path.labels) == LIMITING_LABELS:
-        vm = validate(market, Mode.LIMITING)
-        q1, q2 = (g.q for g in vm.groups)
-        off = tracking_offsets(vm)
-        col = path.column
-        zero = np.zeros(path.grid.n_steps + 1)
-        return _strategy(StrategyKind.CLOSED_LOOP, path.grid, [
-            q1 + col("etahat1"),
-            q2 + col("phihat1"),
-            col("etahat4") + q1 * off[0, 0],
-            col("etahat5") + q1 * off[0, 1],
-            col("phihat4") + q2 * off[1, 0],
-            col("phihat5") + q2 * off[1, 1],
-            zero,
-            zero,
-        ])
-
     _require_labels(path, CLOSED_LABELS, "closed-loop")
     vm = validate(market, Mode.CLOSED_LOOP)
     n1, n2 = (1.0 / s for s in vm.group_sizes())

@@ -94,7 +94,8 @@ class OdeSystem:
 
     ``rhs`` takes the time and the state as a sequence of floats in label
     order and returns the derivative as a sequence of floats of the same
-    length; the integrator passes and expects plain Python lists.
+    length; the integrator passes plain Python lists and raises
+    ``ValueError`` on a derivative of any other length.
     """
 
     rhs: Callable[[float, Sequence[float]], Sequence[float]]
@@ -211,7 +212,9 @@ def csv_text(header: Sequence[str], rows) -> str:
 @contextlib.contextmanager
 def atomic_file(path: str | os.PathLike, mode: str):
     """A temporary file opened in ``mode`` that replaces ``path`` when the
-    block completes and is removed if it fails, leaving no partial file."""
+    block completes and is removed if it fails, leaving no partial file.
+    The file gets the permissions a plain ``open`` would give it under
+    the process umask."""
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=".tmp-")
@@ -219,6 +222,11 @@ def atomic_file(path: str | os.PathLike, mode: str):
     try:
         with os.fdopen(fd, mode, encoding=encoding) as fh:
             yield fh
+        # mkstemp creates the file 0600; the umask can only be read by
+        # setting it.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -230,6 +238,41 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write text so that a crash never leaves a partial file behind."""
     with atomic_file(path, "w") as fh:
         fh.write(text)
+
+
+def _rk4_step_source(n: int) -> str:
+    """Source of one classic RK4 step for n components, unrolled.
+
+    ``step(rhs, t, h, nudge, y)`` unpacks the state into ``y<i>`` and the
+    four stages into ``a<i>``, ``b<i>``, ``c<i>`` and ``d<i>``, and forms
+    every stage argument and the update as a list literal.  Every name is
+    built from ``range(n)`` alone; the only numbers are the method's own.
+    """
+    r = range(n)
+
+    def unpack(p: str) -> str:
+        return "[" + ", ".join(f"{p}{i}" for i in r) + "]"
+
+    def stage(p: str, w: str) -> str:
+        return "[" + ", ".join(f"y{i} + {w} * {p}{i}" for i in r) + "]"
+
+    update = ", ".join(
+        f"y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in r)
+    return "\n".join([
+        "def step(rhs, t, h, nudge, y):",
+        "    half = 0.5 * h",
+        "    sixth = h / 6.0",
+        f"    {unpack('y')} = y",
+        f"    {unpack('a')} = rhs(t - nudge, y)",
+        f"    {unpack('b')} = rhs(t + half, {stage('a', 'half')})",
+        f"    {unpack('c')} = rhs(t + half, {stage('b', 'half')})",
+        f"    {unpack('d')} = rhs(t + h + nudge, {stage('c', 'h')})",
+        f"    return [{update}]",
+    ]) + "\n"
+
+
+# The RK4 step of each state dimension, compiled on first use.
+_RK4_STEPS: dict[int, Callable] = {}
 
 
 def integrate_backward(system: OdeSystem, grid: TimeGrid,
@@ -245,18 +288,29 @@ def integrate_backward(system: OdeSystem, grid: TimeGrid,
     step whose interior holds one of the rates' ``breaks`` is taken as
     two or more RK4 steps that meet at each break, with the same nudges,
     so a jump off the grid costs no accuracy either; every other step
-    uses h = -dt exactly.  The state and stages are lists of Python
-    floats, each formed with the operations of the equivalent array
-    expression in the same order, so the results equal those of a
-    numpy-array loop bit for bit.
+    uses h = -dt exactly.  Each step is straight-line code generated
+    for the system's dimension and compiled once per dimension: it
+    unpacks the state and every stage into names and forms each stage
+    argument and the update as a list of Python floats, with the
+    operations of the equivalent array expression in the same order, so
+    the results equal those of a numpy-array loop bit for bit.
 
     Raises:
       BlowUp: once any component is non-finite or exceeds BLOWUP_LIMIT in
         magnitude, reporting the time and the offending label.
+      ValueError: if the right-hand side returns a different number of
+        values than the system has components.
     """
     rhs = system.rhs
+    n = len(system.labels)
+    if n not in _RK4_STEPS:
+        namespace: dict = {}
+        exec(compile(_rk4_step_source(n), f"<rk4_step n={n}>", "exec"),
+             namespace)
+        _RK4_STEPS[n] = namespace["step"]
+    step = _RK4_STEPS[n]
     times = grid.times().tolist()
-    values = np.empty((grid.n_steps + 1, len(system.labels)))
+    values = np.empty((grid.n_steps + 1, n))
     values[-1] = system.terminal
     y = system.terminal.tolist()
     nudge = 1e-9 * grid.dt
@@ -269,24 +323,14 @@ def integrate_backward(system: OdeSystem, grid: TimeGrid,
                 times[j - 1] + nudge < b < times[j] - nudge):
             splits.setdefault(j, [times[j]]).append(b)
 
-    def rk4(t: float, h: float, y: list[float]) -> list[float]:
-        half = 0.5 * h
-        sixth = h / 6.0
-        k1 = rhs(t - nudge, y)
-        k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
-        k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
-        k4 = rhs(t + h + nudge, [a + h * b for a, b in zip(y, k3)])
-        return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-
     h = -grid.dt
     for j in range(grid.n_steps, 0, -1):
         if j in splits:
             stops = splits[j] + [times[j - 1]]
             for t, t_next in zip(stops, stops[1:]):
-                y = rk4(t, t_next - t, y)
+                y = step(rhs, t, t_next - t, nudge, y)
         else:
-            y = rk4(times[j], h, y)
+            y = step(rhs, times[j], h, nudge, y)
         # The sum of magnitudes is NaN, infinite or above the limit
         # whenever a single component is; only then look for which.
         if not sum(map(abs, y)) <= BLOWUP_LIMIT:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,10 +61,10 @@ def test_flat_cost_strategies_reduce_to_tracking_shift():
         assert np.abs(strategy.intercept).max() == 0.0
 
 
-def test_closed_accepts_limiting_path():
+def test_large_n_rule_is_the_mean_field_rule():
     market = weights_market()
-    strategy = feedback_closed(solve_limiting(market, GRID), market)
-    assert strategy.kind is StrategyKind.CLOSED_LOOP
+    strategy = feedback_mfg(solve_mfg(market, GRID), market)
+    assert strategy.kind is StrategyKind.MFG
     # Weight rows cancel exactly in the infinite-bank rule.
     assert np.abs(strategy.avg_weights.sum(axis=2)).max() < 1e-14
     assert np.abs(strategy.intercept).max() == 0.0
@@ -81,7 +83,7 @@ def test_finite_weight_rows_sum_to_zero():
 
 def test_terminal_gap_gain_equals_q():
     market = weights_market()  # c = 0
-    strategy = feedback_closed(solve_limiting(market, GRID), market)
+    strategy = feedback_mfg(solve_mfg(market, GRID), market)
     assert np.allclose(strategy.at(1.0)[0], [2.0, 2.0], atol=1e-14)
 
 
@@ -93,13 +95,32 @@ def test_decoupled_market_is_pure_mean_reversion():
     assert strategy.at(0.0)[0][0] > 2.0  # q + positive coefficient
 
 
-def test_closed_vs_limiting_paths_agree_for_huge_groups():
+def test_closed_and_large_n_rules_agree_for_huge_groups():
     finite = weights_market(n1=40000, n2=160000)
     a = feedback_closed(solve_closed_loop(finite, GRID), finite)
-    b = feedback_closed(solve_limiting(weights_market(), GRID),
-                        weights_market())
+    b = feedback_mfg(solve_mfg(weights_market(), GRID), weights_market())
     assert np.abs(a.gap_gain - b.gap_gain).max() < 1e-3
     assert np.abs(a.avg_weights - b.avg_weights).max() < 1e-3
+
+
+def test_closed_loop_intercepts_tend_to_the_large_n_rule():
+    # With nonzero growth rates the closed-loop intercepts do not vanish
+    # as the groups grow: they approach the mean-field rule's, at about
+    # 1/N.  The limiting path has no linear components to give them.
+    market = market_from_params("rich")
+    grid = TimeGrid(market.horizon, 1000)
+    with pytest.raises(LabelMismatch):
+        feedback_closed(solve_limiting(market, grid), market)
+    large = feedback_mfg(solve_mfg(market, grid), market)
+    assert np.abs(large.intercept).max() > 1e-2
+    gaps = []
+    for factor in (10, 100, 1000):
+        finite = replace(market, groups=tuple(
+            replace(g, n_banks=g.n_banks * factor) for g in market.groups))
+        closed = feedback_closed(solve_closed_loop(finite, grid), finite)
+        gaps.append(np.abs(closed.intercept - large.intercept).max())
+    assert gaps[0] < 1e-3
+    assert all(b < 0.2 * a for a, b in zip(gaps, gaps[1:])), gaps
 
 
 def test_control_is_affine():
@@ -247,7 +268,6 @@ def test_strategy_csv(tmp_path):
 
 @pytest.mark.parametrize("build, solve", [
     (feedback_closed, solve_closed_loop),
-    (feedback_closed, solve_limiting),
     (feedback_open, solve_open_loop),
     (feedback_mfg, solve_mfg),
 ])

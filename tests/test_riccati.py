@@ -16,6 +16,7 @@ from conftest import (
     weights_market,
 )
 
+from interbank import riccati
 from interbank.model import (
     Mode,
     StepFunction,
@@ -32,6 +33,7 @@ from interbank.riccati import (
     CoefficientPath,
     OdeSystem,
     OutOfHorizon,
+    atomic_file,
     closed_loop_system,
     csv_text,
     integrate_backward,
@@ -297,6 +299,30 @@ def test_mfg_rhs_source_holds_no_market_number():
                 if isinstance(c, float)]
 
 
+def test_rk4_step_is_generated_once_per_dimension(monkeypatch):
+    steps = {}
+    monkeypatch.setattr(riccati, "_RK4_STEPS", steps)
+    grid = TimeGrid(t_end=1.0, n_steps=10)
+    first = solve_closed_loop(market_from_params("rich"), grid)
+    step = steps[20]
+    second = solve_closed_loop(market_from_params("stepg"), grid)
+    assert not np.array_equal(first.values, second.values)
+    solve_open_loop(market_from_params("rich"), grid)
+    assert list(steps) == [20, 8] and steps[20] is step
+    code = step.__code__
+    assert code.co_filename == "<rk4_step n=20>"
+    assert {c for c in code.co_consts if isinstance(c, float)} == {
+        0.5, 2.0, 6.0}
+
+
+@pytest.mark.parametrize("returned", [[-1.0, -2.0, -3.0], [-1.0]])
+def test_rhs_of_the_wrong_length_is_an_error(returned):
+    system = OdeSystem(rhs=lambda t, y: returned, terminal=np.zeros(2),
+                       labels=("a", "b"))
+    with pytest.raises(ValueError):
+        integrate_backward(system, TimeGrid(t_end=1.0, n_steps=4))
+
+
 def test_numpy_numbers_are_stored_as_python_floats():
     # Solves on numpy scalars run several times slower than on floats, so
     # every market number is stored as a float whatever type it came in.
@@ -484,6 +510,23 @@ def test_csv_text_writes_text_as_is_and_numbers_exactly():
     assert text == ("name,value\na,0.10000000000000001\nb,3\n"
                     "c,0.66666666666666663\n")
     assert csv_text(("t",), []) == "t\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=lambda m: f"{m:03o}")
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path, umask):
+    path = solve_limiting(weights_market(), TimeGrid(t_end=1.0, n_steps=10))
+    old = os.umask(umask)
+    try:
+        path.write_csv(tmp_path / "limiting.csv")
+        with atomic_file(tmp_path / "paths.bin", "wb") as fh:
+            fh.write(b"\x00" * 8)
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    want = 0o666 & ~umask
+    for name in ("limiting.csv", "paths.bin", "plain"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == want, name
 
 
 def test_csv_write_is_atomic(tmp_path):
