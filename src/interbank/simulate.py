@@ -13,12 +13,12 @@ column per bank; group-mean runs and default probabilities step the
 means alone on noise with one slot per group, not one column per bank.
 
 Randomness is keyed per path: path p draws its entire normal block from
-its own generator seeded with (seed, p), so any partition of paths into
-batches or threads reproduces the same numbers.  Products run path by
-path (stacked or ``einsum``, never a 2-D BLAS call whose kernel depends
-on the row count) and reductions over paths are integer counts or
-fixed-order writes, so results are bit-identical for any batch size and
-worker count.
+the PCG64 state that SeedSequence((seed, p)) seeds, so any partition of
+paths into batches or threads reproduces the same numbers.  Products
+run path by path (stacked or ``einsum``, never a 2-D BLAS call whose
+kernel depends on the row count) and reductions over paths are integer
+counts or fixed-order writes, so results are bit-identical for any
+batch size and worker count.
 """
 
 from __future__ import annotations
@@ -55,6 +55,14 @@ BATCH_PATHS = 512
 MAX_ENSEMBLE_BYTES = 2**30
 
 _MAX_SEED = 2**64
+
+# numpy's SeedSequence hash (pool of four uint32 words) and PCG64's
+# 128-bit multiplier, as in numpy/random/bit_generator.pyx and pcg64.h.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = 2**128 - 1
 
 
 class SimulationBlowUp(RuntimeError):
@@ -138,6 +146,58 @@ def _active_driver_columns(spec: NoiseSpec) -> tuple[int, ...]:
     return tuple(active)
 
 
+def _hash_constants(value: int, mult: int) -> Iterator[tuple[int, int]]:
+    """The (xor, multiplier) pair of each successive hash."""
+    while True:
+        nxt = value * mult & 0xFFFFFFFF
+        yield value, nxt
+        value = nxt
+
+
+def _path_states(seed: int, start: int, count: int
+                 ) -> Iterator[tuple[int, int]]:
+    """PCG64 (state, inc) of paths start .. start + count - 1, each equal
+    to ``PCG64(SeedSequence((seed, p))).state``, hashed in one numpy pass.
+
+    The entropy of (seed, p) is the seed's uint32 words, then p's low and
+    high words: at most four, the pool size, and SeedSequence hashes a
+    missing word as a zero.  The pool is mixed as ``mix_entropy`` and
+    expanded as ``generate_state(4, uint64)`` do, in wrapping uint32
+    arithmetic; PCG64's seeding of the four 64-bit words runs in Python
+    ints.
+    """
+    paths = np.uint64(start) + np.arange(count, dtype=np.uint64)
+    seed_words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
+    pool = np.zeros((4, count), dtype=np.uint32)
+    pool[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    pool[len(seed_words)] = paths & 0xFFFFFFFF
+    pool[len(seed_words) + 1] = paths >> 32
+    hash_a = _hash_constants(_INIT_A, _MULT_A)
+    hash_b = _hash_constants(_INIT_B, _MULT_B)
+
+    def hashmix(value, consts):
+        xor, mult = next(consts)
+        value = (value ^ xor) * mult
+        return value ^ (value >> 16)
+
+    with np.errstate(over="ignore"):
+        for i in range(4):
+            pool[i] = hashmix(pool[i], hash_a)
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src],
+                                                                  hash_a)
+                    pool[dst] = mixed ^ (mixed >> 16)
+        halves = [hashmix(pool[i % 4], hash_b).astype(np.uint64)
+                  for i in range(8)]
+    words = [(halves[2 * i] | halves[2 * i + 1] << 32).tolist()
+             for i in range(4)]
+    for w0, w1, w2, w3 in zip(*words):
+        inc = (w2 << 64 | w3) << 1 & _MASK_128 | 1
+        yield ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK_128, inc
+
+
 def generate_increments(spec: NoiseSpec, grid: TimeGrid,
                         n_banks_per_group: Sequence[int],
                         batch_paths: int = BATCH_PATHS
@@ -146,7 +206,10 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
 
     Path p's block is drawn from a PCG64 generator seeded
     SeedSequence((seed, p)): x0 normals first, then step-major rows (the
-    active drivers in index order, one column per bank).  A driver whose
+    active drivers in index order, one column per bank).  A batch's
+    generator states are derived in one vectorised pass that equals
+    numpy's per-path construction, and one generator is set to each in
+    turn.  ``batch_paths`` must be positive.  A driver whose
     loading vanishes for every group (rho == 0 for the global one,
     sqrt(1-rho^2)*rho_k == 0 for group k) can never reach a bank, so it
     draws no randomness and has no column; fully independent markets pay
@@ -157,21 +220,30 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     sizes = tuple(int(n) for n in n_banks_per_group)
     if len(sizes) != spec.d:
         raise ValueError("one bank count per group is required")
+    if batch_paths < 1:
+        raise ValueError("batch_paths must be positive")
     n_banks = sum(sizes)
     n_steps = grid.n_steps
     active = _active_driver_columns(spec)
     width = len(active) + n_banks
     root = math.sqrt(grid.dt)
+    # Every path overwrites the whole state, so one generator serves all;
+    # its own seed is never drawn from.
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    state = bits.state
+    pcg = state["state"]
     for start in range(0, spec.n_paths, batch_paths):
         count = min(batch_paths, spec.n_paths - start)
         x0 = np.empty((count, n_banks))
         block = np.empty((count, n_steps, width))
-        for j in range(count):
-            seq = np.random.SeedSequence(entropy=(spec.seed, start + j))
-            rng = np.random.Generator(np.random.PCG64(seq))
+        for j, (path_state, inc) in enumerate(
+                _path_states(spec.seed, start, count)):
+            pcg["state"], pcg["inc"] = path_state, inc
+            bits.state = state
             rng.standard_normal(out=x0[j])
             rng.standard_normal(out=block[j])
-            block[j] *= root
+        block *= root
         yield IncrementBatch(start=start, x0_normals=x0, increments=block,
                              active=active, d=spec.d)
         # The consumer is done with this batch: free it before the next
@@ -408,7 +480,9 @@ def _euler_means(start: np.ndarray, weights: np.ndarray,
     affine rule the gap terms sum to zero within a group, so group means
     obey this recursion exactly; so does each bank's deviation from its
     group mean, with diagonal W = -gap and b = 0.  Every carried series is
-    checked against ``BLOWUP_LIMIT`` after each step.  Returns every
+    checked against ``BLOWUP_LIMIT`` once, after the last step; a series
+    that left the window raises :class:`SimulationBlowUp` at the first
+    node where any did, as a check after each step would.  Returns every
     series at every node, time-major: [n_steps + 1, paths, s].
     """
     dt = grid.dt
@@ -421,16 +495,24 @@ def _euler_means(start: np.ndarray, weights: np.ndarray,
     out = np.empty((n_steps + 1, n_paths, width))
     out[0] = start
     out[1:] = noise.transpose(1, 0, 2)
-    for n in range(n_steps):
-        m, nxt = out[n], out[n + 1]
-        if ddt is not None:
-            nxt += ddt[n]
-        nxt += m
-        if wdt is not None:
-            nxt += (m * wdt[n] if wdt.ndim == 2
-                    else np.einsum("ps,ts->pt", m, wdt[n]))
-        if not np.abs(nxt).max() <= BLOWUP_LIMIT:
-            raise SimulationBlowUp(float(times[n + 1]))
+    # A state past the limit may overflow to inf or nan in later steps;
+    # the check after the loop reports the first node it left at.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            m, nxt = out[n], out[n + 1]
+            if ddt is not None:
+                nxt += ddt[n]
+            nxt += m
+            if wdt is not None:
+                nxt += (m * wdt[n] if wdt.ndim == 2
+                        else np.einsum("ps,ts->pt", m, wdt[n]))
+    # max and min allocate nothing, and a nan fails both comparisons.
+    stepped = out[1:]
+    if not (stepped.max() <= BLOWUP_LIMIT
+            and stepped.min() >= -BLOWUP_LIMIT):
+        for n, node in enumerate(stepped):
+            if not np.abs(node).max() <= BLOWUP_LIMIT:
+                raise SimulationBlowUp(float(times[n + 1]))
     return out
 
 
@@ -465,10 +547,10 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     kernel, whose blow-up guard therefore watches the means and the
     deviations rather than their sums.  Start states are stored exactly.
 
-    ``batch_paths`` trades memory for loop overhead and never changes the
-    result: every path has its own seed-keyed stream.  Every path of
-    every bank is kept, so an ensemble above ``MAX_ENSEMBLE_BYTES``
-    raises ValueError.
+    ``batch_paths`` (positive) trades memory for loop overhead and never
+    changes the result: every path has its own seed-keyed stream.  Every
+    path of every bank is kept, so an ensemble above
+    ``MAX_ENSEMBLE_BYTES`` raises ValueError.
     """
     # MFG mode takes any group count; the simulators also need sizes.
     vm = validate(market, Mode.MFG)
@@ -648,9 +730,21 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
     else:
         target = np.zeros(vm.d + bank)
         target[default.group : default.group + 1 + bank] = 1.0
+    # Products with 0 and 1 are exact, so a 0/1 form (every group or bank
+    # target, and a one-group market's average) is the plain sum of its
+    # slots: the projection's series up to the sign of a zero, the same
+    # hits, and no projection to form.
+    unit = np.flatnonzero(target)
+    if not (target[unit] == 1.0).all():
+        unit = None
 
     def count(carried: np.ndarray) -> int:
-        series = np.einsum("nps,s->np", carried, target)
+        if unit is None:
+            series = np.einsum("nps,s->np", carried, target)
+        else:
+            series = carried[:, :, unit[0]]
+            for s in unit[1:]:
+                series = series + carried[:, :, s]
         return int((series.min(axis=0) <= default.level).sum())
 
     hits = sum(_group_mean_batches(vm, strategy, x0, spec, grid, count, jobs,

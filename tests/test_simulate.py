@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -20,7 +21,12 @@ from interbank.model import (
     two_groups,
     validate,
 )
-from interbank.riccati import solve_closed_loop, solve_mfg, solve_open_loop
+from interbank.riccati import (
+    BLOWUP_LIMIT,
+    solve_closed_loop,
+    solve_mfg,
+    solve_open_loop,
+)
 from interbank.simulate import (
     BATCH_PATHS,
     DefaultSpec,
@@ -76,6 +82,33 @@ def test_increments_deterministic_and_batch_invariant():
     assert np.array_equal(joined, a[0].drivers)
 
 
+def test_batch_paths_must_be_positive():
+    # Every path starts on the barrier, so the estimate is 1; a batch size
+    # below one must not draw, return 0 or hand back unset states.
+    market = two_groups(n1=2, n2=2)
+    grid = TimeGrid(t_end=1.0, n_steps=10)
+    strategy = closed_strategy(market, grid)
+    spec = NoiseSpec.from_market(market, seed=3, n_paths=8)
+    at_start = DefaultSpec.global_average(0.0)
+    assert mc_hitting_probability(market, spec, at_start, strategy,
+                                  grid=grid).probability == 1.0
+    for batch_paths in (0, -4):
+        runs = (
+            lambda: list(generate_increments(spec, grid, (2, 2),
+                                             batch_paths)),
+            lambda: mc_hitting_probability(market, spec, at_start, strategy,
+                                           grid=grid,
+                                           batch_paths=batch_paths),
+            lambda: simulate_closed_loop(market, strategy, 0.0, spec,
+                                         grid=grid, batch_paths=batch_paths),
+            lambda: simulate_group_means(market, strategy, 0.0, spec,
+                                         grid=grid, batch_paths=batch_paths),
+        )
+        for run in runs:
+            with pytest.raises(ValueError, match="batch_paths"):
+                run()
+
+
 def test_increment_scaling_and_layout():
     spec = NoiseSpec(rho=0.5, rho_k=(0.4,), seed=1, n_paths=200)
     grid = TimeGrid(t_end=1.0, n_steps=100)
@@ -105,6 +138,55 @@ def test_zero_loading_drivers_draw_nothing():
     assert np.array_equal(batch.x0_normals[0], x0)
     assert np.array_equal(batch.drivers[0, :, 2], rows[:, 0])
     assert np.array_equal(batch.idiosyncratic[0], rows[:, 1:])
+
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 17, 2**63 + 5, 2**64 - 1)
+
+
+def _numpy_state(seed, path):
+    return np.random.PCG64(
+        np.random.SeedSequence(entropy=(seed, path))).state["state"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_path_states_equal_numpy_seeding(seed):
+    # One-word and two-word seeds and path indices, taken one at a time
+    # and as runs that cross a batch and a 32-bit word boundary.
+    for path in (0, 1, 511, 512, 2**32 - 1, 2**32, 2**63 + 9):
+        (state,) = simulate._path_states(seed, path, 1)
+        want = _numpy_state(seed, path)
+        assert state == (want["state"], want["inc"]), path
+    for start in (0, 509, 2**32 - 2):
+        got = list(simulate._path_states(seed, start, 5))
+        want = [_numpy_state(seed, p) for p in range(start, start + 5)]
+        assert got == [(w["state"], w["inc"]) for w in want], start
+
+
+def test_increments_build_no_seed_sequence(monkeypatch):
+    # Every path's stream is numpy's SeedSequence((seed, p)) stream,
+    # though no SeedSequence is built to draw it.
+    spec = NoiseSpec(rho=0.3, rho_k=(0.5,), seed=2**63 + 5, n_paths=5)
+    grid = TimeGrid(t_end=1.0, n_steps=8)
+    want = []
+    for p in range(spec.n_paths):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=(spec.seed, p))))
+        want.append((rng.standard_normal(3),
+                     rng.standard_normal((8, 5)) * np.sqrt(grid.dt)))
+    calls = []
+    real = np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    batches = list(generate_increments(spec, grid, (3,), batch_paths=2))
+    assert calls == []
+    x0 = np.concatenate([b.x0_normals for b in batches])
+    increments = np.concatenate([b.increments for b in batches])
+    for p, (start, rows) in enumerate(want):
+        assert np.array_equal(x0[p], start)
+        assert np.array_equal(increments[p], rows)
 
 
 def test_independent_increments_are_uncorrelated():
@@ -854,6 +936,35 @@ def test_simulation_blow_up():
     with pytest.raises(SimulationBlowUp) as exc_info:
         simulate_closed_loop(market, strategy, 0.0, spec, grid=grid)
     assert 0.0 < exc_info.value.t <= 1.0
+
+
+def test_blow_up_reports_the_first_node_past_the_limit():
+    # From t = 1 on, group 1 grows at 1e308: its mean leaves the window at
+    # the first node after the jump and overflows to inf before T = 4.
+    # The overflow must stay inside the kernel, and the reported time
+    # must be that first node's.
+    grid = TimeGrid(t_end=4.0, n_steps=40)
+    strategy = closed_strategy(two_groups(n1=2, n2=2, horizon=4.0), grid)
+    gamma1 = StepFunction(breaks=(1.0,), values=(0.0, 1e308))
+    market = two_groups(n1=2, n2=2, horizon=4.0, gamma=(gamma1, 0.0))
+    times = grid.times()
+    first = next(n for n in range(grid.n_steps)
+                 if gamma1(times[n]) * grid.dt > BLOWUP_LIMIT)
+    assert gamma1(times[first]) * (4.0 - float(times[first])) == math.inf
+    spec = NoiseSpec.from_market(market, seed=0, n_paths=3)
+    runs = {
+        "bank simulation": lambda: simulate_closed_loop(
+            market, strategy, 0.0, spec, grid=grid),
+        "estimate": lambda: mc_hitting_probability(
+            market, spec, DefaultSpec.single_bank(-1.0, 0, 1), strategy,
+            grid=grid),
+    }
+    for name, run in runs.items():
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationBlowUp) as exc_info:
+                run()
+        assert exc_info.value.t == times[first + 1], name
 
 
 def test_strategy_grid_mismatch_rejected():
