@@ -234,12 +234,15 @@ def _names(known):
     return parse
 
 
-def _at_least(least: int):
-    """Parser of an integer count no smaller than ``least``."""
+def _at_least(least: int, below: int | None = None):
+    """Parser of an integer no smaller than ``least`` and, if ``below`` is
+    given, smaller than it."""
     def parse(text: str) -> int:
         value = int(text)
         if value < least:
             raise ValueError(f"must be at least {least}")
+        if below is not None and value >= below:
+            raise ValueError(f"must be below {below}")
         return value
     return parse
 
@@ -335,7 +338,7 @@ def build_runconfig(command: str, sections: dict[str, dict[str, str]],
         text=_config_text(sections),
         market=market,
         n_steps=_read(top, "steps", _at_least(2), 2000),
-        seed=_read(top, "seed", int, 0),
+        seed=_read(top, "seed", _at_least(0, below=2**64), 0),
         n_paths=_read(top, "paths", _at_least(1), 1000),
         out_dir=_read(top, "out", str, "out"),
         jobs=_read(top, "jobs", _at_least(1), None),

@@ -53,6 +53,11 @@ from .model import (
 # existence region.
 BLOWUP_LIMIT = 1e12
 
+# Largest array the package builds: a coefficient table, [steps + 1,
+# components] doubles, or a stored simulation (see interbank.simulate);
+# larger requests fail before they allocate.
+MAX_ENSEMBLE_BYTES = 2**30
+
 # Default number of Runge-Kutta steps when callers do not pass a grid.
 DEFAULT_STEPS = 2000
 
@@ -298,11 +303,17 @@ def integrate_backward(system: OdeSystem, grid: TimeGrid,
     Raises:
       BlowUp: once any component is non-finite or exceeds BLOWUP_LIMIT in
         magnitude, reporting the time and the offending label.
-      ValueError: if the right-hand side returns a different number of
-        values than the system has components.
+      ValueError: if the [steps + 1, components] table would pass
+        ``MAX_ENSEMBLE_BYTES``, or if the right-hand side returns a
+        different number of values than the system has components.
     """
     rhs = system.rhs
     n = len(system.labels)
+    size = (grid.n_steps + 1) * n * 8
+    if size > MAX_ENSEMBLE_BYTES:
+        raise ValueError(f"a {size / 2**30:.3g} GiB coefficient table is "
+                         f"above the {MAX_ENSEMBLE_BYTES / 2**30:g} GiB cap; "
+                         "use fewer steps")
     if n not in _RK4_STEPS:
         namespace: dict = {}
         exec(compile(_rk4_step_source(n), f"<rk4_step n={n}>", "exec"),

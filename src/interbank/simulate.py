@@ -42,17 +42,12 @@ from .model import (
     noise_loadings,
     validate,
 )
-from .riccati import BLOWUP_LIMIT
+from .riccati import BLOWUP_LIMIT, MAX_ENSEMBLE_BYTES
 
 # Fixed number of paths per work unit.  Batch boundaries depend only on
 # this constant, never on the worker count, so parallel schedules cannot
 # reorder any floating-point reduction.
 BATCH_PATHS = 512
-
-# Largest array a simulation stores: the per-bank ensemble, paths x banks
-# x nodes doubles, or the group means, paths x d x nodes; larger requests
-# fail before any draw.
-MAX_ENSEMBLE_BYTES = 2**30
 
 _MAX_SEED = 2**64
 
@@ -199,29 +194,28 @@ def _path_states(seed: int, start: int, count: int
 
 
 def generate_increments(spec: NoiseSpec, grid: TimeGrid,
-                        n_banks_per_group: Sequence[int],
-                        batch_paths: int = BATCH_PATHS
+                        n_banks_per_group: Sequence[int]
                         ) -> Iterator[IncrementBatch]:
-    """Yield per-path driver and idiosyncratic increments in fixed batches.
+    """Yield per-path driver and idiosyncratic increments in batches of
+    ``BATCH_PATHS`` paths.
 
     Path p's block is drawn from a PCG64 generator seeded
     SeedSequence((seed, p)): x0 normals first, then step-major rows (the
     active drivers in index order, one column per bank).  A batch's
     generator states are derived in one vectorised pass that equals
     numpy's per-path construction, and one generator is set to each in
-    turn.  ``batch_paths`` must be positive.  A driver whose
-    loading vanishes for every group (rho == 0 for the global one,
-    sqrt(1-rho^2)*rho_k == 0 for group k) can never reach a bank, so it
-    draws no randomness and has no column; fully independent markets pay
-    for exactly one normal per bank per step.  The layout depends
-    only on (spec, grid, n_banks_per_group).  Callers that step group
-    means pass slot counts per group in place of bank counts.
+    turn.  A driver whose loading vanishes for every group (rho == 0 for
+    the global one, sqrt(1-rho^2)*rho_k == 0 for group k) can never reach
+    a bank, so it draws no randomness and has no column; fully
+    independent markets pay for exactly one normal per bank per step.
+    The layout depends only on (spec, grid, n_banks_per_group), and
+    ``BATCH_PATHS``, read at each call, only groups the paths.  Callers
+    that step group means pass slot counts per group in place of bank
+    counts.
     """
     sizes = tuple(int(n) for n in n_banks_per_group)
     if len(sizes) != spec.d:
         raise ValueError("one bank count per group is required")
-    if batch_paths < 1:
-        raise ValueError("batch_paths must be positive")
     n_banks = sum(sizes)
     n_steps = grid.n_steps
     active = _active_driver_columns(spec)
@@ -233,8 +227,8 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     rng = np.random.Generator(bits)
     state = bits.state
     pcg = state["state"]
-    for start in range(0, spec.n_paths, batch_paths):
-        count = min(batch_paths, spec.n_paths - start)
+    for start in range(0, spec.n_paths, BATCH_PATHS):
+        count = min(BATCH_PATHS, spec.n_paths - start)
         x0 = np.empty((count, n_banks))
         block = np.empty((count, n_steps, width))
         for j, (path_state, inc) in enumerate(
@@ -446,7 +440,7 @@ def _mixed_noise(batch: IncrementBatch, driver: np.ndarray,
 
 
 def _run_batches(spec: NoiseSpec, grid: TimeGrid, sizes, worker,
-                 jobs: int | None, batch_paths: int = BATCH_PATHS) -> Iterator:
+                 jobs: int | None) -> Iterator:
     """``worker`` applied to every batch, yielded lazily in batch order.
 
     A batch is freed once its worker returns, so a serial run holds one
@@ -454,7 +448,7 @@ def _run_batches(spec: NoiseSpec, grid: TimeGrid, sizes, worker,
     asks for the next; with ``jobs`` threads at most ``jobs`` batches are
     drawn and not yet consumed.
     """
-    batches = generate_increments(spec, grid, sizes, batch_paths)
+    batches = generate_increments(spec, grid, sizes)
     if jobs is None or jobs <= 1:
         yield from map(worker, batches)
         return
@@ -529,8 +523,7 @@ def _check_stored(spec: NoiseSpec, series: int, grid: TimeGrid) -> None:
 def simulate_closed_loop(market: MarketParams | ValidatedMarket,
                          strategy: FeedbackStrategy, X0, spec: NoiseSpec,
                          *, grid: TimeGrid | None = None,
-                         jobs: int | None = None,
-                         batch_paths: int = BATCH_PATHS) -> TrajectoryEnsemble:
+                         jobs: int | None = None) -> TrajectoryEnsemble:
     """Euler-Maruyama simulation of every bank under an affine feedback rule.
 
     Controls at step n are evaluated from the step-n group averages
@@ -547,9 +540,7 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     kernel, whose blow-up guard therefore watches the means and the
     deviations rather than their sums.  Start states are stored exactly.
 
-    ``batch_paths`` (positive) trades memory for loop overhead and never
-    changes the result: every path has its own seed-keyed stream.  Every
-    path of every bank is kept, so an ensemble above
+    Every path of every bank is kept, so an ensemble above
     ``MAX_ENSEMBLE_BYTES`` raises ValueError.
     """
     # MFG mode takes any group count; the simulators also need sizes.
@@ -589,8 +580,7 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
         return batch.start, states
 
     all_states = np.empty((spec.n_paths, len(group_index), grid.n_steps + 1))
-    for start, states in _run_batches(spec, grid, sizes, worker, jobs,
-                                      batch_paths):
+    for start, states in _run_batches(spec, grid, sizes, worker, jobs):
         all_states[start : start + states.shape[1]] = states.transpose(1, 2, 0)
         # Free this batch's paths before the next batch is drawn.
         del states
@@ -599,7 +589,7 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
 
 def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
                         spec: NoiseSpec, grid: TimeGrid, reduce,
-                        jobs: int | None, batch_paths: int,
+                        jobs: int | None,
                         bank_group: int | None = None) -> Iterator:
     """``reduce`` of each batch's carried series [nodes, paths, slots],
     yielded in batch order, on ``generate_increments(spec, grid, slots)``.
@@ -640,14 +630,13 @@ def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
         start = start_loc + start_scale * batch.x0_normals
         return reduce(_euler_means(start, weights, drift, noise, grid))
 
-    return _run_batches(spec, grid, slots, worker, jobs, batch_paths)
+    return _run_batches(spec, grid, slots, worker, jobs)
 
 
 def simulate_group_means(market: MarketParams | ValidatedMarket,
                          strategy: FeedbackStrategy, X0, spec: NoiseSpec,
                          *, grid: TimeGrid | None = None,
-                         jobs: int | None = None,
-                         batch_paths: int = BATCH_PATHS) -> np.ndarray:
+                         jobs: int | None = None) -> np.ndarray:
     """The group means of :func:`simulate_closed_loop`, in law, time-major
     [n_steps + 1, paths, d].
 
@@ -658,7 +647,7 @@ def simulate_group_means(market: MarketParams | ValidatedMarket,
     drivers plus one idiosyncratic slot per group, scaled by sigma_k c_i /
     sqrt(N_k).  For one seed the draws differ from those of
     :func:`simulate_closed_loop`; the law of the means does not.  The
-    result does not depend on ``batch_paths`` or ``jobs``.  Means above
+    result does not depend on the batching or ``jobs``.  Means above
     ``MAX_ENSEMBLE_BYTES`` raise ValueError before any draw.
     """
     vm = validate(market, Mode.MFG)
@@ -667,8 +656,7 @@ def simulate_group_means(market: MarketParams | ValidatedMarket,
     out = np.empty((grid.n_steps + 1, spec.n_paths, vm.d))
     stop = 0
     for means in _group_mean_batches(vm, strategy, X0, spec, grid,
-                                     lambda carried: carried, jobs,
-                                     batch_paths):
+                                     lambda carried: carried, jobs):
         start, stop = stop, stop + means.shape[1]
         out[:, start:stop] = means
         # Free this batch's means before the next batch is drawn.
@@ -697,8 +685,7 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
                            spec: NoiseSpec, default: DefaultSpec,
                            strategy: FeedbackStrategy | None = None,
                            *, x0=0.0, grid: TimeGrid | None = None,
-                           jobs: int | None = None,
-                           batch_paths: int = BATCH_PATHS) -> HittingEstimate:
+                           jobs: int | None = None) -> HittingEstimate:
     """Fraction of paths whose target series reaches the barrier by T.
 
     Only the group means are stepped, on the stream of
@@ -748,7 +735,6 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
         return int((series.min(axis=0) <= default.level).sum())
 
     hits = sum(_group_mean_batches(vm, strategy, x0, spec, grid, count, jobs,
-                                   batch_paths,
                                    default.group if bank else None))
     p = hits / spec.n_paths
     stderr = math.sqrt(p * (1.0 - p) / spec.n_paths)

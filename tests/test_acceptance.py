@@ -132,7 +132,7 @@ def test_criterion_4_systemic_default_probability(capsys):
     spec = NoiseSpec(rho=0.0, rho_k=(0.0,), seed=2024, n_paths=100_000)
     est = mc_hitting_probability(market, spec,
                                  DefaultSpec.global_average(-0.62),
-                                 grid=GRID, batch_paths=4096)
+                                 grid=GRID)
     # Grid monitoring only misses exits, so the deficit widens one side.
     deficit = monitoring_deficit(-0.62, 1.0, 10, 1.0, GRID.dt)
     elapsed = time.perf_counter() - t0

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import tempfile
 import tracemalloc
@@ -162,10 +163,10 @@ def test_solve_writes_all_systems(tmp_path, capsys):
     assert rc == 0
     widths = {"closed": 21, "open": 9, "limiting": 13, "mfg": 9}
     for name, n_cols in widths.items():
-        lines = open(os.path.join(out, f"{name}.csv")).read().splitlines()
+        lines = pathlib.Path(out, f"{name}.csv").read_text().splitlines()
         assert len(lines) == 202
         assert len(lines[0].split(",")) == n_cols
-    manifest = json.load(open(os.path.join(out, "solve_manifest.json")))
+    manifest = json.loads(pathlib.Path(out, "solve_manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert len(manifest["outputs"]) == 4
     assert "wrote" in capsys.readouterr().out
@@ -183,7 +184,7 @@ def test_solve_steps_override(tmp_path):
     out = str(tmp_path / "out")
     assert main(["solve", "--config", cfg, "--out", out, "--steps", "50",
                  "--quiet"]) == 0
-    assert len(open(os.path.join(out, "closed.csv")).read().splitlines()) == 52
+    assert len(pathlib.Path(out, "closed.csv").read_text().splitlines()) == 52
 
 
 def test_degenerate_costs_solve_to_zero(tmp_path, capsys):
@@ -270,7 +271,7 @@ def test_simulate_summary(tmp_path):
 def test_simulate_same_seed_is_byte_identical(tmp_path):
     _, out_a = run(tmp_path, "simulate", TWO_GROUP, out="a")
     _, out_b = run(tmp_path, "simulate", TWO_GROUP, out="b")
-    read = lambda d: open(os.path.join(d, "ensemble_summary.csv"), "rb").read()
+    read = lambda d: pathlib.Path(d, "ensemble_summary.csv").read_bytes()
     assert read(out_a) == read(out_b)
     _, out_c = run(tmp_path, "simulate", TWO_GROUP, "--seed", "12", out="c")
     assert read(out_a) != read(out_c)
@@ -280,7 +281,7 @@ def test_simulate_parallel_is_byte_identical(tmp_path):
     base = TWO_GROUP.replace("paths = 64", "paths = 530")
     _, serial = run(tmp_path, "simulate", base, out="serial")
     _, threaded = run(tmp_path, "simulate", "jobs = 4\n" + base, out="par")
-    read = lambda d: open(os.path.join(d, "ensemble_summary.csv"), "rb").read()
+    read = lambda d: pathlib.Path(d, "ensemble_summary.csv").read_bytes()
     assert read(serial) == read(threaded)
 
 
@@ -289,7 +290,7 @@ def test_simulate_single_noiseless_path_is_reproducible(tmp_path):
         "sigma = 1.0", "sigma = 0.0").replace("paths = 64", "paths = 1")
     _, out_a = run(tmp_path, "simulate", text, out="a")
     _, out_b = run(tmp_path, "simulate", text, out="b")
-    read = lambda d: open(os.path.join(d, "ensemble_summary.csv"), "rb").read()
+    read = lambda d: pathlib.Path(d, "ensemble_summary.csv").read_bytes()
     assert read(out_a) == read(out_b)
     data = np.genfromtxt(os.path.join(out_a, "ensemble_summary.csv"),
                          delimiter=",", names=True)
@@ -334,7 +335,7 @@ def test_sweep_lambda2_fails_monotonicity(tmp_path, capsys):
     rc, out = run(tmp_path, "sweep", text)
     assert rc == 1
     assert "FAIL sweep lambda2" in capsys.readouterr().out
-    lines = open(os.path.join(out, "sweep_lambda2.csv")).read().splitlines()
+    lines = pathlib.Path(out, "sweep_lambda2.csv").read_text().splitlines()
     assert lines[0] == "axis,value,t,rate"
     assert len(lines) == 1 + 3 * 201
 
@@ -414,13 +415,27 @@ def test_readme_states_the_simulate_memory_cap(tmp_path, monkeypatch, capsys,
         run(tmp_path, "simulate", config, "--paths", str(above - 1))
 
 
+@pytest.mark.parametrize("command",
+                         ["solve", "simulate", "sweep", "check", "prob"])
+def test_grid_above_the_table_cap_is_a_config_error(tmp_path, capsys,
+                                                    command):
+    # Every command solves first, and the solver refuses a coefficient
+    # table above the cap before it forms the grid's times.
+    rc, out = run(tmp_path, command, _readme_config(),
+                  "--steps", str(10**12))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "GiB cap" in err
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
 def test_simulate_summary_does_not_depend_on_raw_dump(tmp_path):
     text = "rho = 0.4\nx0 = 0.3~0.2, -0.1~0.4\n" + TWO_GROUP.replace(
         "rho = 0.0\n", "").replace("lam = 0.1\n", "lam = 0.1\nrho_k = 0.3\n")
     _, plain = run(tmp_path, "simulate", text, out="plain")
     _, dumped = run(tmp_path, "simulate", "raw_dump = true\n" + text,
                     out="dumped")
-    read = lambda d: open(os.path.join(d, "ensemble_summary.csv"), "rb").read()
+    read = lambda d: pathlib.Path(d, "ensemble_summary.csv").read_bytes()
     assert read(plain) == read(dumped)
     assert os.path.exists(os.path.join(dumped, "paths.bin"))
 
@@ -438,7 +453,7 @@ def test_check_command(tmp_path, capsys):
     stdout = capsys.readouterr().out
     for name in ("identity", "bounds", "rowsums"):
         assert f"PASS check {name}" in stdout
-    lines = open(os.path.join(out, "check_results.csv")).read().splitlines()
+    lines = pathlib.Path(out, "check_results.csv").read_text().splitlines()
     assert lines[0] == "check,value,threshold,passed"
     assert len(lines) == 4
     assert all(line.endswith(",1") for line in lines[1:])
@@ -460,7 +475,7 @@ def test_check_defaults_to_rowsums_without_two_groups(tmp_path, capsys,
     rc, out = run(tmp_path, "check", text)
     assert rc == 0
     assert capsys.readouterr().out.startswith("PASS check rowsums")
-    lines = open(os.path.join(out, "check_results.csv")).read().splitlines()
+    lines = pathlib.Path(out, "check_results.csv").read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("rowsums,")
 
 
@@ -476,7 +491,7 @@ def test_prob_analytic(tmp_path, capsys):
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "analytic systemic probability" in stdout
-    lines = open(os.path.join(out, "prob.csv")).read().splitlines()
+    lines = pathlib.Path(out, "prob.csv").read_text().splitlines()
     assert lines[0] == "quantity,value"
     name, value = lines[1].split(",")
     assert name == "analytic"
@@ -487,10 +502,7 @@ def test_prob_monte_carlo_agrees(tmp_path, capsys):
     rc, out = run(tmp_path, "prob", "mc = true\n" + ONE_GROUP)
     assert rc == 0
     assert "PASS prob" in capsys.readouterr().out
-    rows = dict(
-        line.split(",")
-        for line in open(
-            os.path.join(out, "prob.csv")).read().splitlines()[1:])
+    rows = prob_rows(out)
     assert float(rows["n_paths"]) == 2000
     assert 0.0 < float(rows["mc"]) < 0.15
     assert float(rows["deficit"]) > 0.0
@@ -535,6 +547,9 @@ def test_sweep_total_that_does_not_split_exit_code(tmp_path, capsys):
     ("steps = 20\n" + TWO_GROUP.replace("steps = 200", "steps = 30"),
      "key 'steps' repeated", "out"),
     ("jobs = -3\n" + TWO_GROUP, "jobs = -3", "out"),
+    (TWO_GROUP.replace("seed = 11", "seed = -1"), "seed = -1", "out"),
+    (TWO_GROUP.replace("seed = 11", "seed = 18446744073709551616"),
+     "seed = 18446744073709551616", "out"),
     ("target = nonsense:1:2:3\n" + TWO_GROUP, "target = nonsense:1:2:3",
      "out"),
     ("x0 = 0.1~\n" + TWO_GROUP, "x0 = 0.1~", "out"),
@@ -544,7 +559,8 @@ def test_sweep_total_that_does_not_split_exit_code(tmp_path, capsys):
     (TWO_GROUP, "--out", "o\nsteps = 3"),
     (TWO_GROUP, "--out", "o "),
 ], ids=["repeated-section", "numbering-gap", "leading-zero", "repeated-key",
-        "negative-jobs", "target-without-barrier", "x0-empty-std",
+        "negative-jobs", "negative-seed", "seed-past-64-bits",
+        "target-without-barrier", "x0-empty-std",
         "out-comment", "out-line-break", "out-trailing-space"])
 def test_misread_config_text_is_rejected(tmp_path, capsys, text, named, out):
     rc, out = run(tmp_path, "solve", text, out=out)
@@ -685,7 +701,7 @@ n_banks = 16
 
 
 def prob_rows(out):
-    lines = open(os.path.join(out, "prob.csv")).read().splitlines()
+    lines = pathlib.Path(out, "prob.csv").read_text().splitlines()
     return dict(line.split(",") for line in lines[1:])
 
 

@@ -323,6 +323,21 @@ def test_rhs_of_the_wrong_length_is_an_error(returned):
         integrate_backward(system, TimeGrid(t_end=1.0, n_steps=4))
 
 
+def test_table_above_the_cap_is_refused_before_any_allocation(monkeypatch):
+    system = OdeSystem(rhs=lambda t, y: [0.0, 0.0], terminal=np.zeros(2),
+                       labels=("a", "b"))
+    # 10**12 steps would be a 14.6 TiB table, and its times 7.3 TiB.
+    with pytest.raises(ValueError, match="GiB cap"):
+        integrate_backward(system, TimeGrid(t_end=1.0, n_steps=10**12))
+    # 4 steps of 2 components are 5 x 2 doubles, 80 bytes.
+    grid = TimeGrid(t_end=1.0, n_steps=4)
+    monkeypatch.setattr(riccati, "MAX_ENSEMBLE_BYTES", 80)
+    assert integrate_backward(system, grid).values.shape == (5, 2)
+    monkeypatch.setattr(riccati, "MAX_ENSEMBLE_BYTES", 79)
+    with pytest.raises(ValueError, match="GiB cap"):
+        integrate_backward(system, grid)
+
+
 def test_numpy_numbers_are_stored_as_python_floats():
     # Solves on numpy scalars run several times slower than on floats, so
     # every market number is stored as a float whatever type it came in.

@@ -49,6 +49,23 @@ def closed_strategy(market, grid=GRID):
     return feedback_closed(solve_closed_loop(market, grid), market)
 
 
+@pytest.fixture
+def batch_starts(monkeypatch):
+    """The first path of every batch the simulator draws, in draw order,
+    so a test that sets ``simulate.BATCH_PATHS`` can see it take effect."""
+    starts = []
+    real = simulate.generate_increments
+
+    def recording(*args):
+        for batch in real(*args):
+            starts.append(batch.start)
+            yield batch
+            # Hold no batch while the next one is drawn.
+            del batch
+    monkeypatch.setattr(simulate, "generate_increments", recording)
+    return starts
+
+
 def test_noise_spec_validation():
     NoiseSpec(rho=0.3, rho_k=(0.5, -0.2), seed=7, n_paths=10)
     with pytest.raises(ValueError):
@@ -65,7 +82,7 @@ def test_noise_spec_validation():
     assert spec.rho == 0.4 and spec.rho_k == (0.3, 0.5) and spec.d == 2
 
 
-def test_increments_deterministic_and_batch_invariant():
+def test_increments_deterministic_and_batch_invariant(monkeypatch):
     spec = NoiseSpec(rho=0.2, rho_k=(0.1, 0.4), seed=11, n_paths=23)
     grid = TimeGrid(t_end=1.0, n_steps=16)
     a = list(generate_increments(spec, grid, (2, 3)))
@@ -75,38 +92,12 @@ def test_increments_deterministic_and_batch_invariant():
     assert np.array_equal(a[0].idiosyncratic, b[0].idiosyncratic)
     assert np.array_equal(a[0].x0_normals, b[0].x0_normals)
 
-    small = list(generate_increments(spec, grid, (2, 3), batch_paths=7))
+    monkeypatch.setattr(simulate, "BATCH_PATHS", 7)
+    small = list(generate_increments(spec, grid, (2, 3)))
     assert [x.start for x in small] == [0, 7, 14, 21]
     assert [len(x.x0_normals) for x in small] == [7, 7, 7, 2]
     joined = np.concatenate([x.drivers for x in small])
     assert np.array_equal(joined, a[0].drivers)
-
-
-def test_batch_paths_must_be_positive():
-    # Every path starts on the barrier, so the estimate is 1; a batch size
-    # below one must not draw, return 0 or hand back unset states.
-    market = two_groups(n1=2, n2=2)
-    grid = TimeGrid(t_end=1.0, n_steps=10)
-    strategy = closed_strategy(market, grid)
-    spec = NoiseSpec.from_market(market, seed=3, n_paths=8)
-    at_start = DefaultSpec.global_average(0.0)
-    assert mc_hitting_probability(market, spec, at_start, strategy,
-                                  grid=grid).probability == 1.0
-    for batch_paths in (0, -4):
-        runs = (
-            lambda: list(generate_increments(spec, grid, (2, 2),
-                                             batch_paths)),
-            lambda: mc_hitting_probability(market, spec, at_start, strategy,
-                                           grid=grid,
-                                           batch_paths=batch_paths),
-            lambda: simulate_closed_loop(market, strategy, 0.0, spec,
-                                         grid=grid, batch_paths=batch_paths),
-            lambda: simulate_group_means(market, strategy, 0.0, spec,
-                                         grid=grid, batch_paths=batch_paths),
-        )
-        for run in runs:
-            with pytest.raises(ValueError, match="batch_paths"):
-                run()
 
 
 def test_increment_scaling_and_layout():
@@ -180,8 +171,10 @@ def test_increments_build_no_seed_sequence(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
     monkeypatch.setattr(np.random, "SeedSequence", counted)
-    batches = list(generate_increments(spec, grid, (3,), batch_paths=2))
+    monkeypatch.setattr(simulate, "BATCH_PATHS", 2)
+    batches = list(generate_increments(spec, grid, (3,)))
     assert calls == []
+    assert [b.start for b in batches] == [0, 2, 4]
     x0 = np.concatenate([b.x0_normals for b in batches])
     increments = np.concatenate([b.increments for b in batches])
     for p, (start, rows) in enumerate(want):
@@ -418,7 +411,7 @@ def test_distance_needs_two_groups():
         distance_process(ens)
 
 
-def test_parallel_run_is_byte_identical():
+def test_parallel_run_is_byte_identical(monkeypatch, batch_starts):
     market = market_from_params("rich")
     grid = TimeGrid(t_end=0.8, n_steps=100)
     # More paths than one batch so several workers actually run.
@@ -442,20 +435,23 @@ def test_parallel_run_is_byte_identical():
     x0 = ((0.1, 0.2), (-0.1, 0.3))
     targets = (level, DefaultSpec.single_bank(-0.6, 1, 2))
 
-    def outputs(**kw):
-        states = simulate_closed_loop(market, strategy, x0, head, grid=grid,
-                                      **kw).states
+    def outputs():
+        states = simulate_closed_loop(market, strategy, x0, head,
+                                      grid=grid).states
         hits = [mc_hitting_probability(market, head, t, strategy, x0=x0,
-                                       grid=grid, **kw) for t in targets]
-        means = simulate_group_means(market, strategy, x0, head, grid=grid,
-                                     **kw)
+                                       grid=grid) for t in targets]
+        means = simulate_group_means(market, strategy, x0, head, grid=grid)
         return states, hits, means
 
     want = outputs()
     assert np.array_equal(want[0], simulate_closed_loop(
         market, strategy, x0, spec, grid=grid).states[:60])
-    for batch_paths in (1, 7):
-        states, hits, means = outputs(batch_paths=batch_paths)
+    for size in (1, 7):
+        monkeypatch.setattr(simulate, "BATCH_PATHS", size)
+        batch_starts.clear()
+        states, hits, means = outputs()
+        # Four runs: the states, two estimates and the means.
+        assert batch_starts == list(range(0, 60, size)) * 4
         assert np.array_equal(states, want[0])
         assert hits == want[1]
         assert np.array_equal(means, want[2])
@@ -568,7 +564,7 @@ def _reference_states(market, strategy, x0, spec, grid):
     proj /= proj.sum(axis=1, keepdims=True)
     growth = np.array([[g.gamma(t) for g in market.groups]
                        for t in grid.times()[:-1]])
-    (batch,) = generate_increments(spec, grid, sizes, spec.n_paths)
+    (batch,) = generate_increments(spec, grid, sizes)
     noise = _bank_increments(market, batch, group_index)
     mean, std = np.array(x0, dtype=float)[group_index].T
     x = mean + std * batch.x0_normals
@@ -617,13 +613,17 @@ def _case(name, rule, n_paths=40):
 
 @pytest.mark.parametrize("jobs", [None, 2])
 @pytest.mark.parametrize("name, rule, x0", _CASES)
-def test_simulation_matches_the_per_bank_reference(name, rule, x0, jobs):
+def test_simulation_matches_the_per_bank_reference(name, rule, x0, jobs,
+                                                   monkeypatch, batch_starts):
     market, grid, strategy, spec = _case(name, rule)
+    # The reference draws its 40 paths in one default batch.
+    want = _reference_states(market, strategy, x0, spec, grid)
     # Several batches, so the serial run reuses its buffers and the
     # threaded run has more than one batch in flight.
+    monkeypatch.setattr(simulate, "BATCH_PATHS", 16)
     ens = simulate_closed_loop(market, strategy, x0, spec, grid=grid,
-                               jobs=jobs, batch_paths=16)
-    want = _reference_states(market, strategy, x0, spec, grid)
+                               jobs=jobs)
+    assert batch_starts == [0, 16, 32]
     assert np.array_equal(ens.x0, want[:, :, 0])
     assert np.abs(ens.states - want).max() < 1e-12
 
@@ -665,7 +665,7 @@ def test_group_means_match_the_ensemble_averages(name, rule, x0):
         assert box * m_stat < chi2_max, (j, box * m_stat)
 
 
-def test_group_means_retrace_the_slot_stream():
+def test_group_means_retrace_the_slot_stream(monkeypatch, batch_starts):
     # lam = 0, c = 0 and gamma = 0 leave the group means driftless: each is
     # its start mean_k + std_k / sqrt(N_k) Z plus the summed increments
     # sigma_k (c0 dW0 + cg dWk + ci / sqrt(N_k) dB_k) of the block that
@@ -676,10 +676,11 @@ def test_group_means_retrace_the_slot_stream():
     spec = NoiseSpec.from_market(market, seed=4, n_paths=40)
     strategy = closed_strategy(market, grid)
     x0 = ((0.2, 0.4), (-0.1, 0.3))
-    means = simulate_group_means(market, strategy, x0, spec, grid=grid,
-                                 batch_paths=16)
-
     (batch,) = generate_increments(spec, grid, (1, 1))
+    monkeypatch.setattr(simulate, "BATCH_PATHS", 16)
+    means = simulate_group_means(market, strategy, x0, spec, grid=grid)
+    assert batch_starts == [0, 16, 32]
+
     sizes = np.array([3.0, 5.0])
     loads = np.array([noise_loadings(0.3, rk) for rk in (0.5, 0.2)])
     inc = np.array([1.2, 0.8]) * (
@@ -695,15 +696,19 @@ def test_group_means_retrace_the_slot_stream():
     assert np.abs(means.transpose(1, 0, 2) - want).max() < 1e-12
 
 
-def test_group_means_are_bit_identical_across_batches_and_jobs():
+def test_group_means_are_bit_identical_across_batches_and_jobs(
+        monkeypatch, batch_starts):
     market, grid, strategy, spec = _case("stepg", "closed", BATCH_PATHS + 17)
     x0 = ((0.2, 0.3), (-0.1, 0.5))
     want = simulate_group_means(market, strategy, x0, spec, grid=grid)
-    for batch_paths in (1, 7, BATCH_PATHS):
+    for size in (1, 7, BATCH_PATHS):
+        monkeypatch.setattr(simulate, "BATCH_PATHS", size)
         for jobs in (1, 2):
+            batch_starts.clear()
             got = simulate_group_means(market, strategy, x0, spec, grid=grid,
-                                       jobs=jobs, batch_paths=batch_paths)
-            assert np.array_equal(got, want), (batch_paths, jobs)
+                                       jobs=jobs)
+            assert batch_starts == list(range(0, spec.n_paths, size))
+            assert np.array_equal(got, want), (size, jobs)
 
 
 def _memory_case():
@@ -731,24 +736,28 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_means_only_run_holds_one_noise_block():
+def test_means_only_run_holds_one_noise_block(monkeypatch, batch_starts):
     # A batch is freed before the next one is drawn: the peak stays under
     # the stored means plus 1.5 blocks, where two live blocks would not.
     market, grid, strategy, spec = _memory_case()
+    monkeypatch.setattr(simulate, "BATCH_PATHS", 64)
     means, peak = _traced_peak(lambda: simulate_group_means(
-        market, strategy, ((0.0, 0.1), (0.2, 0.3)), spec, grid=grid,
-        batch_paths=64))
+        market, strategy, ((0.0, 0.1), (0.2, 0.3)), spec, grid=grid))
+    assert batch_starts == list(range(0, 12 * 64, 64))
     assert peak < means.nbytes + 1.5 * _block(spec, grid, 2)
 
 
 @pytest.mark.parametrize("jobs", [None, 2])
-def test_bank_simulation_peak_is_the_ensemble_and_a_few_batches(jobs):
+def test_bank_simulation_peak_is_the_ensemble_and_a_few_batches(
+        jobs, monkeypatch, batch_starts):
     # Batches are consumed as they finish, never listed: a list of the 12
     # batches' results would double the ensemble.
     market, grid, strategy, spec = _memory_case()
+    monkeypatch.setattr(simulate, "BATCH_PATHS", 64)
     ens, peak = _traced_peak(lambda: simulate_closed_loop(
         market, strategy, ((0.0, 0.1), (0.2, 0.3)), spec, grid=grid,
-        jobs=jobs, batch_paths=64))
+        jobs=jobs))
+    assert batch_starts == list(range(0, 12 * 64, 64))
     stored = (ens.states.nbytes + ens.group_averages.nbytes
               + ens.global_average.nbytes)
     batch = _block(spec, grid, 20) + 64 * 20 * (grid.n_steps + 1) * 8
