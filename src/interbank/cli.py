@@ -69,7 +69,6 @@ from .model import (
     RejectedParams,
     StepFunction,
     TimeGrid,
-    noise_loadings,
     validate,
 )
 from .riccati import (
@@ -88,6 +87,7 @@ from .simulate import (
     SimulationBlowUp,
     TargetKind,
     mc_hitting_probability,
+    mean_step_covariance,
     simulate_closed_loop,
     simulate_group_means,
 )
@@ -507,10 +507,9 @@ def _reflection_volatility(config: RunConfig, strategy) -> float | None:
     motion started at 0, where the reflection formula holds; else None.
 
     That needs a global target, gamma = 0, a rule whose average weights
-    and intercepts vanish, and a degenerate start at 0.  With the loadings
-    (c0, cg_k, ci_k) of :func:`noise_loadings`, the variance rate is then
-    (sum_k beta_k sigma_k c0)^2
-    + sum_k beta_k^2 sigma_k^2 (cg_k^2 + ci_k^2 / N_k).
+    and intercepts vanish, and a degenerate start at 0.  The variance rate
+    is then beta^T Sigma beta, with Sigma the group means' step covariance
+    that the simulator draws from.
     """
     market = config.market
     if (config.barrier.kind is not TargetKind.GLOBAL_AVERAGE
@@ -519,11 +518,8 @@ def _reflection_volatility(config: RunConfig, strategy) -> float | None:
             or any(pair != (0.0, 0.0) for pair in config.x0)):
         return None
     vm = validate(market, Mode.MFG)
-    scale = np.array(vm.beta) * [g.sigma for g in market.groups]
-    c0, cg, ci = np.array([noise_loadings(market.rho, g.rho_k)
-                           for g in market.groups]).T
-    sizes = np.array(vm.group_sizes(), dtype=float)
-    variance = (scale @ c0) ** 2 + np.sum(scale**2 * (cg**2 + ci**2 / sizes))
+    beta = np.array(vm.beta)
+    variance = beta @ mean_step_covariance(vm) @ beta
     return float(np.sqrt(variance)) if variance > 0.0 else None
 
 

@@ -10,7 +10,10 @@ within-group gap terms sum to zero, so the group means follow a closed
 d-dimensional equation, and a bank is its group mean plus a deviation
 that decays at the gap gain.  The full simulator steps both on one
 column per bank; group-mean runs and default probabilities step the
-means alone on noise with one slot per group, not one column per bank.
+means alone on one slot per group, not one column per bank.  Only the
+slots' joint law matters there, so each draws one normal per step and
+the Cholesky factor of their step covariance mixes them: d normals per
+step whatever the correlations.
 
 Randomness is keyed per path: path p draws its entire normal block from
 the PCG64 state that SeedSequence((seed, p)) seeds, so any partition of
@@ -28,7 +31,7 @@ import enum
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -211,7 +214,8 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     The layout depends only on (spec, grid, n_banks_per_group), and
     ``BATCH_PATHS``, read at each call, only groups the paths.  Callers
     that step group means pass slot counts per group in place of bank
-    counts.
+    counts and a spec with zero correlations, so that only the slot
+    columns are drawn.
     """
     sizes = tuple(int(n) for n in n_banks_per_group)
     if len(sizes) != spec.d:
@@ -587,31 +591,75 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     return TrajectoryEnsemble.from_states(grid, all_states, group_index)
 
 
-def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
-                        spec: NoiseSpec, grid: TimeGrid, reduce,
-                        jobs: int | None,
-                        bank_group: int | None = None) -> Iterator:
-    """``reduce`` of each batch's carried series [nodes, paths, slots],
-    yielded in batch order, on ``generate_increments(spec, grid, slots)``.
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L L^T = ``cov`` for a positive semidefinite
+    ``cov``.  A pivot that rounds below zero is clamped to 0 and a zero
+    pivot leaves its column zero, so the rank-deficient covariances of
+    rho = +-1, rho_k = 1 or sigma_k = 0 factor where
+    ``np.linalg.cholesky`` raises."""
+    lower = np.zeros_like(cov)
+    for j in range(len(cov)):
+        pivot = cov[j, j] - lower[j, :j] @ lower[j, :j]
+        if pivot > 0.0:
+            lower[j, j] = math.sqrt(pivot)
+            below = cov[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]
+            lower[j + 1:, j] = below / lower[j, j]
+    return lower
 
-    Group k's mean has one slot, scaled by sigma_k c_i / sqrt(N_k) and
-    started at mean_k + std_k / sqrt(N_k) Z.  With ``bank_group`` = g one
+
+def _mean_slots(vm: ValidatedMarket, spec: NoiseSpec,
+                bank_group: int | None = None):
+    """The slots a group-mean run steps and the law of their increments.
+
+    Group k's mean has one slot, with loadings sigma_k (c0, cg_k) on the
+    global and group drivers and sigma_k ci_k / sqrt(N_k) on its own, and
+    starts at mean_k + std_k / sqrt(N_k) Z.  With ``bank_group`` = g one
     more slot, right after group g's mean, carries a bank's deviation y
     from that mean, started at std_g sqrt(1 - 1/N_g) Z' and stepped as
-    y_{n+1} = y_n (1 - gap_n dt) + sigma_g c_i sqrt((1 - 1/N_g) dt) Z',
-    independent of the means.
+    y_{n+1} = y_n (1 - gap_n dt) + sigma_g ci_g sqrt((1 - 1/N_g) dt) Z',
+    independent of the means.  Returns each slot's group, whether it is a
+    mean, its scale (1 / sqrt(N_k) or sqrt(1 - 1/N_k)), its own loading,
+    and the per-unit-time covariance driver^T driver + diag(own^2) of the
+    slot increments.
     """
     slots = [1] * vm.d
     if bank_group is not None:
         slots[bank_group] = 2
     groups = np.repeat(np.arange(vm.d), slots)
-    means = np.cumsum([0] + slots[:-1])
-    is_mean = np.isin(np.arange(len(groups)), means)
+    is_mean = np.isin(np.arange(len(groups)), np.cumsum([0] + slots[:-1]))
     n_k = np.array(vm.group_sizes(), dtype=float)[groups]
     scale = np.where(is_mean, 1.0 / np.sqrt(n_k), np.sqrt(1.0 - 1.0 / n_k))
     driver, own = _loadings(vm, spec, groups, scale)
     # A deviation slot carries no common noise.
     driver[:, ~is_mean] = 0.0
+    return groups, is_mean, scale, own, driver.T @ driver + np.diag(own**2)
+
+
+def mean_step_covariance(market: MarketParams | ValidatedMarket
+                         ) -> np.ndarray:
+    """Per-unit-time covariance [d, d] of the group means' increments: the
+    matrix whose factor drives :func:`simulate_group_means`."""
+    vm = validate(market, Mode.MFG)
+    return _mean_slots(vm, NoiseSpec.from_market(vm, 0, 1))[-1]
+
+
+def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
+                        spec: NoiseSpec, grid: TimeGrid, reduce,
+                        jobs: int | None,
+                        bank_group: int | None = None) -> Iterator:
+    """``reduce`` of each batch's carried series [nodes, paths, slots] of
+    :func:`_mean_slots`, yielded in batch order.
+
+    Only the slots' joint law matters, so each path draws one normal per
+    slot and step, ``generate_increments`` of the spec with its
+    correlations zeroed, and mixes them through the lower Cholesky factor
+    L of the slots' covariance: the increments are Z L^T.  With no common
+    driver the covariance is diagonal and the slots are scaled by their
+    own loadings alone.
+    """
+    groups, is_mean, scale, own, cov = _mean_slots(vm, spec, bank_group)
+    lower = _cholesky(cov) if _active_driver_columns(spec) else None
+    means = np.flatnonzero(is_mean)
     mean, std = _expand_x0(x0, (1,) * vm.d)
     start_loc = np.where(is_mean, mean[groups], 0.0)
     start_scale = std[groups] * scale
@@ -626,11 +674,22 @@ def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
         weights[:, deviation, deviation] = -gap_t[:, bank_group]
 
     def worker(batch: IncrementBatch):
-        noise = _mixed_noise(batch, driver, own)
+        noise = batch.increments
+        if lower is None:
+            noise *= own
+        else:
+            # Z L^T in place and element by element, last slot first:
+            # slot j sums L[j, i] Z_i over i <= j, whose draws are intact.
+            for j in reversed(range(len(lower))):
+                noise[:, :, j] *= lower[j, j]
+                for i in np.flatnonzero(lower[j, :j]):
+                    noise[:, :, j] += lower[j, i] * noise[:, :, i]
         start = start_loc + start_scale * batch.x0_normals
         return reduce(_euler_means(start, weights, drift, noise, grid))
 
-    return _run_batches(spec, grid, slots, worker, jobs)
+    independent = replace(spec, rho=0.0, rho_k=(0.0,) * vm.d)
+    slots = np.bincount(groups).tolist()
+    return _run_batches(independent, grid, slots, worker, jobs)
 
 
 def simulate_group_means(market: MarketParams | ValidatedMarket,
@@ -642,13 +701,15 @@ def simulate_group_means(market: MarketParams | ValidatedMarket,
 
     Under an affine rule the group means follow a closed d-dimensional
     equation, so they are stepped alone and the cost scales with d, not
-    the number of banks.  The noise is ``generate_increments(spec, grid,
-    (1,) * d)``: per path d start normals and, per step, the active
-    drivers plus one idiosyncratic slot per group, scaled by sigma_k c_i /
-    sqrt(N_k).  For one seed the draws differ from those of
-    :func:`simulate_closed_loop`; the law of the means does not.  The
-    result does not depend on the batching or ``jobs``.  Means above
-    ``MAX_ENSEMBLE_BYTES`` raise ValueError before any draw.
+    the number of banks.  Per path d start normals and d normals per
+    step are drawn, ``generate_increments`` of the spec with zero
+    correlations and (1,) * d slots; the step normals are mixed through
+    the lower Cholesky factor of :func:`mean_step_covariance`, or scaled
+    by sigma_k c_i / sqrt(N_k) alone without common noise.  For one seed
+    the draws differ from those of :func:`simulate_closed_loop`; the law
+    of the means does not.  The result does not depend on the batching
+    or ``jobs``.  Means above ``MAX_ENSEMBLE_BYTES`` raise ValueError
+    before any draw.
     """
     vm = validate(market, Mode.MFG)
     grid = grid or strategy.path.grid
@@ -689,9 +750,10 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
     """Fraction of paths whose target series reaches the barrier by T.
 
     Only the group means are stepped, on the stream of
-    :func:`simulate_group_means`.  A single-bank target adds a slot in its
-    group for the bank's deviation from the group mean, which decays at
-    the gap gain and is independent of the means.  For one seed the draws
+    :func:`simulate_group_means`: d normals per path and step.  A
+    single-bank target adds a slot in its group, and one normal per step,
+    for the bank's deviation from the group mean, which decays at the gap
+    gain and is independent of the means.  For one seed the draws
     differ from those of :func:`simulate_closed_loop`; the law of the
     estimate does not.
 

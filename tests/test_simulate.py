@@ -487,21 +487,46 @@ def test_mfg_mean_zero_fixed_point():
     assert np.abs(means).max() == 0.0
 
 
+def _independent(spec):
+    """The spec with its correlations zeroed: the block a group-mean run
+    draws, one normal per slot and step."""
+    return dataclasses.replace(spec, rho=0.0, rho_k=(0.0,) * spec.d)
+
+
+def _slot_factor(market, bank_group=None):
+    """``np.linalg.cholesky`` of driver^T driver + diag(own^2), the
+    per-unit-time covariance of a group-mean run's slots: group k's mean
+    loads sigma_k (c0, cg) on the global and group-k drivers and
+    sigma_k ci / sqrt(N_k) on its own; a deviation slot after group g's
+    mean loads sigma_g ci sqrt(1 - 1/N_g) on its own alone."""
+    d = len(market.groups)
+    driver, own = [], []
+    for k, g in enumerate(market.groups):
+        c0, cg, ci = noise_loadings(market.rho, g.rho_k)
+        column = np.zeros(1 + d)
+        column[0], column[1 + k] = g.sigma * c0, g.sigma * cg
+        driver.append(column)
+        own.append(g.sigma * ci / math.sqrt(g.n_banks))
+        if k == bank_group:
+            driver.append(np.zeros(1 + d))
+            own.append(g.sigma * ci * math.sqrt(1.0 - 1.0 / g.n_banks))
+    driver, own = np.array(driver).T, np.array(own)
+    return np.linalg.cholesky(driver.T @ driver + np.diag(own**2))
+
+
 def test_mfg_mean_single_group_decoupled():
     # One group under the mean-field rule has nothing to track: its mean
-    # is m0 + gamma t plus the summed slot increments
-    # sigma (rho dW0 + ci / sqrt(N) dB).
+    # is m0 + gamma t plus the summed slot increments, one normal per step
+    # times the factor of sigma^2 (rho^2 + ci^2 / N).
     g = GroupParams(sigma=1.3, q=2.0, eps=5.0, c=0.0, lam=0.0, gamma=0.4,
                     n_banks=10)
     market = MarketParams(rho=0.6, horizon=1.0, groups=(g,))
     strategy = feedback_mfg(solve_mfg(market, GRID), market)
     spec = NoiseSpec(rho=0.6, rho_k=(0.0,), seed=8, n_paths=16)
     means = simulate_group_means(market, strategy, 0.25, spec, grid=GRID)
-    (batch,) = generate_increments(spec, GRID, (1,))
-    ci = noise_loadings(0.6, 0.0)[2] / math.sqrt(10)
-    noise = 1.3 * np.cumsum(0.6 * batch.drivers[:, :, 0]
-                            + ci * batch.idiosyncratic[:, :, 0], axis=1)
-    want = 0.25 + 0.4 * GRID.times()[1:] + noise
+    (batch,) = generate_increments(_independent(spec), GRID, (1,))
+    noise = np.cumsum(batch.increments @ _slot_factor(market).T, axis=1)
+    want = 0.25 + 0.4 * GRID.times()[1:] + noise[:, :, 0]
     assert np.abs(means[1:, :, 0].T - want).max() < 1e-12
 
 
@@ -668,25 +693,21 @@ def test_group_means_match_the_ensemble_averages(name, rule, x0):
 def test_group_means_retrace_the_slot_stream(monkeypatch, batch_starts):
     # lam = 0, c = 0 and gamma = 0 leave the group means driftless: each is
     # its start mean_k + std_k / sqrt(N_k) Z plus the summed increments
-    # sigma_k (c0 dW0 + cg dWk + ci / sqrt(N_k) dB_k) of the block that
-    # generate_increments(spec, grid, (1, 1)) draws.
+    # Z L^T, where Z is the block generate_increments draws for (1, 1) slots
+    # with no common driver and L the factor of the slots' covariance.
     market = two_groups(n1=3, n2=5, rho=0.3, rho_k=(0.5, 0.2),
                         sigma=(1.2, 0.8), lam=(0.0, 0.0))
     grid = TimeGrid(t_end=1.0, n_steps=50)
     spec = NoiseSpec.from_market(market, seed=4, n_paths=40)
     strategy = closed_strategy(market, grid)
     x0 = ((0.2, 0.4), (-0.1, 0.3))
-    (batch,) = generate_increments(spec, grid, (1, 1))
+    (batch,) = generate_increments(_independent(spec), grid, (1, 1))
     monkeypatch.setattr(simulate, "BATCH_PATHS", 16)
     means = simulate_group_means(market, strategy, x0, spec, grid=grid)
     assert batch_starts == [0, 16, 32]
 
     sizes = np.array([3.0, 5.0])
-    loads = np.array([noise_loadings(0.3, rk) for rk in (0.5, 0.2)])
-    inc = np.array([1.2, 0.8]) * (
-        loads[:, 0] * batch.drivers[:, :, :1]
-        + loads[:, 1] * batch.drivers[:, :, 1:]
-        + loads[:, 2] / np.sqrt(sizes) * batch.idiosyncratic)
+    inc = batch.increments @ _slot_factor(market).T
     start = (np.array([0.2, -0.1])
              + np.array([0.4, 0.3]) / np.sqrt(sizes) * batch.x0_normals)
     want = np.concatenate([start[:, None, :],
@@ -694,6 +715,26 @@ def test_group_means_retrace_the_slot_stream(monkeypatch, batch_starts):
                           axis=1)
     assert means.shape == (51, 40, 2)
     assert np.abs(means.transpose(1, 0, 2) - want).max() < 1e-12
+
+
+def test_independent_groups_scale_their_slots_by_own_loading(monkeypatch):
+    # rho = rho_k = 0: no common driver, so the means are their starts plus
+    # the cumulative own * increments, bit for bit as before the factor,
+    # and no factor is formed.
+    market = two_groups(n1=3, n2=5, sigma=(1.2, 0.8), lam=(0.0, 0.0))
+    grid = TimeGrid(t_end=1.0, n_steps=50)
+    spec = NoiseSpec.from_market(market, seed=4, n_paths=40)
+    strategy = closed_strategy(market, grid)
+    assert not strategy.avg_weights.any() and not strategy.intercept.any()
+    monkeypatch.setattr(simulate, "_cholesky", None)
+    means = simulate_group_means(market, strategy, (0.2, -0.1), spec,
+                                 grid=grid)
+    (batch,) = generate_increments(spec, grid, (1, 1))
+    own = (np.array([1.2, 0.8]) * noise_loadings(0.0, 0.0)[2]
+           * (1.0 / np.sqrt([3.0, 5.0])))
+    steps = np.concatenate([np.broadcast_to([0.2, -0.1], (40, 1, 2)),
+                            own * batch.increments], axis=1)
+    assert np.array_equal(means.transpose(1, 0, 2), np.cumsum(steps, axis=1))
 
 
 def test_group_means_are_bit_identical_across_batches_and_jobs(
@@ -738,13 +779,16 @@ def _traced_peak(fn):
 
 def test_means_only_run_holds_one_noise_block(monkeypatch, batch_starts):
     # A batch is freed before the next one is drawn: the peak stays under
-    # the stored means plus 1.5 blocks, where two live blocks would not.
+    # the stored means, one batch's carried series and 1.5 blocks of one
+    # column per group, where two live blocks would not.
     market, grid, strategy, spec = _memory_case()
     monkeypatch.setattr(simulate, "BATCH_PATHS", 64)
     means, peak = _traced_peak(lambda: simulate_group_means(
         market, strategy, ((0.0, 0.1), (0.2, 0.3)), spec, grid=grid))
     assert batch_starts == list(range(0, 12 * 64, 64))
-    assert peak < means.nbytes + 1.5 * _block(spec, grid, 2)
+    carried = 64 * 2 * (grid.n_steps + 1) * 8
+    block = _block(_independent(spec), grid, 2)
+    assert peak < means.nbytes + carried + 1.5 * block
 
 
 @pytest.mark.parametrize("jobs", [None, 2])
@@ -824,7 +868,8 @@ def _recorded_draws(monkeypatch):
 
 
 def test_estimate_draws_one_slot_per_group(monkeypatch):
-    # rho > 0 and one rho_k > 0: two of the three drivers are active.
+    # rho > 0 and one rho_k > 0: two of the three drivers are active, yet
+    # each path draws one normal per slot and step.
     market = two_groups(n1=3, n2=5, rho=0.3, rho_k=(0.5, 0.0),
                         lam=(0.0, 0.0))
     spec = NoiseSpec.from_market(market, seed=4, n_paths=64)
@@ -834,16 +879,13 @@ def test_estimate_draws_one_slot_per_group(monkeypatch):
     seen = _recorded_draws(monkeypatch)
     est = mc_hitting_probability(market, spec, DefaultSpec.global_average(
         -0.3), strategy, x0=x0, grid=grid)
-    assert seen == [((1, 1), 2 + 50 * (2 + 2), 2)]
+    assert seen == [((1, 1), 2 + 50 * 2, 2)]
 
     # lam = 0 and gamma = 0 leave the group means driftless: each is its
-    # start mean_k + std_k / sqrt(N_k) Z plus the summed increments
-    # sigma (c0 dW0 + cg dWk + ci / sqrt(N_k) dB_k) of the recorded block.
-    (batch,) = generate_increments(spec, grid, (1, 1))
-    loads = np.array([noise_loadings(0.3, rk) for rk in (0.5, 0.0)])
-    inc = (loads[:, 0] * batch.drivers[:, :, :1]
-           + loads[:, 1] * batch.drivers[:, :, 1:]
-           + loads[:, 2] / np.sqrt([3.0, 5.0]) * batch.idiosyncratic)
+    # start mean_k + std_k / sqrt(N_k) Z plus the summed increments Z L^T
+    # of the recorded block.
+    (batch,) = generate_increments(_independent(spec), grid, (1, 1))
+    inc = batch.increments @ _slot_factor(market).T
     start = (np.array([0.2, -0.1])
              + np.array([0.4, 0.3]) / np.sqrt([3.0, 5.0]) * batch.x0_normals)
     means = np.concatenate([start[:, None, :],
@@ -854,22 +896,23 @@ def test_estimate_draws_one_slot_per_group(monkeypatch):
 
     # A bank target adds its deviation from the group mean as one more
     # slot, started at std_k sqrt(1 - 1/N_k) Z' and stepped as
-    # y <- y (1 - gap dt) + sigma ci sqrt(1 - 1/N_k) dB.
+    # y <- y (1 - gap dt) + (L Z)_y, where the factor's deviation row is
+    # sigma ci sqrt(1 - 1/N_k) on its own normal alone.
     seen.clear()
     est = mc_hitting_probability(market, spec, DefaultSpec.single_bank(
         -0.3, 1, 2), strategy, x0=x0, grid=grid)
-    assert seen == [((1, 2), 3 + 50 * (2 + 3), 3)]
-    (batch,) = generate_increments(spec, grid, (1, 2))
-    ci = loads[1, 2] / np.sqrt(5.0)
-    steps = np.cumsum(loads[1, 0] * batch.drivers[:, :, 0]
-                      + ci * batch.idiosyncratic[:, :, 1], axis=1)
+    assert seen == [((1, 2), 3 + 50 * 3, 3)]
+    (batch,) = generate_increments(_independent(spec), grid, (1, 2))
+    factor = _slot_factor(market, bank_group=1)
+    assert np.array_equal(factor[2, :2], [0.0, 0.0])
+    inc = batch.increments @ factor.T
     start = -0.1 + 0.3 / np.sqrt(5.0) * batch.x0_normals[:, 1:2]
-    mean = start + np.concatenate([np.zeros((64, 1)), steps], axis=1)
+    mean = start + np.concatenate([np.zeros((64, 1)),
+                                   np.cumsum(inc[:, :, 1], axis=1)], axis=1)
     y = 0.3 * np.sqrt(0.8) * batch.x0_normals[:, 2]
     bank = [y]
     for n in range(50):
-        y = (y * (1.0 - strategy.gap_gain[n, 1] * grid.dt)
-             + loads[1, 2] * np.sqrt(0.8) * batch.idiosyncratic[:, n, 2])
+        y = y * (1.0 - strategy.gap_gain[n, 1] * grid.dt) + inc[:, n, 2]
         bank.append(y)
     bank = mean + np.stack(bank, axis=1)
     assert est.n_hits == int((bank.min(axis=1) <= -0.3).sum())
@@ -918,6 +961,42 @@ def test_hitting_probability_monotone_in_level():
         market, spec, DefaultSpec.global_average(-0.8), strategy, grid=grid)
     assert shallow.probability >= deep.probability
     assert 0 <= deep.n_hits <= shallow.n_hits
+
+
+@pytest.mark.parametrize("rho, rho_k, sigma, group", [
+    (1.0, (0.0, 0.0), (1.2, 0.8), 0),
+    (-1.0, (0.0, 0.0), (1.2, 0.8), 1),
+    (0.5, (0.4, -0.3), (0.0, 1.0), 0),
+    (0.5, (0.3, 1.0), (1.2, 0.8), 1),
+])
+def test_singular_slot_covariances_factor_and_simulate(rho, rho_k, sigma,
+                                                       group):
+    # rho = +-1, sigma_k = 0 and rho_k = 1 leave the slots' covariance
+    # singular, with or without a bank's deviation slot: the clamped
+    # factor stays finite and reproduces it, and every run goes through.
+    market = two_groups(n1=3, n2=5, rho=rho, rho_k=rho_k, sigma=sigma,
+                        lam=(0.0, 0.0))
+    grid = TimeGrid(t_end=1.0, n_steps=50)
+    spec = NoiseSpec.from_market(market, seed=6, n_paths=40)
+    vm = validate(market, Mode.MFG)
+    for bank_group in (None, group):
+        *_, cov = simulate._mean_slots(vm, spec, bank_group)
+        lower = simulate._cholesky(cov)
+        assert np.isfinite(lower).all()
+        assert np.abs(lower @ lower.T - cov).max() < 1e-12
+    strategy = closed_strategy(market, grid)
+    x0 = (0.1, -0.2)
+    means = simulate_group_means(market, strategy, x0, spec, grid=grid)
+    assert np.isfinite(means).all()
+    if sigma[group] == 0.0:
+        assert (means[:, :, group] == means[:, :1, group]).all()
+    if abs(rho) == 1.0:
+        # One driver moves both driftless means, in proportion to sigma.
+        moves = means - np.array(x0)
+        assert np.abs(moves[:, :, 0] * 0.8 - moves[:, :, 1] * 1.2).max() < 1e-6
+    est = mc_hitting_probability(market, spec, DefaultSpec.single_bank(
+        -0.3, group, 1), strategy, x0=x0, grid=grid)
+    assert 0 <= est.n_hits <= spec.n_paths
 
 
 def test_hitting_validates_target_indices():
