@@ -413,20 +413,24 @@ def _growth_rates(vm: ValidatedMarket, times: np.ndarray) -> np.ndarray:
         g.gamma.breaks, times, side="left")] for g in vm.groups], axis=1)
 
 
-def _loadings(vm: ValidatedMarket, spec: NoiseSpec, groups: np.ndarray,
-              idio=1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Volatility-scaled [active drivers, columns] driver loadings and each
-    column's own loading times ``idio``; column j is in group ``groups[j]``.
-    The spec picks which drivers are drawn, so its correlations must be
+def _check_spec(vm: ValidatedMarket, spec: NoiseSpec) -> None:
+    """The spec picks which drivers are drawn, so its correlations must be
     the market's."""
     if spec != NoiseSpec.from_market(vm, spec.seed, spec.n_paths):
         raise ValueError("noise spec correlations differ from the market's")
+
+
+def _loadings(vm: ValidatedMarket, groups: np.ndarray, drivers,
+              idio=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Volatility-scaled [drivers, columns] loadings on ``drivers`` (0
+    global, k for group k) and each column's own loading times ``idio``;
+    column j is in group ``groups[j]``."""
     sig = np.array([g.sigma for g in vm.groups])[groups]
     loads = sig[:, None] * np.array([noise_loadings(vm.rho, g.rho_k)
                                      for g in vm.groups])[groups]
-    active = np.array(_active_driver_columns(spec), dtype=int)[:, None]
-    driver = np.where(active == 0, loads[:, 0],
-                      np.where(active == 1 + groups, loads[:, 1], 0.0))
+    drivers = np.array(drivers, dtype=int)[:, None]
+    driver = np.where(drivers == 0, loads[:, 0],
+                      np.where(drivers == 1 + groups, loads[:, 1], 0.0))
     return driver, loads[:, 2] * idio
 
 
@@ -554,7 +558,8 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     _check_stored(spec, sum(sizes), grid)
     group_index = np.repeat(np.arange(vm.d), sizes)
     members = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
-    driver, own = _loadings(vm, spec, group_index)
+    _check_spec(vm, spec)
+    driver, own = _loadings(vm, group_index, _active_driver_columns(spec))
     gap_t, w_t, drift = _strategy_tables(strategy, vm, grid)
     decay = -gap_t[:, group_index]
     mean, std = _expand_x0(X0, sizes)
@@ -593,22 +598,21 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = ``cov`` for a positive semidefinite
-    ``cov``.  A pivot that rounds below zero is clamped to 0 and a zero
-    pivot leaves its column zero, so the rank-deficient covariances of
-    rho = +-1, rho_k = 1 or sigma_k = 0 factor where
-    ``np.linalg.cholesky`` raises."""
+    ``cov``.  A pivot at or below 1e-12 of its diagonal entry, where
+    rounding leaves what is 0 in exact arithmetic, leaves its column zero,
+    so the rank-deficient covariances of rho = +-1, rho_k = 1 or
+    sigma_k = 0 factor where ``np.linalg.cholesky`` raises."""
     lower = np.zeros_like(cov)
     for j in range(len(cov)):
         pivot = cov[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot > 0.0:
+        if pivot > 1e-12 * cov[j, j]:
             lower[j, j] = math.sqrt(pivot)
             below = cov[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]
             lower[j + 1:, j] = below / lower[j, j]
     return lower
 
 
-def _mean_slots(vm: ValidatedMarket, spec: NoiseSpec,
-                bank_group: int | None = None):
+def _mean_slots(vm: ValidatedMarket, bank_group: int | None = None):
     """The slots a group-mean run steps and the law of their increments.
 
     Group k's mean has one slot, with loadings sigma_k (c0, cg_k) on the
@@ -617,30 +621,31 @@ def _mean_slots(vm: ValidatedMarket, spec: NoiseSpec,
     more slot, right after group g's mean, carries a bank's deviation y
     from that mean, started at std_g sqrt(1 - 1/N_g) Z' and stepped as
     y_{n+1} = y_n (1 - gap_n dt) + sigma_g ci_g sqrt((1 - 1/N_g) dt) Z',
-    independent of the means.  Returns each slot's group, whether it is a
-    mean, its scale (1 / sqrt(N_k) or sqrt(1 - 1/N_k)), its own loading,
-    and the per-unit-time covariance driver^T driver + diag(own^2) of the
-    slot increments.
+    independent of the means.  Returns each group's slot count, each
+    slot's group, whether it is a mean, its scale (1 / sqrt(N_k) or
+    sqrt(1 - 1/N_k)), and the per-unit-time covariance driver^T driver +
+    diag(own^2) of the slot increments, over all d + 1 drivers: a driver
+    the market leaves inactive has zero loadings and adds nothing.
     """
-    slots = [1] * vm.d
+    counts = [1] * vm.d
     if bank_group is not None:
-        slots[bank_group] = 2
-    groups = np.repeat(np.arange(vm.d), slots)
-    is_mean = np.isin(np.arange(len(groups)), np.cumsum([0] + slots[:-1]))
+        counts[bank_group] = 2
+    groups = np.repeat(np.arange(vm.d), counts)
+    is_mean = np.isin(np.arange(len(groups)), np.cumsum([0] + counts[:-1]))
     n_k = np.array(vm.group_sizes(), dtype=float)[groups]
     scale = np.where(is_mean, 1.0 / np.sqrt(n_k), np.sqrt(1.0 - 1.0 / n_k))
-    driver, own = _loadings(vm, spec, groups, scale)
+    driver, own = _loadings(vm, groups, range(vm.d + 1), scale)
     # A deviation slot carries no common noise.
     driver[:, ~is_mean] = 0.0
-    return groups, is_mean, scale, own, driver.T @ driver + np.diag(own**2)
+    cov = driver.T @ driver + np.diag(own**2)
+    return counts, groups, is_mean, scale, cov
 
 
 def mean_step_covariance(market: MarketParams | ValidatedMarket
                          ) -> np.ndarray:
     """Per-unit-time covariance [d, d] of the group means' increments: the
     matrix whose factor drives :func:`simulate_group_means`."""
-    vm = validate(market, Mode.MFG)
-    return _mean_slots(vm, NoiseSpec.from_market(vm, 0, 1))[-1]
+    return _mean_slots(validate(market, Mode.MFG))[-1]
 
 
 def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
@@ -654,11 +659,12 @@ def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
     slot and step, ``generate_increments`` of the spec with its
     correlations zeroed, and mixes them through the lower Cholesky factor
     L of the slots' covariance: the increments are Z L^T.  With no common
-    driver the covariance is diagonal and the slots are scaled by their
-    own loadings alone.
+    driver the covariance is diag(own^2), L is diag(own) exactly, and the
+    slots are scaled by their own loadings alone.
     """
-    groups, is_mean, scale, own, cov = _mean_slots(vm, spec, bank_group)
-    lower = _cholesky(cov) if _active_driver_columns(spec) else None
+    _check_spec(vm, spec)
+    counts, groups, is_mean, scale, cov = _mean_slots(vm, bank_group)
+    lower = _cholesky(cov)
     means = np.flatnonzero(is_mean)
     mean, std = _expand_x0(x0, (1,) * vm.d)
     start_loc = np.where(is_mean, mean[groups], 0.0)
@@ -674,22 +680,18 @@ def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
         weights[:, deviation, deviation] = -gap_t[:, bank_group]
 
     def worker(batch: IncrementBatch):
+        # Z L^T in place and element by element, last slot first: slot j
+        # sums L[j, i] Z_i over i <= j, whose draws are intact.
         noise = batch.increments
-        if lower is None:
-            noise *= own
-        else:
-            # Z L^T in place and element by element, last slot first:
-            # slot j sums L[j, i] Z_i over i <= j, whose draws are intact.
-            for j in reversed(range(len(lower))):
-                noise[:, :, j] *= lower[j, j]
-                for i in np.flatnonzero(lower[j, :j]):
-                    noise[:, :, j] += lower[j, i] * noise[:, :, i]
+        for j in reversed(range(len(lower))):
+            noise[:, :, j] *= lower[j, j]
+            for i in np.flatnonzero(lower[j, :j]):
+                noise[:, :, j] += lower[j, i] * noise[:, :, i]
         start = start_loc + start_scale * batch.x0_normals
         return reduce(_euler_means(start, weights, drift, noise, grid))
 
     independent = replace(spec, rho=0.0, rho_k=(0.0,) * vm.d)
-    slots = np.bincount(groups).tolist()
-    return _run_batches(independent, grid, slots, worker, jobs)
+    return _run_batches(independent, grid, counts, worker, jobs)
 
 
 def simulate_group_means(market: MarketParams | ValidatedMarket,
@@ -704,8 +706,8 @@ def simulate_group_means(market: MarketParams | ValidatedMarket,
     the number of banks.  Per path d start normals and d normals per
     step are drawn, ``generate_increments`` of the spec with zero
     correlations and (1,) * d slots; the step normals are mixed through
-    the lower Cholesky factor of :func:`mean_step_covariance`, or scaled
-    by sigma_k c_i / sqrt(N_k) alone without common noise.  For one seed
+    the lower Cholesky factor of :func:`mean_step_covariance`, which
+    without common noise is diag(sigma_k c_i / sqrt(N_k)).  For one seed
     the draws differ from those of :func:`simulate_closed_loop`; the law
     of the means does not.  The result does not depend on the batching
     or ``jobs``.  Means above ``MAX_ENSEMBLE_BYTES`` raise ValueError

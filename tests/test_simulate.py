@@ -717,16 +717,15 @@ def test_group_means_retrace_the_slot_stream(monkeypatch, batch_starts):
     assert np.abs(means.transpose(1, 0, 2) - want).max() < 1e-12
 
 
-def test_independent_groups_scale_their_slots_by_own_loading(monkeypatch):
-    # rho = rho_k = 0: no common driver, so the means are their starts plus
-    # the cumulative own * increments, bit for bit as before the factor,
-    # and no factor is formed.
+def test_independent_groups_scale_their_slots_by_own_loading():
+    # rho = rho_k = 0: no common driver, so the factor is diag(own) and the
+    # means are their starts plus the cumulative own * increments, bit for
+    # bit.
     market = two_groups(n1=3, n2=5, sigma=(1.2, 0.8), lam=(0.0, 0.0))
     grid = TimeGrid(t_end=1.0, n_steps=50)
     spec = NoiseSpec.from_market(market, seed=4, n_paths=40)
     strategy = closed_strategy(market, grid)
     assert not strategy.avg_weights.any() and not strategy.intercept.any()
-    monkeypatch.setattr(simulate, "_cholesky", None)
     means = simulate_group_means(market, strategy, (0.2, -0.1), spec,
                                  grid=grid)
     (batch,) = generate_increments(spec, grid, (1, 1))
@@ -966,24 +965,30 @@ def test_hitting_probability_monotone_in_level():
 @pytest.mark.parametrize("rho, rho_k, sigma, group", [
     (1.0, (0.0, 0.0), (1.2, 0.8), 0),
     (-1.0, (0.0, 0.0), (1.2, 0.8), 1),
+    # Here rounding leaves the second pivot at 2e-16, not 0.
+    (1.0, (0.0, 0.0), (0.7, 0.8), 1),
     (0.5, (0.4, -0.3), (0.0, 1.0), 0),
     (0.5, (0.3, 1.0), (1.2, 0.8), 1),
 ])
 def test_singular_slot_covariances_factor_and_simulate(rho, rho_k, sigma,
                                                        group):
     # rho = +-1, sigma_k = 0 and rho_k = 1 leave the slots' covariance
-    # singular, with or without a bank's deviation slot: the clamped
-    # factor stays finite and reproduces it, and every run goes through.
+    # singular, with or without a bank's deviation slot: the factor stays
+    # finite, reproduces it with the covariance's rank, and every run goes
+    # through.
     market = two_groups(n1=3, n2=5, rho=rho, rho_k=rho_k, sigma=sigma,
                         lam=(0.0, 0.0))
     grid = TimeGrid(t_end=1.0, n_steps=50)
     spec = NoiseSpec.from_market(market, seed=6, n_paths=40)
     vm = validate(market, Mode.MFG)
     for bank_group in (None, group):
-        *_, cov = simulate._mean_slots(vm, spec, bank_group)
+        cov = simulate._mean_slots(vm, bank_group)[-1]
         lower = simulate._cholesky(cov)
         assert np.isfinite(lower).all()
         assert np.abs(lower @ lower.T - cov).max() < 1e-12
+        # A pivot that is 0 but for rounding adds no noise of its own.
+        assert (np.count_nonzero(np.diag(lower))
+                == np.linalg.matrix_rank(cov))
     strategy = closed_strategy(market, grid)
     x0 = (0.1, -0.2)
     means = simulate_group_means(market, strategy, x0, spec, grid=grid)
@@ -993,7 +998,8 @@ def test_singular_slot_covariances_factor_and_simulate(rho, rho_k, sigma,
     if abs(rho) == 1.0:
         # One driver moves both driftless means, in proportion to sigma.
         moves = means - np.array(x0)
-        assert np.abs(moves[:, :, 0] * 0.8 - moves[:, :, 1] * 1.2).max() < 1e-6
+        assert np.abs(moves[:, :, 0] * sigma[1]
+                      - moves[:, :, 1] * sigma[0]).max() < 1e-12
     est = mc_hitting_probability(market, spec, DefaultSpec.single_bank(
         -0.3, group, 1), strategy, x0=x0, grid=grid)
     assert 0 <= est.n_hits <= spec.n_paths
