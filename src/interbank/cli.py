@@ -1,8 +1,9 @@
 """Command-line interface: solve, simulate, sweep, check, prob.
 
 Configuration is a flat key-value text file with one [group.k] section per
-group, numbered 1 to d; an unknown, repeated or misnumbered key or section
-is rejected (exit 2), and the message names it::
+group, numbered 1 to d; an unknown, repeated or misnumbered key or section,
+or a name repeated in ``systems`` or ``checks``, is rejected (exit 2), and
+the message names it::
 
     rho = 0.0
     horizon = 1.0
@@ -223,13 +224,17 @@ def _parse_target(text: str, barrier: float) -> DefaultSpec:
 
 
 def _names(known):
-    """Parser of a comma-separated list drawn from ``known``."""
+    """Parser of a comma-separated list of distinct names drawn from
+    ``known``."""
     def parse(text: str) -> tuple[str, ...]:
         names = tuple(s.strip() for s in text.split(",") if s.strip())
         unknown = [name for name in names if name not in known]
         if unknown:
             raise ValueError(f"unknown {unknown}; expected some of "
                              f"{', '.join(known)}")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"{', '.join(map(repr, repeated))} repeated")
         return names
     return parse
 

@@ -42,6 +42,7 @@ import numpy as np
 from .model import (
     MarketParams,
     Mode,
+    StepFunction,
     TimeGrid,
     ValidatedMarket,
     noise_loadings,
@@ -298,11 +299,16 @@ def integrate_backward(system: OdeSystem, grid: TimeGrid,
     unpacks the state and every stage into names and forms each stage
     argument and the update as a list of Python floats, with the
     operations of the equivalent array expression in the same order, so
-    the results equal those of a numpy-array loop bit for bit.
+    the results equal those of a numpy-array loop bit for bit.  The
+    table is checked against BLOWUP_LIMIT once, after integration
+    reaches t = 0 (or when the right-hand side raises), and a component
+    that left the window is reported at the first node where one did,
+    as a check after each step would.
 
     Raises:
-      BlowUp: once any component is non-finite or exceeds BLOWUP_LIMIT in
-        magnitude, reporting the time and the offending label.
+      BlowUp: if any component turned non-finite or exceeded BLOWUP_LIMIT
+        in magnitude, reporting the first such node's time and its first
+        offending label.
       ValueError: if the [steps + 1, components] table would pass
         ``MAX_ENSEMBLE_BYTES``, or if the right-hand side returns a
         different number of values than the system has components.
@@ -335,21 +341,39 @@ def integrate_backward(system: OdeSystem, grid: TimeGrid,
             splits.setdefault(j, [times[j]]).append(b)
 
     h = -grid.dt
-    for j in range(grid.n_steps, 0, -1):
-        if j in splits:
-            stops = splits[j] + [times[j - 1]]
-            for t, t_next in zip(stops, stops[1:]):
-                y = step(rhs, t, t_next - t, nudge, y)
-        else:
-            y = step(rhs, times[j], h, nudge, y)
-        # The sum of magnitudes is NaN, infinite or above the limit
-        # whenever a single component is; only then look for which.
-        if not sum(map(abs, y)) <= BLOWUP_LIMIT:
-            for label, v in zip(system.labels, y):
-                if not abs(v) <= BLOWUP_LIMIT:
-                    raise BlowUp(times[j - 1], label)
-        values[j - 1] = y
+    try:
+        for j in range(grid.n_steps, 0, -1):
+            if j in splits:
+                stops = splits[j] + [times[j - 1]]
+                for t, t_next in zip(stops, stops[1:]):
+                    y = step(rhs, t, t_next - t, nudge, y)
+            else:
+                y = step(rhs, times[j], h, nudge, y)
+            values[j - 1] = y
+    except (ArithmeticError, ValueError):
+        # Float math may fail (overflow, a zero division, a domain error)
+        # only once it is fed a state that already left the window:
+        # report that as the blow-up it is.
+        _check_window(values, j, times, system.labels)
+        raise
+    _check_window(values, 0, times, system.labels)
     return CoefficientPath(grid=grid, values=values, labels=system.labels)
+
+
+def _check_window(values: np.ndarray, low: int, times: Sequence[float],
+                  labels: Sequence[str]) -> None:
+    """Raise :class:`BlowUp` if any of rows ``low`` to n - 1 of ``values``
+    is NaN or exceeds BLOWUP_LIMIT in magnitude, at the highest such row
+    (the first one integrated) and its first such label; the terminal
+    row n is not checked."""
+    rows = values[low:-1]
+    # max and min allocate nothing, and a nan fails both comparisons.
+    if rows.size and not (rows.max() <= BLOWUP_LIMIT
+                          and rows.min() >= -BLOWUP_LIMIT):
+        for j in range(len(values) - 2, low - 1, -1):
+            bad = ~(np.abs(values[j]) <= BLOWUP_LIMIT)
+            if bad.any():
+                raise BlowUp(times[j], labels[int(np.argmax(bad))])
 
 
 def _quad_pattern(g: float, o1: float, o2: float) -> tuple[float, ...]:
@@ -374,6 +398,15 @@ def tracking_offsets(vm: ValidatedMarket) -> np.ndarray:
     return lam[:, None] * (beta[None, :] - np.eye(len(beta)))
 
 
+def _rate(f: StepFunction) -> Callable[[float], float]:
+    """A growth rate for a right-hand side to call: ``f`` itself, or for
+    a constant ``f`` a function that returns its value with no search."""
+    if f.breaks:
+        return f
+    value = f.values[0]
+    return lambda t: value
+
+
 def closed_loop_system(vm: ValidatedMarket) -> OdeSystem:
     """The 20-equation closed-loop system for two finite groups.
 
@@ -388,7 +421,7 @@ def closed_loop_system(vm: ValidatedMarket) -> OdeSystem:
     q1, q2 = gp1.q, gp2.q
     e1, e2 = gp1.eps_slack, gp2.eps_slack
     (o11, o12), (o21, o22) = tracking_offsets(vm).tolist()
-    gam1, gam2 = gp1.gamma, gp2.gamma
+    gam1, gam2 = _rate(gp1.gamma), _rate(gp2.gamma)
     sig1, sig2 = gp1.sigma, gp2.sigma
     rho = vm.rho
     c0, cg, ci = noise_loadings(rho, gp1.rho_k)
@@ -401,6 +434,14 @@ def closed_loop_system(vm: ValidatedMarket) -> OdeSystem:
     d_cross = rho * rho * sig1 * sig2
     d2_own = 0.5 * sig2 * sig2 * B2 * (1.0 - n2)
     d2_avg = 0.5 * sig2 * sig2 * (A2 + n2 * B2)
+    # Products of market numbers (eoo<k><h><h'> = e_k*o_kh*o_kh'), each
+    # the leading operand of the expression it stands in, so the
+    # right-hand side's bits stay those of the expressions written out.
+    m1, m2 = n1 - 1.0, n2 - 1.0
+    qo11, qo12, qo21, qo22 = q1 * o11, q1 * o12, q2 * o21, q2 * o22
+    eo11, eo12, eo21, eo22 = e1 * o11, e1 * o12, e2 * o21, e2 * o22
+    eoo111, eoo122, eoo112 = eo11 * o11, eo12 * o12, eo11 * o12
+    eoo211, eoo222, eoo212 = eo21 * o21, eo22 * o22, eo21 * o22
 
     def rhs(t: float, y: Sequence[float]) -> list[float]:
         (h1, h2, h3, h4, h5, h6, h7, h8, h9, h10,
@@ -408,42 +449,42 @@ def closed_loop_system(vm: ValidatedMarket) -> OdeSystem:
         # Own-gradient weights of a group-1 bank: the derivative of its
         # value function at its own coordinate is s1*(xbar1 - x) +
         # u1*xbar1 + v1*xbar2 + w1; likewise s2..w2 for group 2.
-        s1 = (n1 - 1.0) * h1 + n1 * h4
-        u1 = (n1 - 1.0) * h4 + n1 * h2
-        v1 = (n1 - 1.0) * h5 + n1 * h6
-        w1 = (n1 - 1.0) * h7 + n1 * h8
-        s2 = (n2 - 1.0) * p1 + n2 * p5
-        u2 = (n2 - 1.0) * p4 + n2 * p6
-        v2 = (n2 - 1.0) * p5 + n2 * p3
-        w2 = (n2 - 1.0) * p7 + n2 * p9
+        s1 = m1 * h1 + n1 * h4
+        u1 = m1 * h4 + n1 * h2
+        v1 = m1 * h5 + n1 * h6
+        w1 = m1 * h7 + n1 * h8
+        s2 = m2 * p1 + n2 * p5
+        u2 = m2 * p4 + n2 * p6
+        v2 = m2 * p5 + n2 * p3
+        w2 = m2 * p7 + n2 * p9
         # Equilibrium drift of a group-k bank: g_k + G_k*(xbar_k - x)
         # - a_k*xbar1 - b_k*xbar2.
         G1 = q1 - s1
-        a1 = u1 - q1 * o11
-        b1 = v1 - q1 * o12
+        a1 = u1 - qo11
+        b1 = v1 - qo12
         G2 = q2 - s2
-        a2 = u2 - q2 * o21
-        b2 = v2 - q2 * o22
+        a2 = u2 - qo21
+        b2 = v2 - qo22
         g1 = gam1(t) - w1
         g2 = gam2(t) - w2
         return [
             2.0 * G1 * h1 - s1 * s1 - e1,
-            2.0 * (a1 * h2 + a2 * h6) - u1 * u1 - e1 * o11 * o11,
-            2.0 * (b2 * h3 + b1 * h6) - v1 * v1 - e1 * o12 * o12,
-            (G1 + a1) * h4 + a2 * h5 - s1 * u1 - e1 * o11,
-            (G1 + b2) * h5 + b1 * h4 - s1 * v1 - e1 * o12,
-            (a1 + b2) * h6 + b1 * h2 + a2 * h3 - u1 * v1 - e1 * o11 * o12,
+            2.0 * (a1 * h2 + a2 * h6) - u1 * u1 - eoo111,
+            2.0 * (b2 * h3 + b1 * h6) - v1 * v1 - eoo122,
+            (G1 + a1) * h4 + a2 * h5 - s1 * u1 - eo11,
+            (G1 + b2) * h5 + b1 * h4 - s1 * v1 - eo12,
+            (a1 + b2) * h6 + b1 * h2 + a2 * h3 - u1 * v1 - eoo112,
             G1 * h7 - g1 * h4 - g2 * h5 - s1 * w1,
             a1 * h8 + a2 * h9 - g1 * h2 - g2 * h6 - u1 * w1,
             b1 * h8 + b2 * h9 - g1 * h6 - g2 * h3 - v1 * w1,
             -g1 * h8 - g2 * h9 - 0.5 * w1 * w1
             - d1_own * h1 - d1_avg * h2 - d_cross * h6 - d2_avg * h3,
             2.0 * G2 * p1 - s2 * s2 - e2,
-            2.0 * (a1 * p2 + a2 * p6) - u2 * u2 - e2 * o21 * o21,
-            2.0 * (b2 * p3 + b1 * p6) - v2 * v2 - e2 * o22 * o22,
-            (G2 + a1) * p4 + a2 * p5 - s2 * u2 - e2 * o21,
-            (G2 + b2) * p5 + b1 * p4 - s2 * v2 - e2 * o22,
-            (a1 + b2) * p6 + b1 * p2 + a2 * p3 - u2 * v2 - e2 * o21 * o22,
+            2.0 * (a1 * p2 + a2 * p6) - u2 * u2 - eoo211,
+            2.0 * (b2 * p3 + b1 * p6) - v2 * v2 - eoo222,
+            (G2 + a1) * p4 + a2 * p5 - s2 * u2 - eo21,
+            (G2 + b2) * p5 + b1 * p4 - s2 * v2 - eo22,
+            (a1 + b2) * p6 + b1 * p2 + a2 * p3 - u2 * v2 - eoo212,
             G2 * p7 - g1 * p4 - g2 * p5 - s2 * w2,
             a1 * p8 + a2 * p9 - g1 * p2 - g2 * p6 - u2 * w2,
             b1 * p8 + b2 * p9 - g1 * p6 - g2 * p3 - v2 * w2,
@@ -472,26 +513,33 @@ def limiting_system(vm: ValidatedMarket) -> OdeSystem:
     q1, q2 = gp1.q, gp2.q
     e1, e2 = gp1.eps_slack, gp2.eps_slack
     (o11, o12), (o21, o22) = tracking_offsets(vm).tolist()
+    # Products of market numbers, formed as in the expressions they
+    # stand in (see closed_loop_system).
+    tq1, tq2 = 2.0 * q1, 2.0 * q2
+    qo11, qo12, qo21, qo22 = q1 * o11, q1 * o12, q2 * o21, q2 * o22
+    eo11, eo12, eo21, eo22 = e1 * o11, e1 * o12, e2 * o21, e2 * o22
+    eoo111, eoo122, eoo112 = eo11 * o11, eo12 * o12, eo11 * o12
+    eoo211, eoo222, eoo212 = eo21 * o21, eo22 * o22, eo21 * o22
 
     def rhs(t: float, y: Sequence[float]) -> list[float]:
         h1, h2, h3, h4, h5, h6, p1, p2, p3, p4, p5, p6 = y
-        a1 = -(h4 + q1 * o11)
-        b1 = -(h5 + q1 * o12)
-        a2 = -(p4 + q2 * o21)
-        b2 = -(p5 + q2 * o22)
+        a1 = -(h4 + qo11)
+        b1 = -(h5 + qo12)
+        a2 = -(p4 + qo21)
+        b2 = -(p5 + qo22)
         return [
-            2.0 * q1 * h1 + h1 * h1 - e1,
-            2.0 * (a1 * h2 + a2 * h6) - h4 * h4 - e1 * o11 * o11,
-            2.0 * (b2 * h3 + b1 * h6) - h5 * h5 - e1 * o12 * o12,
-            (q1 + a1) * h4 + a2 * h5 - e1 * o11,
-            (q1 + b2) * h5 + b1 * h4 - e1 * o12,
-            (a1 + b2) * h6 + b1 * h2 + a2 * h3 - h4 * h5 - e1 * o11 * o12,
-            2.0 * q2 * p1 + p1 * p1 - e2,
-            2.0 * (a1 * p2 + a2 * p6) - p4 * p4 - e2 * o21 * o21,
-            2.0 * (b2 * p3 + b1 * p6) - p5 * p5 - e2 * o22 * o22,
-            (q2 + a1) * p4 + a2 * p5 - e2 * o21,
-            (q2 + b2) * p5 + b1 * p4 - e2 * o22,
-            (a1 + b2) * p6 + b1 * p2 + a2 * p3 - p4 * p5 - e2 * o21 * o22,
+            tq1 * h1 + h1 * h1 - e1,
+            2.0 * (a1 * h2 + a2 * h6) - h4 * h4 - eoo111,
+            2.0 * (b2 * h3 + b1 * h6) - h5 * h5 - eoo122,
+            (q1 + a1) * h4 + a2 * h5 - eo11,
+            (q1 + b2) * h5 + b1 * h4 - eo12,
+            (a1 + b2) * h6 + b1 * h2 + a2 * h3 - h4 * h5 - eoo112,
+            tq2 * p1 + p1 * p1 - e2,
+            2.0 * (a1 * p2 + a2 * p6) - p4 * p4 - eoo211,
+            2.0 * (b2 * p3 + b1 * p6) - p5 * p5 - eoo222,
+            (q2 + a1) * p4 + a2 * p5 - eo21,
+            (q2 + b2) * p5 + b1 * p4 - eo22,
+            (a1 + b2) * p6 + b1 * p2 + a2 * p3 - p4 * p5 - eoo212,
         ]
 
     pat1 = _quad_pattern(1.0, o11, o12)
@@ -512,28 +560,34 @@ def open_loop_system(vm: ValidatedMarket) -> OdeSystem:
     q1, q2 = gp1.q, gp2.q
     e1, e2 = gp1.eps_slack, gp2.eps_slack
     (o11, o12), (o21, o22) = tracking_offsets(vm).tolist()
-    gam1, gam2 = gp1.gamma, gp2.gamma
+    gam1, gam2 = _rate(gp1.gamma), _rate(gp2.gamma)
     r1, r2 = 1.0 - i1, 1.0 - i2
+    # Products of market numbers, formed as in the expressions they
+    # stand in (see closed_loop_system).
+    iq1, iq2 = (2.0 - i1) * q1, (2.0 - i2) * q2
+    qr1, qr2 = q1 * r1, q2 * r2
+    qo11, qo12, qo21, qo22 = q1 * o11, q1 * o12, q2 * o21, q2 * o22
+    eo11, eo12, eo21, eo22 = e1 * o11, e1 * o12, e2 * o21, e2 * o22
 
     def rhs(t: float, y: Sequence[float]) -> list[float]:
         h1, h2, h3, h4, p1, p2, p3, p4 = y
         # Mean-drift weights and intercepts of the two group averages
         # under the open-loop equilibrium controls.
-        am1 = q1 * o11 + r1 * h2
-        bm1 = q1 * o12 + r1 * h3
-        am2 = q2 * o21 + r2 * p2
-        bm2 = q2 * o22 + r2 * p3
+        am1 = qo11 + r1 * h2
+        bm1 = qo12 + r1 * h3
+        am2 = qo21 + r2 * p2
+        bm2 = qo22 + r2 * p3
         dr1 = gam1(t) + r1 * h4
         dr2 = gam2(t) + r2 * p4
         return [
-            (2.0 - i1) * q1 * h1 + r1 * h1 * h1 - e1,
-            q1 * r1 * h2 - h2 * am1 - h3 * am2 - e1 * o11,
-            q1 * r1 * h3 - h2 * bm1 - h3 * bm2 - e1 * o12,
-            q1 * r1 * h4 - h2 * dr1 - h3 * dr2,
-            (2.0 - i2) * q2 * p1 + r2 * p1 * p1 - e2,
-            q2 * r2 * p2 - p2 * am1 - p3 * am2 - e2 * o21,
-            q2 * r2 * p3 - p2 * bm1 - p3 * bm2 - e2 * o22,
-            q2 * r2 * p4 - p2 * dr1 - p3 * dr2,
+            iq1 * h1 + r1 * h1 * h1 - e1,
+            qr1 * h2 - h2 * am1 - h3 * am2 - eo11,
+            qr1 * h3 - h2 * bm1 - h3 * bm2 - eo12,
+            qr1 * h4 - h2 * dr1 - h3 * dr2,
+            iq2 * p1 + r2 * p1 * p1 - e2,
+            qr2 * p2 - p2 * am1 - p3 * am2 - eo21,
+            qr2 * p3 - p2 * bm1 - p3 * bm2 - eo22,
+            qr2 * p4 - p2 * dr1 - p3 * dr2,
         ]
 
     terminal = np.array([
@@ -591,7 +645,7 @@ def mfg_system(vm: ValidatedMarket) -> OdeSystem:
     for k, g in enumerate(groups):
         e = g.eps_slack
         namespace.update({f"tq{k}": 2.0 * g.q, f"q{k}": g.q, f"e{k}": e,
-                          f"gam{k}": g.gamma})
+                          f"gam{k}": _rate(g.gamma)})
         for h, o in enumerate(off[k]):
             namespace[f"qo{k}_{h}"] = g.q * o
             namespace[f"eo{k}_{h}"] = e * o

@@ -16,13 +16,17 @@ The module also keeps :func:`rk4_backward_arrays`, the library's
 backward RK4 loop as it ran on numpy arrays before the integrator moved
 to Python floats, with steps split at rate jumps as the library splits
 them; :func:`mfg_rhs_arrays`, the library's mean-field right-hand side as
-it ran on numpy arrays before it became generated straight-line code; and
+it ran on numpy arrays before it became generated straight-line code;
+:func:`closed_rhs_written`, :func:`limiting_rhs_written` and
+:func:`open_rhs_written`, the library's two-group right-hand sides as they
+ran with every product of market numbers formed inside each call; and
 :func:`hjb_residual_dense`, the library's dynamic-programming residual as
 it ran with the value ansatz written out term by term and a dense N x N
 Hessian per sample.  The tests hold the library to them; the frozen
 values do not use them.
 """
 
+import math
 import sys
 
 import mpmath
@@ -206,6 +210,155 @@ def mfg_rhs_arrays(vm):
         dpsi = q[:, None] * psi - psi @ (psi + q_off) - e_off
         dmu = q * mu - psi @ (mu + gam)
         return np.concatenate([deta, dpsi.ravel(), dmu]).tolist()
+
+    return rhs
+
+
+# ----------------------------------------------------------------------
+# The library's two-group right-hand sides as they were written out, with
+# every product of market numbers formed inside each call.
+
+
+def _two_group_numbers(vm):
+    """Offsets as ``tracking_offsets`` forms them, and each group's pair
+    of noise loadings (common + group, own), as ``noise_loadings`` forms
+    them, written inline."""
+    lam = np.array([g.lam for g in vm.groups])
+    beta = np.array(vm.beta)
+    off = (lam[:, None] * (beta[None, :] - np.eye(len(beta)))).tolist()
+    loads = []
+    for g in vm.groups:
+        c0 = vm.rho
+        cg = math.sqrt(1.0 - vm.rho * vm.rho) * g.rho_k
+        ci = math.sqrt(max(0.0, (1.0 - vm.rho * vm.rho)
+                           * (1.0 - g.rho_k * g.rho_k)))
+        loads.append((c0 * c0 + cg * cg, ci * ci))
+    return off, loads
+
+
+def closed_rhs_written(vm):
+    """The closed-loop right-hand side of a ``ValidatedMarket``."""
+    (gp1, gp2) = vm.groups
+    size1, size2 = vm.group_sizes()
+    n1, n2 = 1.0 / size1, 1.0 / size2
+    q1, q2 = gp1.q, gp2.q
+    e1, e2 = gp1.eps_slack, gp2.eps_slack
+    ((o11, o12), (o21, o22)), ((A1, B1), (A2, B2)) = _two_group_numbers(vm)
+    gam1, gam2 = gp1.gamma, gp2.gamma
+    sig1, sig2 = gp1.sigma, gp2.sigma
+    rho = vm.rho
+    d1_own = 0.5 * sig1 * sig1 * B1 * (1.0 - n1)
+    d1_avg = 0.5 * sig1 * sig1 * (A1 + n1 * B1)
+    d_cross = rho * rho * sig1 * sig2
+    d2_own = 0.5 * sig2 * sig2 * B2 * (1.0 - n2)
+    d2_avg = 0.5 * sig2 * sig2 * (A2 + n2 * B2)
+
+    def rhs(t, y):
+        (h1, h2, h3, h4, h5, h6, h7, h8, h9, h10,
+         p1, p2, p3, p4, p5, p6, p7, p8, p9, p10) = y
+        s1 = (n1 - 1.0) * h1 + n1 * h4
+        u1 = (n1 - 1.0) * h4 + n1 * h2
+        v1 = (n1 - 1.0) * h5 + n1 * h6
+        w1 = (n1 - 1.0) * h7 + n1 * h8
+        s2 = (n2 - 1.0) * p1 + n2 * p5
+        u2 = (n2 - 1.0) * p4 + n2 * p6
+        v2 = (n2 - 1.0) * p5 + n2 * p3
+        w2 = (n2 - 1.0) * p7 + n2 * p9
+        G1 = q1 - s1
+        a1 = u1 - q1 * o11
+        b1 = v1 - q1 * o12
+        G2 = q2 - s2
+        a2 = u2 - q2 * o21
+        b2 = v2 - q2 * o22
+        g1 = gam1(t) - w1
+        g2 = gam2(t) - w2
+        return [
+            2.0 * G1 * h1 - s1 * s1 - e1,
+            2.0 * (a1 * h2 + a2 * h6) - u1 * u1 - e1 * o11 * o11,
+            2.0 * (b2 * h3 + b1 * h6) - v1 * v1 - e1 * o12 * o12,
+            (G1 + a1) * h4 + a2 * h5 - s1 * u1 - e1 * o11,
+            (G1 + b2) * h5 + b1 * h4 - s1 * v1 - e1 * o12,
+            (a1 + b2) * h6 + b1 * h2 + a2 * h3 - u1 * v1 - e1 * o11 * o12,
+            G1 * h7 - g1 * h4 - g2 * h5 - s1 * w1,
+            a1 * h8 + a2 * h9 - g1 * h2 - g2 * h6 - u1 * w1,
+            b1 * h8 + b2 * h9 - g1 * h6 - g2 * h3 - v1 * w1,
+            -g1 * h8 - g2 * h9 - 0.5 * w1 * w1
+            - d1_own * h1 - d1_avg * h2 - d_cross * h6 - d2_avg * h3,
+            2.0 * G2 * p1 - s2 * s2 - e2,
+            2.0 * (a1 * p2 + a2 * p6) - u2 * u2 - e2 * o21 * o21,
+            2.0 * (b2 * p3 + b1 * p6) - v2 * v2 - e2 * o22 * o22,
+            (G2 + a1) * p4 + a2 * p5 - s2 * u2 - e2 * o21,
+            (G2 + b2) * p5 + b1 * p4 - s2 * v2 - e2 * o22,
+            (a1 + b2) * p6 + b1 * p2 + a2 * p3 - u2 * v2 - e2 * o21 * o22,
+            G2 * p7 - g1 * p4 - g2 * p5 - s2 * w2,
+            a1 * p8 + a2 * p9 - g1 * p2 - g2 * p6 - u2 * w2,
+            b1 * p8 + b2 * p9 - g1 * p6 - g2 * p3 - v2 * w2,
+            -g1 * p8 - g2 * p9 - 0.5 * w2 * w2
+            - d1_avg * p2 - d_cross * p6 - d2_own * p1 - d2_avg * p3,
+        ]
+
+    return rhs
+
+
+def limiting_rhs_written(vm):
+    """The limiting right-hand side of a ``ValidatedMarket``."""
+    (gp1, gp2) = vm.groups
+    q1, q2 = gp1.q, gp2.q
+    e1, e2 = gp1.eps_slack, gp2.eps_slack
+    (o11, o12), (o21, o22) = _two_group_numbers(vm)[0]
+
+    def rhs(t, y):
+        h1, h2, h3, h4, h5, h6, p1, p2, p3, p4, p5, p6 = y
+        a1 = -(h4 + q1 * o11)
+        b1 = -(h5 + q1 * o12)
+        a2 = -(p4 + q2 * o21)
+        b2 = -(p5 + q2 * o22)
+        return [
+            2.0 * q1 * h1 + h1 * h1 - e1,
+            2.0 * (a1 * h2 + a2 * h6) - h4 * h4 - e1 * o11 * o11,
+            2.0 * (b2 * h3 + b1 * h6) - h5 * h5 - e1 * o12 * o12,
+            (q1 + a1) * h4 + a2 * h5 - e1 * o11,
+            (q1 + b2) * h5 + b1 * h4 - e1 * o12,
+            (a1 + b2) * h6 + b1 * h2 + a2 * h3 - h4 * h5 - e1 * o11 * o12,
+            2.0 * q2 * p1 + p1 * p1 - e2,
+            2.0 * (a1 * p2 + a2 * p6) - p4 * p4 - e2 * o21 * o21,
+            2.0 * (b2 * p3 + b1 * p6) - p5 * p5 - e2 * o22 * o22,
+            (q2 + a1) * p4 + a2 * p5 - e2 * o21,
+            (q2 + b2) * p5 + b1 * p4 - e2 * o22,
+            (a1 + b2) * p6 + b1 * p2 + a2 * p3 - p4 * p5 - e2 * o21 * o22,
+        ]
+
+    return rhs
+
+
+def open_rhs_written(vm):
+    """The open-loop right-hand side of a ``ValidatedMarket``."""
+    (gp1, gp2) = vm.groups
+    i1, i2 = vm.inv_tilde_sizes()
+    q1, q2 = gp1.q, gp2.q
+    e1, e2 = gp1.eps_slack, gp2.eps_slack
+    (o11, o12), (o21, o22) = _two_group_numbers(vm)[0]
+    gam1, gam2 = gp1.gamma, gp2.gamma
+    r1, r2 = 1.0 - i1, 1.0 - i2
+
+    def rhs(t, y):
+        h1, h2, h3, h4, p1, p2, p3, p4 = y
+        am1 = q1 * o11 + r1 * h2
+        bm1 = q1 * o12 + r1 * h3
+        am2 = q2 * o21 + r2 * p2
+        bm2 = q2 * o22 + r2 * p3
+        dr1 = gam1(t) + r1 * h4
+        dr2 = gam2(t) + r2 * p4
+        return [
+            (2.0 - i1) * q1 * h1 + r1 * h1 * h1 - e1,
+            q1 * r1 * h2 - h2 * am1 - h3 * am2 - e1 * o11,
+            q1 * r1 * h3 - h2 * bm1 - h3 * bm2 - e1 * o12,
+            q1 * r1 * h4 - h2 * dr1 - h3 * dr2,
+            (2.0 - i2) * q2 * p1 + r2 * p1 * p1 - e2,
+            q2 * r2 * p2 - p2 * am1 - p3 * am2 - e2 * o21,
+            q2 * r2 * p3 - p2 * bm1 - p3 * bm2 - e2 * o22,
+            q2 * r2 * p4 - p2 * dr1 - p3 * dr2,
+        ]
 
     return rhs
 

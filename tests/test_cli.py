@@ -218,10 +218,14 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 def test_blow_up_exit_code(tmp_path, capsys):
-    text = TWO_GROUP.replace("n_banks = 4\n", "n_banks = 4\ngamma = 1e16\n")
-    rc, _ = run(tmp_path, "solve", text)
-    assert rc == 3
-    assert "blow-up" in capsys.readouterr().err
+    # A huge growth rate diverges in the linear components only; a huge
+    # slack diverges in every system at the first step.
+    for text in (
+            TWO_GROUP.replace("n_banks = 4\n", "n_banks = 4\ngamma = 1e16\n"),
+            TWO_GROUP.replace("eps = 5.0", "eps = 4e7")):
+        rc, _ = run(tmp_path, "solve", text)
+        assert rc == 3
+        assert "blow-up" in capsys.readouterr().err
 
 
 def test_missing_group_sizes_rejected(tmp_path):
@@ -646,6 +650,33 @@ def test_unknown_names_are_rejected_before_any_solve(tmp_path, monkeypatch,
     rc, out = run(tmp_path, command, line + "\n" + TWO_GROUP)
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
+    assert calls == []
+    assert not os.path.exists(out) or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command, line, named", [
+    ("solve", "systems = closed, open, closed", "systems = closed, open, "
+     "closed: 'closed' repeated"),
+    ("check", "checks = rowsums, identity, rowsums, identity",
+     "checks = rowsums, identity, rowsums, identity: 'identity', 'rowsums' "
+     "repeated"),
+], ids=["systems", "checks"])
+def test_repeated_names_are_rejected_before_any_solve(tmp_path, monkeypatch,
+                                                      capsys, command, line,
+                                                      named):
+    # Accepted, a repeat would solve twice and write one file, or one
+    # row, twice.
+    calls = []
+    integrate = riccati.integrate_backward
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "integrate_backward", counted)
+    rc, out = run(tmp_path, command, line + "\n" + TWO_GROUP)
+    assert rc == 2
+    assert named in capsys.readouterr().err
     assert calls == []
     assert not os.path.exists(out) or os.listdir(out) == []
 

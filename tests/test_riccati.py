@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import tempfile
@@ -288,6 +289,95 @@ def test_mfg_rhs_matches_the_numpy_rhs(d):
             assert np.abs(got - want).max() <= tol, (t, y)
 
 
+def _random_two_group_market(rng):
+    """Random sizes, weights, correlations and constants, and growth rates
+    with zero, one or two jumps."""
+    q = rng.uniform(0.5, 2.5, 2)
+    gammas = []
+    for jumps in rng.integers(0, 3, 2):
+        gammas.append(StepFunction(
+            breaks=tuple(np.sort(rng.uniform(0.05, 0.95, jumps)).tolist()),
+            values=tuple(rng.uniform(-1.0, 1.0, jumps + 1).tolist())))
+    n1, n2 = rng.integers(2, 40, 2).tolist()
+    return two_groups(
+        n1=n1, n2=n2, rho=float(rng.uniform(-0.95, 0.95)),
+        rho_k=tuple(rng.uniform(-0.95, 0.95, 2).tolist()),
+        sigma=tuple(rng.uniform(0.1, 1.5, 2).tolist()), q=tuple(q.tolist()),
+        eps=tuple((q * q + rng.uniform(0.05, 3.0, 2)).tolist()),
+        c=tuple(rng.uniform(0.0, 1.0, 2).tolist()),
+        lam=tuple(rng.uniform(0.0, 1.0, 2).tolist()), gamma=tuple(gammas))
+
+
+@pytest.mark.parametrize("kind, written", [
+    ("closed", _reference.closed_rhs_written),
+    ("limiting", _reference.limiting_rhs_written),
+    ("open", _reference.open_rhs_written),
+])
+def test_two_group_rhs_match_the_written_out_expressions(kind, written):
+    # The builders form products of market numbers once; each must be
+    # the leading operand of the expression it stands in, so the RHS
+    # gives the same floats as the expressions written out in full, at
+    # any state and at, just before and just after every rate jump.
+    builder, mode = BUILDERS[kind]
+    n = len(builder(validate(two_groups(n1=2, n2=3), mode)).labels)
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        market = _random_two_group_market(rng)
+        vm = validate(market, mode)
+        rhs, want_rhs = builder(vm).rhs, written(vm)
+        times = rng.uniform(0.0, 1.0, 5).tolist()
+        for b in (b for g in market.groups for b in g.gamma.breaks):
+            times += [b, b - 1e-9, b + 1e-9, float(np.nextafter(b, 0.0)),
+                      float(np.nextafter(b, 1.0))]
+        for t in times:
+            for scale in (1e-3, 1.0, 1e3):
+                y = (scale * rng.uniform(-1.0, 1.0, n)).tolist()
+                got, want = rhs(t, y), want_rhs(t, y)
+                assert (np.array(got).tobytes()
+                        == np.array(want).tobytes()), (kind, market, t, y)
+
+
+def test_constant_rates_read_without_a_search_change_no_bit(monkeypatch):
+    # The same rates as one-jump step functions whose jump lies past the
+    # horizon, so every lookup searches, give the same tables; constant
+    # rates are read without calling the step function at all.
+    searches = [0]
+    call = StepFunction.__call__
+
+    def counted(self, t):
+        searches[0] += 1
+        return call(self, t)
+
+    monkeypatch.setattr(StepFunction, "__call__", counted)
+
+    def stepped(market):
+        groups = tuple(
+            dataclasses.replace(g, gamma=StepFunction(
+                breaks=(2.0 * market.horizon,), values=g.gamma.values * 2))
+            for g in market.groups)
+        return dataclasses.replace(market, groups=groups)
+
+    def constant(market):
+        groups = tuple(
+            dataclasses.replace(g, gamma=StepFunction.constant(v))
+            for g, v in zip(market.groups, (0.3, -0.2, 0.1)))
+        return dataclasses.replace(market, groups=groups)
+
+    grid = TimeGrid(t_end=1.0, n_steps=200)
+    rich = market_from_params("rich")
+    cases = [(rich, "closed"), (rich, "open")] + [
+        (constant(random_mfg_market(d, seed=d)), "mfg") for d in (1, 2, 3)]
+    for market, kind in cases:
+        assert all(not g.gamma.breaks and g.gamma.values != (0.0,)
+                   for g in market.groups)
+        searches[0] = 0
+        constant = SOLVERS[kind](market, grid).values
+        assert searches[0] == 0, kind
+        searched = SOLVERS[kind](stepped(market), grid).values
+        assert searches[0] > 0, kind
+        assert constant.tobytes() == searched.tobytes(), kind
+
+
 def test_mfg_rhs_source_holds_no_market_number():
     first, second = (mfg_system(validate(random_mfg_market(3, seed), Mode.MFG))
                      for seed in (1, 2))
@@ -369,15 +459,66 @@ def test_numpy_numbers_are_stored_as_python_floats():
 
 
 def test_blow_up_matches_the_array_loop():
-    market = two_groups(n1=4, n2=16, eps=(4e7, 4.5))
-    system = closed_loop_system(validate(market, Mode.CLOSED_LOOP))
+    # The table is checked once, after the loop: every system must still
+    # report the node and label a check after each step would.  A huge
+    # slack diverges at once; a huge growth rate below t = 0.5, off the
+    # grid, diverges mid-horizon in the linear components only.
+    stiff = two_groups(n1=4, n2=16, eps=(4e7, 4.5))
+    late = two_groups(n1=4, n2=16, gamma=(
+        StepFunction(breaks=(0.51,), values=(1e16, 0.0)), 0.0))
     grid = TimeGrid(t_end=1.0, n_steps=50)
+    seen = set()
+    for market, kinds in [(stiff, BUILDERS), (late, ("closed", "open", "mfg"))]:
+        breaks = [b for g in market.groups for b in g.gamma.breaks]
+        for kind in kinds:
+            builder, mode = BUILDERS[kind]
+            system = builder(validate(market, mode))
+            with pytest.raises(_reference.ArrayBlowUp) as want:
+                _reference.rk4_backward_arrays(system, grid, breaks)
+            with pytest.raises(BlowUp) as got:
+                integrate_backward(system, grid, breaks)
+            assert (got.value.t, got.value.component) == (
+                want.value.t, want.value.component), kind
+            seen.add(got.value.t)
+    assert seen == {0.98, 0.5}
+
+
+def test_an_rhs_that_fails_on_a_blown_up_state_is_a_blow_up():
+    # Below t = 0.3 component b is driven past the limit, and c's rate
+    # exp(|b| / 1e10) overflows once the RHS is fed b from a written row
+    # (about 1e13 at the next step's stages; 5e12 at most inside the step
+    # that first leaves the window).
+    def rhs(t, y):
+        return [1.0, -1e14 if t < 0.3 else 0.0, math.exp(abs(y[1]) / 1e10)]
+
+    system = OdeSystem(rhs=rhs, terminal=np.zeros(3), labels=("a", "b", "c"))
+    grid = TimeGrid(t_end=1.0, n_steps=20)
+    with pytest.raises(OverflowError):
+        rhs(0.2, [0.0, 1e13, 0.0])
     with pytest.raises(_reference.ArrayBlowUp) as want:
         _reference.rk4_backward_arrays(system, grid)
     with pytest.raises(BlowUp) as got:
         integrate_backward(system, grid)
     assert (got.value.t, got.value.component) == (want.value.t,
                                                   want.value.component)
+    assert (got.value.t, got.value.component) == (grid.times()[5], "b")
+
+
+def test_an_rhs_error_before_any_blow_up_propagates():
+    # Rows were written and all lie inside the window: the RHS's own
+    # error, of any type, is what the caller sees.
+    def wrong_length(t, y):
+        return [0.0, 0.0] if t > 0.5 else [0.0]
+
+    def divides(t, y):
+        return [1.0 / float(t > 0.5), 0.0]
+
+    grid = TimeGrid(t_end=1.0, n_steps=4)
+    for rhs, error in [(wrong_length, ValueError),
+                       (divides, ZeroDivisionError)]:
+        system = OdeSystem(rhs=rhs, terminal=np.zeros(2), labels=("a", "b"))
+        with pytest.raises(error):
+            integrate_backward(system, grid)
 
 
 @pytest.mark.parametrize("c_slope", [1e14, 2.0])
