@@ -319,12 +319,12 @@ def test_two_group_rhs_match_the_written_out_expressions(kind, written):
     # gives the same floats as the expressions written out in full, at
     # any state and at, just before and just after every rate jump.
     builder, mode = BUILDERS[kind]
-    n = len(builder(validate(two_groups(n1=2, n2=3), mode)).labels)
     rng = np.random.default_rng(26)
     for _ in range(40):
         market = _random_two_group_market(rng)
         vm = validate(market, mode)
-        rhs, want_rhs = builder(vm).rhs, written(vm)
+        system, want_rhs = builder(vm), written(vm)
+        rhs, n = system.rhs, len(system.labels)
         times = rng.uniform(0.0, 1.0, 5).tolist()
         for b in (b for g in market.groups for b in g.gamma.breaks):
             times += [b, b - 1e-9, b + 1e-9, float(np.nextafter(b, 0.0)),
@@ -371,11 +371,11 @@ def test_constant_rates_read_without_a_search_change_no_bit(monkeypatch):
         assert all(not g.gamma.breaks and g.gamma.values != (0.0,)
                    for g in market.groups)
         searches[0] = 0
-        constant = SOLVERS[kind](market, grid).values
+        read = SOLVERS[kind](market, grid).values
         assert searches[0] == 0, kind
         searched = SOLVERS[kind](stepped(market), grid).values
         assert searches[0] > 0, kind
-        assert constant.tobytes() == searched.tobytes(), kind
+        assert read.tobytes() == searched.tobytes(), kind
 
 
 def test_mfg_rhs_source_holds_no_market_number():
