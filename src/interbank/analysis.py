@@ -23,7 +23,6 @@ from .model import (
     Mode,
     TimeGrid,
     ValidatedMarket,
-    noise_loadings,
     validate,
 )
 from .riccati import (
@@ -34,6 +33,7 @@ from .riccati import (
     solve_mfg,
     solve_open_loop,
 )
+from .simulate import mean_step_covariance
 
 # Mean shift, in units of vol * sqrt(dt), between a discretely and a
 # continuously monitored flat barrier (Broadie-Glasserman-Kou constant
@@ -320,19 +320,6 @@ def sweep_claim(result: SweepResult) -> tuple[str, bool]:
     return (f"rate(0) strictly increasing in {name}", bool(np.all(diffs > 0)))
 
 
-def _covariance(vm: ValidatedMarket, group_index: np.ndarray) -> np.ndarray:
-    """Per-bank noise covariance per unit time, sigma_i sigma_j times the
-    correlation from :func:`noise_loadings`: c0^2 across groups,
-    c0^2 + cg_k^2 within group k and 1 on the diagonal."""
-    within = np.array([c0 * c0 + cg * cg for c0, cg, _ in (
-        noise_loadings(vm.rho, g.rho_k) for g in vm.groups)])
-    sig = np.array([g.sigma for g in vm.groups])[group_index]
-    corr = np.where(group_index[:, None] == group_index,
-                    within[group_index], vm.rho * vm.rho)
-    np.fill_diagonal(corr, 1.0)
-    return np.outer(sig, sig) * corr
-
-
 def _value_forms(coef: np.ndarray):
     """Each group's ten closed-loop coefficients as V = z'Hz/2 + l'z + c in
     z = (m_k - x, m_1, m_2): H [2, 3, 3], l [2, 3] and c [2]."""
@@ -356,6 +343,10 @@ def hjb_residual(closed_path: CoefficientPath,
         dV/dt + sum_j (control_j + gamma_j) dV/dx_j
               + (1/2) <H, B Cov B'> + running_cost = 0.
 
+    B Cov B' is :func:`~interbank.simulate.mean_step_covariance` with
+    group k's bank slot, reordered: m_k - x_i is minus that slot, whose
+    row is zero off the diagonal, so the sign does not matter.
+
     Sample times are snapped to grid-segment midpoints, where the central
     difference of the piecewise-linear coefficient interpolant matches the
     true derivative to second order in the grid step.  Returns
@@ -374,8 +365,9 @@ def hjb_residual(closed_path: CoefficientPath,
     maps = np.stack([averagers[[k, 0, 1]] for k in range(2)])
     maps[[0, 1], 0, probes] -= 1.0
     own = maps[[0, 1], :, probes][group_index]
-    cov = _covariance(vm, group_index)
-    noise = [b @ cov @ b.T for b in maps]
+    # z's slots in mean_step_covariance(vm, k): bank k + 1, m_1 and m_2.
+    noise = [mean_step_covariance(vm, k)[np.ix_(z, z)]
+             for k, z in enumerate(([1, 0, 2], [2, 0, 1]))]
 
     grid = closed_path.grid
     rng = np.random.default_rng(seed)

@@ -62,6 +62,8 @@ MAX_ENSEMBLE_BYTES = 2**30
 # Default number of Runge-Kutta steps when callers do not pass a grid.
 DEFAULT_STEPS = 2000
 
+_CHECK_ROWS = 256  # rows integrate_backward steps between blow-up checks
+
 CLOSED_LABELS: tuple[str, ...] = tuple(
     f"{name}{j}" for name in ("eta", "phi") for j in range(1, 11)
 )
@@ -300,10 +302,10 @@ def integrate_backward(system: OdeSystem, grid: TimeGrid,
     argument and the update as a list of Python floats, with the
     operations of the equivalent array expression in the same order, so
     the results equal those of a numpy-array loop bit for bit.  The
-    table is checked against BLOWUP_LIMIT once, after integration
-    reaches t = 0 (or when the right-hand side raises), and a component
-    that left the window is reported at the first node where one did,
-    as a check after each step would.
+    table is checked against BLOWUP_LIMIT every ``_CHECK_ROWS`` rows (and
+    when the right-hand side raises), so a diverging solve stops early,
+    and a component that left the window is reported at the first node
+    where one did, as a check after each step would.
 
     Raises:
       BlowUp: if any component turned non-finite or exceeded BLOWUP_LIMIT
@@ -342,35 +344,35 @@ def integrate_backward(system: OdeSystem, grid: TimeGrid,
 
     h = -grid.dt
     try:
-        for j in range(grid.n_steps, 0, -1):
-            if j in splits:
-                stops = splits[j] + [times[j - 1]]
-                for t, t_next in zip(stops, stops[1:]):
-                    y = step(rhs, t, t_next - t, nudge, y)
-            else:
-                y = step(rhs, times[j], h, nudge, y)
-            values[j - 1] = y
+        for top in range(grid.n_steps, 0, -_CHECK_ROWS):
+            for j in range(top, max(top - _CHECK_ROWS, 0), -1):
+                if j in splits:
+                    stops = splits[j] + [times[j - 1]]
+                    for t, t_next in zip(stops, stops[1:]):
+                        y = step(rhs, t, t_next - t, nudge, y)
+                else:
+                    y = step(rhs, times[j], h, nudge, y)
+                values[j - 1] = y
+            _check_window(values, j - 1, top, times, system.labels)
     except (ArithmeticError, ValueError):
         # Float math may fail (overflow, a zero division, a domain error)
         # only once it is fed a state that already left the window:
         # report that as the blow-up it is.
-        _check_window(values, j, times, system.labels)
+        _check_window(values, j, top, times, system.labels)
         raise
-    _check_window(values, 0, times, system.labels)
     return CoefficientPath(grid=grid, values=values, labels=system.labels)
 
 
-def _check_window(values: np.ndarray, low: int, times: Sequence[float],
-                  labels: Sequence[str]) -> None:
-    """Raise :class:`BlowUp` if any of rows ``low`` to n - 1 of ``values``
-    is NaN or exceeds BLOWUP_LIMIT in magnitude, at the highest such row
-    (the first one integrated) and its first such label; the terminal
-    row n is not checked."""
-    rows = values[low:-1]
+def _check_window(values: np.ndarray, low: int, high: int,
+                  times: Sequence[float], labels: Sequence[str]) -> None:
+    """Raise :class:`BlowUp` if any of rows ``low`` to ``high`` - 1 of
+    ``values`` is NaN or exceeds BLOWUP_LIMIT in magnitude, at the highest
+    such row (the first one integrated) and its first such label."""
+    rows = values[low:high]
     # max and min allocate nothing, and a nan fails both comparisons.
     if rows.size and not (rows.max() <= BLOWUP_LIMIT
                           and rows.min() >= -BLOWUP_LIMIT):
-        for j in range(len(values) - 2, low - 1, -1):
+        for j in range(high - 1, low - 1, -1):
             bad = ~(np.abs(values[j]) <= BLOWUP_LIMIT)
             if bad.any():
                 raise BlowUp(times[j], labels[int(np.argmax(bad))])

@@ -3,7 +3,8 @@
 Each bank's diffusion mixes one global driver W0, one per-group driver Wk,
 and one idiosyncratic driver, with loadings (rho, sqrt(1-rho^2)*rho_k,
 sqrt(1-rho^2)*sqrt(1-rho_k^2)) that square-sum to one.  Only drivers
-with a nonzero loading are drawn, and one small product mixes them in.
+with a nonzero loading are drawn; moving a group's banks alike, the
+common ones reach the group means only.
 
 One Euler kernel steps every series.  Under an affine rule the
 within-group gap terms sum to zero, so the group means follow a closed
@@ -434,19 +435,6 @@ def _loadings(vm: ValidatedMarket, groups: np.ndarray, drivers,
     return driver, loads[:, 2] * idio
 
 
-def _mixed_noise(batch: IncrementBatch, driver: np.ndarray,
-                 own: np.ndarray) -> np.ndarray:
-    """Per-column diffusion increments from the :func:`_loadings` pair,
-    formed in the batch's idiosyncratic block, once per batch; drivers are
-    added path by path, so no product of the batch's size is formed."""
-    noise = batch.idiosyncratic
-    noise *= own
-    if len(driver):
-        for p in range(len(noise)):
-            noise[p] += batch.increments[p, :, :len(driver)] @ driver
-    return noise
-
-
 def _run_batches(spec: NoiseSpec, grid: TimeGrid, sizes, worker,
                  jobs: int | None) -> Iterator:
     """``worker`` applied to every batch, yielded lazily in batch order.
@@ -542,11 +530,12 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
 
     Each bank is stepped as its group mean plus its deviation from it.
     The means follow the closed d-dimensional recursion of
-    :func:`_euler_means` driven by the bank-averaged increments; each
-    deviation decays at its group's gap gain and carries the bank's
-    increment less its group's mean increment.  Both run on the same
-    kernel, whose blow-up guard therefore watches the means and the
-    deviations rather than their sums.  Start states are stored exactly.
+    :func:`_euler_means` driven by the common drivers and the group
+    means of the idiosyncratic increments; each deviation decays at its
+    group's gap gain and carries the bank's idiosyncratic increment less
+    its group's mean of them.  Both run on the same kernel, whose
+    blow-up guard therefore watches the means and the deviations rather
+    than their sums.  Start states are stored exactly.
 
     Every path of every bank is kept, so an ensemble above
     ``MAX_ENSEMBLE_BYTES`` raises ValueError.
@@ -559,14 +548,13 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     group_index = np.repeat(np.arange(vm.d), sizes)
     members = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
     _check_spec(vm, spec)
-    driver, own = _loadings(vm, group_index, _active_driver_columns(spec))
+    active = _active_driver_columns(spec)
+    # Each drawn driver's loading on each group, and each group's own.
+    driver, own = _loadings(vm, np.arange(vm.d), active)
     gap_t, w_t, drift = _strategy_tables(strategy, vm, grid)
     decay = -gap_t[:, group_index]
     mean, std = _expand_x0(X0, sizes)
     proj = _group_projector(group_index, vm.d)
-    # Average, then mix: each drawn column's loading on every group mean,
-    # so one product turns a batch into the mean increments.
-    mean_loads = np.vstack([driver @ proj.T, (proj * own).T])
 
     def worker(batch: IncrementBatch):
         x0 = mean + std * batch.x0_normals
@@ -574,13 +562,17 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
         m0 = np.stack([np.cumsum(x0[:, banks] * proj[k, banks],
                                  axis=1)[:, -1]
                        for k, banks in enumerate(members)], axis=1)
-        mean_noise = batch.increments @ mean_loads
-        means = _euler_means(m0, w_t, drift, mean_noise, grid)
-        # Every batch reaches exactly one worker, so its noise may be
-        # mixed and overwritten in place.
-        noise = _mixed_noise(batch, driver, own)
+        # Every batch reaches exactly one worker, so its idiosyncratic
+        # block may become the deviations' noise in place.  The common
+        # drivers move a group's banks alike and reach the means alone.
+        noise = batch.idiosyncratic
+        noise *= own[group_index]
+        mean_noise = noise @ proj.T
         for k, banks in enumerate(members):
             noise[:, :, banks] -= mean_noise[:, :, k : k + 1]
+        if active:
+            mean_noise += batch.increments[:, :, :len(active)] @ driver
+        means = _euler_means(m0, w_t, drift, mean_noise, grid)
         states = _euler_means(x0 - m0[:, group_index], decay, 0.0, noise,
                               grid)
         for k, banks in enumerate(members):
@@ -629,6 +621,8 @@ def _mean_slots(vm: ValidatedMarket, bank_group: int | None = None):
     """
     counts = [1] * vm.d
     if bank_group is not None:
+        if not 0 <= bank_group < vm.d:
+            raise ValueError(f"bank group {bank_group} not in 0 .. {vm.d - 1}")
         counts[bank_group] = 2
     groups = np.repeat(np.arange(vm.d), counts)
     is_mean = np.isin(np.arange(len(groups)), np.cumsum([0] + counts[:-1]))
@@ -641,11 +635,15 @@ def _mean_slots(vm: ValidatedMarket, bank_group: int | None = None):
     return counts, groups, is_mean, scale, cov
 
 
-def mean_step_covariance(market: MarketParams | ValidatedMarket
-                         ) -> np.ndarray:
+def mean_step_covariance(market: MarketParams | ValidatedMarket,
+                         bank_group: int | None = None) -> np.ndarray:
     """Per-unit-time covariance [d, d] of the group means' increments: the
-    matrix whose factor drives :func:`simulate_group_means`."""
-    return _mean_slots(validate(market, Mode.MFG))[-1]
+    matrix whose factor drives :func:`simulate_group_means`.  With
+    ``bank_group`` = g, [d + 1, d + 1] with a group-g bank's deviation
+    from its mean after m_g: common drivers cancel in it, so its row is
+    zero off the diagonal, which is sigma_g^2 ci_g^2 (1 - 1/N_g).  A g
+    outside 0 .. d - 1 raises ValueError."""
+    return _mean_slots(validate(market, Mode.MFG), bank_group)[-1]
 
 
 def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,

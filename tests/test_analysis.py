@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,19 +239,29 @@ def test_hjb_residual_detects_perturbation():
     assert hjb_residual(broken, market, 100) >= 1e-3
 
 
+# Two-group markets of the dense-reference test beyond the frozen ones:
+# many banks, and one driver for every bank (rho = 1, no own noise).
+_HJB_MARKETS = {
+    "large": dict(n1=40, n2=160, rho=0.3, rho_k=(0.5, 0.2), c=(0.3, 0.1),
+                  lam=(0.35, 0.6), gamma=(0.2, -0.1)),
+    "common": dict(n1=3, n2=7, rho=1.0, sigma=(1.2, 0.7), c=(0.3, 0.1),
+                   lam=(0.35, 0.6), gamma=(0.2, -0.1)),
+}
+
+
 @pytest.mark.parametrize("name,seed,n_steps,samples,perturb", [
     *((name, seed, 2000, 100, False) for name in ("benchmark", "rich", "stepg")
       for seed in (0, 5, 7)),
     ("benchmark", 0, 2000, 100, True),
     ("large", 3, 400, 20, False),
+    ("common", 2, 400, 50, False),
 ])
 def test_hjb_residual_matches_the_dense_reference(name, seed, n_steps,
                                                   samples, perturb):
     # The 3 x 3 quadratic form gives the residual of the term-by-term
     # ansatz with a dense N x N Hessian, to roundoff, at the same samples.
-    if name == "large":
-        market = two_groups(n1=40, n2=160, rho=0.3, rho_k=(0.5, 0.2),
-                            c=(0.3, 0.1), lam=(0.35, 0.6), gamma=(0.2, -0.1))
+    if name in _HJB_MARKETS:
+        market = two_groups(**_HJB_MARKETS[name])
     else:
         market = market_from_params(name)
     path = solve_closed_loop(market, TimeGrid(t_end=market.horizon,
@@ -264,6 +275,20 @@ def test_hjb_residual_matches_the_dense_reference(name, seed, n_steps,
         path, validate(market, Mode.CLOSED_LOOP), samples, seed=seed)
     assert abs(got - want) <= 1e-15
     assert (got >= 1e-3) if perturb else (got < 1e-4)
+
+
+def test_hjb_residual_holds_no_bank_by_bank_array():
+    # 2000 banks: a dense N x N noise covariance alone would take 32 MB.
+    market = two_groups(n1=400, n2=1600, rho=0.3, rho_k=(0.5, 0.2),
+                        c=(0.3, 0.1), lam=(0.35, 0.6))
+    path = solve_closed_loop(market, TimeGrid(t_end=1.0, n_steps=200))
+    tracemalloc.start()
+    try:
+        hjb_residual(path, market, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_hjb_residual_is_zero_for_flat_costs():

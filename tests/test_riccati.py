@@ -483,6 +483,40 @@ def test_blow_up_matches_the_array_loop():
     assert seen == {0.98, 0.5}
 
 
+def test_a_diverging_solve_stops_within_one_block():
+    # The table is checked block by block: a solve that leaves the window
+    # at its second step calls the right-hand side for one block of rows
+    # at most, not for the whole grid, and one that leaves it mid-horizon,
+    # blocks below the top, still reports the array loop's node and label.
+    grid = TimeGrid(t_end=1.0, n_steps=2000)
+    stiff = two_groups(n1=4, n2=16, eps=(4e7, 4.5))
+    late = two_groups(n1=4, n2=16, gamma=(
+        StepFunction(breaks=(0.51,), values=(1e16, 0.0)), 0.0))
+    for market, first_calls in [(stiff, 4 * riccati._CHECK_ROWS),
+                                (late, None)]:
+        breaks = [b for g in market.groups for b in g.gamma.breaks]
+        system = closed_loop_system(validate(market, Mode.CLOSED_LOOP))
+        calls = 0
+
+        def counted(t, y):
+            nonlocal calls
+            calls += 1
+            return system.rhs(t, y)
+
+        with pytest.raises(_reference.ArrayBlowUp) as want:
+            _reference.rk4_backward_arrays(system, grid, breaks)
+        with pytest.raises(BlowUp) as got:
+            integrate_backward(dataclasses.replace(system, rhs=counted),
+                               grid, breaks)
+        assert (got.value.t, got.value.component) == (
+            want.value.t, want.value.component)
+        if first_calls is not None:
+            assert got.value.t == 0.999
+            assert calls <= first_calls
+        else:
+            assert 0.5 < got.value.t < 0.51
+
+
 def test_an_rhs_that_fails_on_a_blown_up_state_is_a_blow_up():
     # Below t = 0.3 component b is driven past the limit, and c's rate
     # exp(|b| / 1e10) overflows once the RHS is fed b from a written row

@@ -37,6 +37,7 @@ from interbank.simulate import (
     distance_process,
     generate_increments,
     mc_hitting_probability,
+    mean_step_covariance,
     simulate_closed_loop,
     simulate_group_means,
     _euler_means,
@@ -1003,6 +1004,70 @@ def test_singular_slot_covariances_factor_and_simulate(rho, rho_k, sigma,
     est = mc_hitting_probability(market, spec, DefaultSpec.single_bank(
         -0.3, group, 1), strategy, x0=x0, grid=grid)
     assert 0 <= est.n_hits <= spec.n_paths
+
+
+def _random_market(d, seed):
+    """A d-group market with random volatilities, correlations and sizes;
+    a group of one bank is possible."""
+    rng = np.random.default_rng(seed)
+    groups = tuple(
+        GroupParams(sigma=rng.uniform(0.2, 1.5), q=2.0, eps=5.0, c=0.3,
+                    lam=rng.uniform(0.1, 0.9), rho_k=rng.uniform(-1.0, 1.0),
+                    n_banks=int(rng.integers(1, 30)))
+        for _ in range(d))
+    return MarketParams(rho=rng.uniform(-1.0, 1.0), horizon=1.0,
+                        groups=groups)
+
+
+@pytest.mark.parametrize("d, seed", [(d, seed) for d in (2, 3)
+                                     for seed in range(4)])
+def test_the_bank_row_of_the_slot_covariance(d, seed):
+    # With group g's bank slot, right after its mean, the means block is
+    # the group-mean covariance bit for bit.  The common drivers move the
+    # group's banks alike and cancel in a deviation: its row is zero off
+    # the diagonal, which holds sigma_g^2 ci_g^2 (1 - 1/N_g).
+    market = _random_market(d, seed)
+    means = mean_step_covariance(market)
+    for g, group in enumerate(market.groups):
+        cov = mean_step_covariance(market, g)
+        rest = np.delete(np.arange(d + 1), g + 1)
+        assert cov[np.ix_(rest, rest)].tobytes() == means.tobytes()
+        assert not cov[g + 1, rest].any() and not cov[rest, g + 1].any()
+        ci = noise_loadings(market.rho, group.rho_k)[2]
+        want = group.sigma**2 * ci**2 * (1.0 - 1.0 / group.n_banks)
+        assert cov[g + 1, g + 1] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("bank_group", [-2, -1, 2, 5])
+def test_a_bank_group_outside_the_market_is_rejected(bank_group):
+    market = two_groups(n1=3, n2=5, rho=0.4, rho_k=(0.3, 0.6))
+    with pytest.raises(ValueError, match="bank group"):
+        mean_step_covariance(market, bank_group)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_common_noise_never_reaches_a_deviation(monkeypatch, jobs):
+    # rho = 1 leaves every own loading 0, so the banks of a group share
+    # every increment: whatever the noise does to the means, the
+    # difference of two banks' paths is their start difference under the
+    # noiseless decay of the group's gap gain.
+    monkeypatch.setattr(simulate, "BATCH_PATHS", 8)
+    market = two_groups(n1=3, n2=5, rho=1.0, sigma=(1.2, 0.8), c=(0.3, 0.1),
+                        lam=(0.35, 0.6), gamma=(0.2, -0.1))
+    grid = TimeGrid(t_end=1.0, n_steps=100)
+    strategy = closed_strategy(market, grid)
+    spec = NoiseSpec.from_market(market, seed=4, n_paths=20)
+    ens = simulate_closed_loop(market, strategy, ((0.1, 0.4), (-0.2, 0.7)),
+                               spec, grid=grid, jobs=jobs)
+    decay = np.cumprod(np.vstack([np.ones(2), 1.0 - strategy.gap_gain[:-1]
+                                  * grid.dt]), axis=0)
+    for k, banks in enumerate((slice(0, 3), slice(3, 8))):
+        states = ens.states[:, banks]
+        gaps = states[:, 1:] - states[:, :1]
+        assert np.abs(gaps[:, :, 0]).min() > 0.0
+        assert np.abs(gaps - gaps[:, :, :1] * decay[:, k]).max() < 1e-12
+        # The noise does move the group's paths.
+        assert np.abs(np.diff(states[:, 0], axis=1)).max() > 0.05
 
 
 def test_hitting_validates_target_indices():
