@@ -53,6 +53,12 @@ from .riccati import BLOWUP_LIMIT, MAX_ENSEMBLE_BYTES
 # reorder any floating-point reduction.
 BATCH_PATHS = 512
 
+# Paths drawn before their streams are copied into a batch's time-major
+# block (with one slot, one 64-byte line per node), and rows of a block
+# mixed per product, so no temporary is batch-sized.
+_TILE_PATHS = 8
+_MIX_ROWS = 32
+
 _MAX_SEED = 2**64
 
 # numpy's SeedSequence hash (pool of four uint32 words) and PCG64's
@@ -107,22 +113,30 @@ class NoiseSpec:
 class IncrementBatch:
     """Normal draws for a contiguous block of paths.
 
-    ``increments`` [paths, n_steps, len(active) + columns] is the drawn
-    block scaled by sqrt(dt): leading column i is driver ``active[i]``
-    (0 global, k for group k of ``d``), then one idiosyncratic column per
-    bank or group slot.  The ``drivers`` property expands the leading
-    columns into a new [paths, n_steps, 1 + d] array, zero where a driver
-    is not drawn; ``idiosyncratic`` is a view of the rest.  ``x0_normals``
-    are unscaled standard normals reserved for initial-state sampling;
-    they are drawn first so the stream layout never depends on whether X0
-    is random.
+    ``block`` [n_steps + 1, paths, len(active) + columns] is time-major.
+    Row n + 1 holds step n's draws scaled by sqrt(dt): leading column i
+    is driver ``active[i]`` (0 global, k for group k of ``d``), then one
+    idiosyncratic column per bank or group slot.  Row 0 holds the
+    unscaled start normals under the columns and zeros under the
+    drivers.  The consumer owns the block and may step it in place.
+    ``x0_normals`` [paths, columns], ``increments`` [paths, n_steps,
+    width] and its column part ``idiosyncratic`` are path-major views of
+    it; ``drivers`` expands the leading columns into a new [paths,
+    n_steps, 1 + d] array, zero where a driver is not drawn.
     """
 
     start: int
-    x0_normals: np.ndarray
-    increments: np.ndarray
+    block: np.ndarray
     active: tuple[int, ...]
     d: int
+
+    @property
+    def x0_normals(self) -> np.ndarray:
+        return self.block[0, :, len(self.active):]
+
+    @property
+    def increments(self) -> np.ndarray:
+        return self.block[1:].transpose(1, 0, 2)
 
     @property
     def drivers(self) -> np.ndarray:
@@ -203,15 +217,17 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     """Yield per-path driver and idiosyncratic increments in batches of
     ``BATCH_PATHS`` paths.
 
-    Path p's block is drawn from a PCG64 generator seeded
+    Path p's stream is drawn in one call from a PCG64 generator seeded
     SeedSequence((seed, p)): x0 normals first, then step-major rows (the
     active drivers in index order, one column per bank).  A batch's
     generator states are derived in one vectorised pass that equals
     numpy's per-path construction, and one generator is set to each in
-    turn.  A driver whose loading vanishes for every group (rho == 0 for
-    the global one, sqrt(1-rho^2)*rho_k == 0 for group k) can never reach
-    a bank, so it draws no randomness and has no column; fully
-    independent markets pay for exactly one normal per bank per step.
+    turn.  Streams are drawn into a tile of ``_TILE_PATHS`` paths, which
+    is copied into the batch's time-major block.  A driver whose loading
+    vanishes for every group (rho == 0 for the global one,
+    sqrt(1-rho^2)*rho_k == 0 for group k) can never reach a bank, so it
+    draws no randomness and has no column; fully independent markets
+    pay for exactly one normal per bank per step.
     The layout depends only on (spec, grid, n_banks_per_group), and
     ``BATCH_PATHS``, read at each call, only groups the paths.  Callers
     that step group means pass slot counts per group in place of bank
@@ -224,7 +240,8 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     n_banks = sum(sizes)
     n_steps = grid.n_steps
     active = _active_driver_columns(spec)
-    width = len(active) + n_banks
+    lead = len(active)
+    width = lead + n_banks
     root = math.sqrt(grid.dt)
     # Every path overwrites the whole state, so one generator serves all;
     # its own seed is never drawn from.
@@ -232,22 +249,36 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     rng = np.random.Generator(bits)
     state = bits.state
     pcg = state["state"]
+
+    def draw(start: int, count: int) -> np.ndarray:
+        """The block of paths start .. start + count - 1; its tile and
+        seed states are freed on return."""
+        block = np.empty((n_steps + 1, count, width))
+        block[0, :, :lead] = 0.0
+        tile = np.empty((min(_TILE_PATHS, count), n_banks + n_steps * width))
+        states = _path_states(spec.seed, start, count)
+        for lo in range(0, count, _TILE_PATHS):
+            streams = tile[:min(_TILE_PATHS, count - lo)]
+            hi = lo + len(streams)
+            for stream, (path_state, inc) in zip(streams, states):
+                pcg["state"], pcg["inc"] = path_state, inc
+                bits.state = state
+                rng.standard_normal(out=stream)
+            block[0, lo:hi, lead:] = streams[:, :n_banks]
+            steps = streams[:, n_banks:].reshape(hi - lo, n_steps, width)
+            block[1:, lo:hi] = steps.transpose(1, 0, 2)
+        # Scaled in place once filled: on contiguous rows numpy needs
+        # no buffer.
+        block[1:] *= root
+        return block
+
     for start in range(0, spec.n_paths, BATCH_PATHS):
-        count = min(BATCH_PATHS, spec.n_paths - start)
-        x0 = np.empty((count, n_banks))
-        block = np.empty((count, n_steps, width))
-        for j, (path_state, inc) in enumerate(
-                _path_states(spec.seed, start, count)):
-            pcg["state"], pcg["inc"] = path_state, inc
-            bits.state = state
-            rng.standard_normal(out=x0[j])
-            rng.standard_normal(out=block[j])
-        block *= root
-        yield IncrementBatch(start=start, x0_normals=x0, increments=block,
-                             active=active, d=spec.d)
+        block = draw(start, min(BATCH_PATHS, spec.n_paths - start))
+        yield IncrementBatch(start=start, block=block, active=active,
+                             d=spec.d)
         # The consumer is done with this batch: free it before the next
         # draw, so only one block is alive at a time.
-        del x0, block
+        del block
 
 
 class TargetKind(enum.Enum):
@@ -458,38 +489,33 @@ def _run_batches(spec: NoiseSpec, grid: TimeGrid, sizes, worker,
             yield pending.popleft().result()
 
 
-def _euler_means(start: np.ndarray, weights: np.ndarray,
-                 drift: np.ndarray | float, noise: np.ndarray,
-                 grid: TimeGrid) -> np.ndarray:
+def _euler_means(series: np.ndarray, weights: np.ndarray,
+                 drift: np.ndarray | float, grid: TimeGrid) -> np.ndarray:
     """Euler steps of the closed linear SDE that group means follow.
 
-    m_{n+1} = m_n + (W_n m_n + b_n) dt + e_n for ``start`` [paths, s],
-    ``weights`` W [n_steps, s, s], ``drift`` b [n_steps, s] (or 0) and
-    increments ``noise`` e [paths, n_steps, s].  Weights of shape
-    [n_steps, s] are the diagonal of W: a per-column decay.  Under any
-    affine rule the gap terms sum to zero within a group, so group means
-    obey this recursion exactly; so does each bank's deviation from its
-    group mean, with diagonal W = -gap and b = 0.  Every carried series is
-    checked against ``BLOWUP_LIMIT`` once, after the last step; a series
-    that left the window raises :class:`SimulationBlowUp` at the first
-    node where any did, as a check after each step would.  Returns every
-    series at every node, time-major: [n_steps + 1, paths, s].
+    m_{n+1} = m_n + (W_n m_n + b_n) dt + e_n for the time-major
+    ``series`` [n_steps + 1, paths, s], which holds the start m_0 in row
+    0 and the increment e_n in row n + 1, ``weights`` W [n_steps, s, s]
+    and ``drift`` b [n_steps, s] (or 0).  Weights of shape [n_steps, s]
+    are the diagonal of W: a per-column decay.  Under any affine rule
+    the gap terms sum to zero within a group, so group means obey this
+    recursion exactly; so does each bank's deviation from its group
+    mean, with diagonal W = -gap and b = 0.  The series is stepped in
+    place, each row becoming its node's state, and returned.  Every
+    carried series is checked against ``BLOWUP_LIMIT`` once, after the
+    last step; a series that left the window raises
+    :class:`SimulationBlowUp` at the first node where any did, as a
+    check after each step would.
     """
     dt = grid.dt
     times = grid.times()
-    n_paths, n_steps, width = noise.shape
     wdt = weights * dt if weights.any() else None
     ddt = drift * dt if np.any(drift) else None
-    # Time-major: each step reads and writes contiguous rows.  Node n + 1
-    # holds its increment until the step adds the drift and node n's state.
-    out = np.empty((n_steps + 1, n_paths, width))
-    out[0] = start
-    out[1:] = noise.transpose(1, 0, 2)
     # A state past the limit may overflow to inf or nan in later steps;
     # the check after the loop reports the first node it left at.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            m, nxt = out[n], out[n + 1]
+        for n in range(len(series) - 1):
+            m, nxt = series[n], series[n + 1]
             if ddt is not None:
                 nxt += ddt[n]
             nxt += m
@@ -497,13 +523,13 @@ def _euler_means(start: np.ndarray, weights: np.ndarray,
                 nxt += (m * wdt[n] if wdt.ndim == 2
                         else np.einsum("ps,ts->pt", m, wdt[n]))
     # max and min allocate nothing, and a nan fails both comparisons.
-    stepped = out[1:]
+    stepped = series[1:]
     if not (stepped.max() <= BLOWUP_LIMIT
             and stepped.min() >= -BLOWUP_LIMIT):
         for n, node in enumerate(stepped):
             if not np.abs(node).max() <= BLOWUP_LIMIT:
                 raise SimulationBlowUp(float(times[n + 1]))
-    return out
+    return series
 
 
 def _check_stored(spec: NoiseSpec, series: int, grid: TimeGrid) -> None:
@@ -572,9 +598,13 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
             noise[:, :, banks] -= mean_noise[:, :, k : k + 1]
         if active:
             mean_noise += batch.increments[:, :, :len(active)] @ driver
-        means = _euler_means(m0, w_t, drift, mean_noise, grid)
-        states = _euler_means(x0 - m0[:, group_index], decay, 0.0, noise,
-                              grid)
+        means = _euler_means(np.concatenate(
+            [m0[None], mean_noise.transpose(1, 0, 2)]), w_t, drift, grid)
+        # The deviations step on the block's columns, whose row 0 held
+        # the start normals.
+        states = batch.block[:, :, len(active):]
+        states[0] = x0 - m0[:, group_index]
+        _euler_means(states, decay, 0.0, grid)
         for k, banks in enumerate(members):
             states[:, :, banks] += means[:, :, k : k + 1]
         states[0] = x0
@@ -658,7 +688,8 @@ def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
     correlations zeroed, and mixes them through the lower Cholesky factor
     L of the slots' covariance: the increments are Z L^T.  With no common
     driver the covariance is diag(own^2), L is diag(own) exactly, and the
-    slots are scaled by their own loadings alone.
+    slots are scaled by their own loadings alone.  The carried series is
+    the batch's drawn block, mixed, started and stepped in place.
     """
     _check_spec(vm, spec)
     counts, groups, is_mean, scale, cov = _mean_slots(vm, bank_group)
@@ -678,15 +709,19 @@ def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
         weights[:, deviation, deviation] = -gap_t[:, bank_group]
 
     def worker(batch: IncrementBatch):
+        series = batch.block
         # Z L^T in place and element by element, last slot first: slot j
         # sums L[j, i] Z_i over i <= j, whose draws are intact.
-        noise = batch.increments
-        for j in reversed(range(len(lower))):
-            noise[:, :, j] *= lower[j, j]
-            for i in np.flatnonzero(lower[j, :j]):
-                noise[:, :, j] += lower[j, i] * noise[:, :, i]
-        start = start_loc + start_scale * batch.x0_normals
-        return reduce(_euler_means(start, weights, drift, noise, grid))
+        for lo in range(1, len(series), _MIX_ROWS):
+            noise = series[lo : lo + _MIX_ROWS]
+            for j in reversed(range(len(lower))):
+                noise[:, :, j] *= lower[j, j]
+                for i in np.flatnonzero(lower[j, :j]):
+                    noise[:, :, j] += lower[j, i] * noise[:, :, i]
+        start = series[0]
+        start *= start_scale
+        start += start_loc
+        return reduce(_euler_means(series, weights, drift, grid))
 
     independent = replace(spec, rho=0.0, rho_k=(0.0,) * vm.d)
     return _run_batches(independent, grid, counts, worker, jobs)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -130,6 +131,39 @@ def test_zero_loading_drivers_draw_nothing():
     assert np.array_equal(batch.x0_normals[0], x0)
     assert np.array_equal(batch.drivers[0, :, 2], rows[:, 0])
     assert np.array_equal(batch.idiosyncratic[0], rows[:, 1:])
+
+
+@pytest.mark.parametrize("rho, rho_k", [(0.0, (0.0, 0.0)),
+                                        (0.3, (0.0, 0.5))])
+def test_streams_cross_tile_and_batch_edges(monkeypatch, rho, rho_k):
+    # 23 paths make batches of 7, 7, 7 and 2, or one batch of tiles of
+    # 8, 8 and 7: wherever a path falls, its start normals and step rows
+    # are one draw of numpy's SeedSequence((seed, p)) stream, and a
+    # driver that is not drawn reads zero.
+    spec = NoiseSpec(rho=rho, rho_k=rho_k, seed=2**40 + 17, n_paths=23)
+    grid = TimeGrid(t_end=1.0, n_steps=9)
+    active = simulate._active_driver_columns(spec)
+    width = len(active) + 5
+    undrawn = [c for c in range(3) if c not in active]
+    for size in (7, BATCH_PATHS):
+        monkeypatch.setattr(simulate, "BATCH_PATHS", size)
+        batches = list(generate_increments(spec, grid, (2, 3)))
+        assert [b.start for b in batches] == list(range(0, 23, size))
+        for b in batches:
+            assert b.block.shape == (10, len(b.x0_normals), width)
+        x0 = np.concatenate([b.x0_normals for b in batches])
+        increments = np.concatenate([b.increments for b in batches])
+        drivers = np.concatenate([b.drivers for b in batches])
+        assert not drivers[:, :, undrawn].any()
+        assert np.array_equal(drivers[:, :, list(active)],
+                              increments[:, :, :len(active)])
+        for p in range(spec.n_paths):
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence((spec.seed, p))))
+            stream = rng.standard_normal(5 + grid.n_steps * width)
+            assert np.array_equal(x0[p], stream[:5]), (size, p)
+            rows = stream[5:].reshape(grid.n_steps, width) * np.sqrt(grid.dt)
+            assert np.array_equal(increments[p], rows), (size, p)
 
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 17, 2**63 + 5, 2**64 - 1)
@@ -778,17 +812,17 @@ def _traced_peak(fn):
 
 
 def test_means_only_run_holds_one_noise_block(monkeypatch, batch_starts):
-    # A batch is freed before the next one is drawn: the peak stays under
-    # the stored means, one batch's carried series and 1.5 blocks of one
-    # column per group, where two live blocks would not.
+    # A batch is freed before the next one is drawn, and its block is
+    # stepped in place as the carried series: the peak stays under the
+    # stored means and 1.5 blocks of one column per group, where a
+    # carried copy beside the block would not.
     market, grid, strategy, spec = _memory_case()
     monkeypatch.setattr(simulate, "BATCH_PATHS", 64)
     means, peak = _traced_peak(lambda: simulate_group_means(
         market, strategy, ((0.0, 0.1), (0.2, 0.3)), spec, grid=grid))
     assert batch_starts == list(range(0, 12 * 64, 64))
-    carried = 64 * 2 * (grid.n_steps + 1) * 8
     block = _block(_independent(spec), grid, 2)
-    assert peak < means.nbytes + carried + 1.5 * block
+    assert peak < means.nbytes + 1.5 * block
 
 
 @pytest.mark.parametrize("jobs", [None, 2])
@@ -806,6 +840,12 @@ def test_bank_simulation_peak_is_the_ensemble_and_a_few_batches(
               + ens.global_average.nbytes)
     batch = _block(spec, grid, 20) + 64 * 20 * (grid.n_steps + 1) * 8
     assert peak < stored + 2 * batch
+
+
+def _series(start, noise):
+    """The time-major series [nodes, paths, s] the Euler kernel steps:
+    ``start`` [paths, s], then the increments ``noise`` [paths, steps, s]."""
+    return np.concatenate([start[None], noise.transpose(1, 0, 2)])
 
 
 def test_group_mean_kernel_reproduces_the_bank_simulation():
@@ -831,9 +871,9 @@ def test_group_mean_kernel_reproduces_the_bank_simulation():
     growth = np.array([[g.gamma(t) for g in market.groups]
                        for t in grid.times()[:steps]])
     x0 = states[:, :, 0]
-    means = _euler_means(x0 @ proj.T, strategy.avg_weights[:steps],
-                         strategy.intercept[:steps] + growth, mean_noise,
-                         grid)
+    means = _euler_means(_series(x0 @ proj.T, mean_noise),
+                         strategy.avg_weights[:steps],
+                         strategy.intercept[:steps] + growth, grid)
     assert means.shape == (steps + 1, 16, 2)
     averages = np.einsum("kb,pbn->pkn", proj, states)
     assert np.abs(means.transpose(1, 2, 0) - averages).max() < 1e-12
@@ -842,10 +882,12 @@ def test_group_mean_kernel_reproduces_the_bank_simulation():
         gap = strategy.gap_gain[:steps, k]
         start = (x0[:, bank] - x0 @ proj[k])[:, None]
         noise = (bank_noise[:, :, bank] - mean_noise[:, :, k])[:, :, None]
-        deviation = _euler_means(start, -gap[:, None, None], 0.0, noise, grid)
+        deviation = _euler_means(_series(start, noise), -gap[:, None, None],
+                                 0.0, grid)
         # Diagonal weights [n_steps, s] are the same decay.
         assert np.array_equal(
-            _euler_means(start, -gap[:, None], 0.0, noise, grid), deviation)
+            _euler_means(_series(start, noise), -gap[:, None], 0.0, grid),
+            deviation)
         path = means[:, :, k] + deviation[:, :, 0]
         assert np.abs(path.T - states[:, bank, :]).max() < 1e-12
 
@@ -937,6 +979,52 @@ def test_bank_target_matches_the_bank_simulation_in_law():
     se = np.sqrt(full * (1.0 - full) / spec.n_paths)
     assert 0.05 < full < 0.95
     assert abs(est.probability - full) < 4.0 * np.sqrt(2.0) * se
+
+@pytest.mark.parametrize("seed, hits", [(0, 174), (7, 219),
+                                        (2**40 + 17, 206), (2**64 - 1, 206)])
+def test_criterion_4_hit_counts_are_pinned(seed, hits):
+    # Hit counts of the criterion-4 market at 4096 paths, recorded before
+    # the group-mean block was stepped in place: any slip in the stream
+    # or its layout moves them.
+    group = GroupParams(sigma=1.0, q=2.0, eps=5.0, c=0.0, lam=0.0, n_banks=10)
+    market = MarketParams(groups=(group,), rho=0.0, horizon=1.0, beta=(1.0,))
+    spec = NoiseSpec(rho=0.0, rho_k=(0.0,), seed=seed, n_paths=4096)
+    est = mc_hitting_probability(market, spec,
+                                 DefaultSpec.global_average(-0.62),
+                                 grid=TimeGrid(t_end=1.0, n_steps=2000))
+    assert est.n_hits == hits
+
+
+def _pinned_market(n1, n2):
+    return two_groups(n1=n1, n2=n2, rho=0.25, rho_k=(0.4, 0.1),
+                      sigma=(1.2, 0.8), lam=(0.3, 0.6), c=(0.2, 0.1),
+                      gamma=(0.1, -0.2))
+
+
+def test_bank_target_hit_count_is_pinned():
+    # Recorded before the group-mean block was stepped in place; the
+    # bank's deviation slot comes after its group's mean.
+    market = _pinned_market(3, 5)
+    grid = TimeGrid(t_end=1.0, n_steps=100)
+    est = mc_hitting_probability(
+        market, NoiseSpec.from_market(market, seed=17, n_paths=1000),
+        DefaultSpec.single_bank(-0.4, 1, 2), closed_strategy(market, grid),
+        x0=((0.1, 0.2), 0.0), grid=grid)
+    assert est.n_hits == 678
+
+
+def test_bank_states_are_pinned():
+    # The SHA-256 of the states of a common-noise market with random
+    # starts, recorded before the bank simulator stepped its deviations
+    # in the drawn block.
+    market = _pinned_market(4, 8)
+    grid = TimeGrid(t_end=1.0, n_steps=50)
+    ens = simulate_closed_loop(
+        market, closed_strategy(market, grid), ((0.1, 0.3), (-0.2, 0.1)),
+        NoiseSpec.from_market(market, seed=5, n_paths=37), grid=grid)
+    assert hashlib.sha256(ens.states.tobytes()).hexdigest() == (
+        "c74254ab3b6b75dfb274d8b5a1aea4699c2662ab3f9f3967fa3cf1fcff80fdf4")
+
 
 def test_hitting_probability_at_start_level():
     market = two_groups(n1=2, n2=2)
