@@ -101,6 +101,11 @@ _SOLVERS = {
 }
 _CHECKS = ("identity", "bounds", "rowsums")
 
+# The summary's quantile columns, and the nodes it reduces per block.
+_QUANTILES = {"q05": 0.05, "q25": 0.25, "q50": 0.50, "q75": 0.75,
+              "q95": 0.95}
+_SUMMARY_ROWS = 32
+
 _GROUP_KEYS = ("sigma", "q", "eps", "c", "lam", "rho_k", "gamma", "n_banks")
 _TOP_KEYS = ("rho", "horizon", "beta", "steps", "seed", "paths", "jobs",
              "out", "raw_dump", "x0", "systems", "checks", "axis", "values",
@@ -412,6 +417,43 @@ def cmd_solve(config: RunConfig) -> tuple[int, list[str]]:
     return 0, outputs
 
 
+def _summary_table(means: np.ndarray, times: np.ndarray, beta
+                   ) -> tuple[list[str], np.ndarray]:
+    """The header and [nodes, columns] table of ``ensemble_summary.csv``
+    for the group means [nodes, paths, d]: per node, each group's mean
+    and quantiles over the paths, the beta-weighted global mean and, for
+    two groups, the mean and standard deviation of their distance.
+
+    Nodes are summarised ``_SUMMARY_ROWS`` at a time, so no temporary
+    holds every node's paths.  Each node is reduced along its own row,
+    with the strides it has in ``means``, so no number depends on the
+    block size.
+    """
+    d = means.shape[2]
+    header = ["t"]
+    for k in range(1, d + 1):
+        header += [f"g{k}_mean"] + [f"g{k}_{name}" for name in _QUANTILES]
+    header.append("global_mean")
+    if d == 2:
+        header += ["dist_mean", "dist_std"]
+    levels = list(_QUANTILES.values())
+    table = np.empty((len(times), len(header)))
+    for lo in range(0, len(times), _SUMMARY_ROWS):
+        rows = slice(lo, lo + _SUMMARY_ROWS)
+        block = means[rows]
+        columns = [times[rows]]
+        for k in range(d):
+            series = block[:, :, k]
+            columns += [series.mean(axis=1),
+                        *np.quantile(series, levels, axis=1)]
+        columns.append((block @ beta).mean(axis=1))
+        if d == 2:
+            distance = block[:, :, 0] - block[:, :, 1]
+            columns += [distance.mean(axis=1), distance.std(axis=1)]
+        table[rows] = np.column_stack(columns)
+    return header, table
+
+
 def cmd_simulate(config: RunConfig) -> tuple[int, list[str]]:
     spec = NoiseSpec.from_market(config.market, config.seed, config.n_paths)
     grid = _grid(config)
@@ -423,23 +465,12 @@ def cmd_simulate(config: RunConfig) -> tuple[int, list[str]]:
                                         spec, grid=grid, jobs=config.jobs)
     means = simulate_group_means(config.market, strategy, config.x0, spec,
                                  grid=grid, jobs=config.jobs)
-    d = means.shape[2]
-    columns = {"t": grid.times()}
-    for k in range(1, d + 1):
-        series = means[:, :, k - 1]
-        columns[f"g{k}_mean"] = series.mean(axis=1)
-        levels = np.quantile(series, [0.05, 0.25, 0.50, 0.75, 0.95], axis=1)
-        for name, level in zip(("q05", "q25", "q50", "q75", "q95"), levels):
-            columns[f"g{k}_{name}"] = level
-    beta = validate(config.market, Mode.MFG).beta
-    columns["global_mean"] = (means @ beta).mean(axis=1)
-    if d == 2:
-        distance = means[:, :, 0] - means[:, :, 1]
-        columns["dist_mean"] = distance.mean(axis=1)
-        columns["dist_std"] = distance.std(axis=1)
+    header, table = _summary_table(
+        means, grid.times(), validate(config.market, Mode.MFG).beta)
+    # Only the summary is written: free the means before its text.
+    del means
     summary = os.path.join(config.out_dir, "ensemble_summary.csv")
-    rows = np.column_stack(list(columns.values())).tolist()
-    atomic_write_text(summary, csv_text(columns, rows))
+    atomic_write_text(summary, csv_text(header, table.tolist()))
     outputs = [summary]
     _say(config, f"wrote {summary} ({config.n_paths} paths)")
     if config.raw_dump:

@@ -118,7 +118,9 @@ class IncrementBatch:
     is driver ``active[i]`` (0 global, k for group k of ``d``), then one
     idiosyncratic column per bank or group slot.  Row 0 holds the
     unscaled start normals under the columns and zeros under the
-    drivers.  The consumer owns the block and may step it in place.
+    drivers.  The block is a new array, or a view of the caller's
+    ``out`` (see :func:`generate_increments`); either way the consumer
+    owns it and may step it in place.
     ``x0_normals`` [paths, columns], ``increments`` [paths, n_steps,
     width] and its column part ``idiosyncratic`` are path-major views of
     it; ``drivers`` expands the leading columns into a new [paths,
@@ -212,7 +214,8 @@ def _path_states(seed: int, start: int, count: int
 
 
 def generate_increments(spec: NoiseSpec, grid: TimeGrid,
-                        n_banks_per_group: Sequence[int]
+                        n_banks_per_group: Sequence[int],
+                        out: np.ndarray | None = None
                         ) -> Iterator[IncrementBatch]:
     """Yield per-path driver and idiosyncratic increments in batches of
     ``BATCH_PATHS`` paths.
@@ -233,6 +236,14 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     that step group means pass slot counts per group in place of bank
     counts and a spec with zero correlations, so that only the slot
     columns are drawn.
+
+    Without ``out`` each batch's block is a new array.  With ``out``, a
+    writeable float64 array [n_steps + 1, n_paths, width] (width the
+    active drivers plus the columns), each block is the view
+    ``out[:, start:start + count]`` and no block is allocated; a wrong
+    shape, dtype or a read-only ``out`` raises ValueError before any
+    draw.  Beside the block, a batch allocates one tile and its seed
+    states.
     """
     sizes = tuple(int(n) for n in n_banks_per_group)
     if len(sizes) != spec.d:
@@ -243,6 +254,14 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     lead = len(active)
     width = lead + n_banks
     root = math.sqrt(grid.dt)
+    if out is not None:
+        shape = (n_steps + 1, spec.n_paths, width)
+        if out.shape != shape:
+            raise ValueError(f"out has shape {out.shape}, not {shape}")
+        if out.dtype != np.float64:
+            raise ValueError(f"out has dtype {out.dtype}, not float64")
+        if not out.flags.writeable:
+            raise ValueError("out is read-only")
     # Every path overwrites the whole state, so one generator serves all;
     # its own seed is never drawn from.
     bits = np.random.PCG64(0)
@@ -251,9 +270,12 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     pcg = state["state"]
 
     def draw(start: int, count: int) -> np.ndarray:
-        """The block of paths start .. start + count - 1; its tile and
-        seed states are freed on return."""
-        block = np.empty((n_steps + 1, count, width))
+        """The block of paths start .. start + count - 1, in ``out`` when
+        given; its tile and seed states are freed on return."""
+        if out is None:
+            block = np.empty((n_steps + 1, count, width))
+        else:
+            block = out[:, start : start + count]
         block[0, :, :lead] = 0.0
         tile = np.empty((min(_TILE_PATHS, count), n_banks + n_steps * width))
         states = _path_states(spec.seed, start, count)
@@ -264,12 +286,12 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
                 pcg["state"], pcg["inc"] = path_state, inc
                 bits.state = state
                 rng.standard_normal(out=stream)
+                # Scaled on the stream's contiguous row, where numpy
+                # needs no buffer.
+                stream[n_banks:] *= root
             block[0, lo:hi, lead:] = streams[:, :n_banks]
             steps = streams[:, n_banks:].reshape(hi - lo, n_steps, width)
             block[1:, lo:hi] = steps.transpose(1, 0, 2)
-        # Scaled in place once filled: on contiguous rows numpy needs
-        # no buffer.
-        block[1:] *= root
         return block
 
     for start in range(0, spec.n_paths, BATCH_PATHS):
@@ -467,15 +489,18 @@ def _loadings(vm: ValidatedMarket, groups: np.ndarray, drivers,
 
 
 def _run_batches(spec: NoiseSpec, grid: TimeGrid, sizes, worker,
-                 jobs: int | None) -> Iterator:
+                 jobs: int | None, out: np.ndarray | None = None
+                 ) -> Iterator:
     """``worker`` applied to every batch, yielded lazily in batch order.
 
     A batch is freed once its worker returns, so a serial run holds one
     noise block at a time provided the caller drops each result before it
     asks for the next; with ``jobs`` threads at most ``jobs`` batches are
-    drawn and not yet consumed.
+    drawn and not yet consumed.  With ``out`` every batch is drawn into
+    its slice of it, as :func:`generate_increments` does, and no block
+    is allocated.
     """
-    batches = generate_increments(spec, grid, sizes)
+    batches = generate_increments(spec, grid, sizes, out)
     if jobs is None or jobs <= 1:
         yield from map(worker, batches)
         return
@@ -678,10 +703,11 @@ def mean_step_covariance(market: MarketParams | ValidatedMarket,
 
 def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
                         spec: NoiseSpec, grid: TimeGrid, reduce,
-                        jobs: int | None,
-                        bank_group: int | None = None) -> Iterator:
+                        jobs: int | None, bank_group: int | None = None,
+                        out: np.ndarray | None = None) -> Iterator:
     """``reduce`` of each batch's carried series [nodes, paths, slots] of
-    :func:`_mean_slots`, yielded in batch order.
+    :func:`_mean_slots`, yielded in batch order.  With ``out`` [nodes,
+    n_paths, slots] each carried series is its batch's slice of it.
 
     Only the slots' joint law matters, so each path draws one normal per
     slot and step, ``generate_increments`` of the spec with its
@@ -724,7 +750,7 @@ def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
         return reduce(_euler_means(series, weights, drift, grid))
 
     independent = replace(spec, rho=0.0, rho_k=(0.0,) * vm.d)
-    return _run_batches(independent, grid, counts, worker, jobs)
+    return _run_batches(independent, grid, counts, worker, jobs, out)
 
 
 def simulate_group_means(market: MarketParams | ValidatedMarket,
@@ -745,18 +771,19 @@ def simulate_group_means(market: MarketParams | ValidatedMarket,
     of the means does not.  The result does not depend on the batching
     or ``jobs``.  Means above ``MAX_ENSEMBLE_BYTES`` raise ValueError
     before any draw.
+
+    Each batch is drawn into, mixed and stepped in its slice of the
+    returned array, so beside it a run holds no batch block: one tile of
+    ``_TILE_PATHS`` paths' streams while a batch is drawn, and per
+    worker temporaries of at most ``_MIX_ROWS`` nodes.
     """
     vm = validate(market, Mode.MFG)
     grid = grid or strategy.path.grid
     _check_stored(spec, vm.d, grid)
     out = np.empty((grid.n_steps + 1, spec.n_paths, vm.d))
-    stop = 0
-    for means in _group_mean_batches(vm, strategy, X0, spec, grid,
-                                     lambda carried: carried, jobs):
-        start, stop = stop, stop + means.shape[1]
-        out[:, start:stop] = means
-        # Free this batch's means before the next batch is drawn.
-        del means
+    for _ in _group_mean_batches(vm, strategy, X0, spec, grid,
+                                 lambda carried: None, jobs, out=out):
+        pass
     return out
 
 

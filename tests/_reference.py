@@ -22,8 +22,9 @@ it ran on numpy arrays before it became generated straight-line code;
 ran with every product of market numbers formed inside each call; and
 :func:`hjb_residual_dense`, the library's dynamic-programming residual as
 it ran with the value ansatz written out term by term and a dense N x N
-Hessian per sample.  The tests hold the library to them; the frozen
-values do not use them.
+Hessian per sample; and :func:`ensemble_summary_whole`, ``interbank
+simulate``'s summary as it was formed with whole-array temporaries.
+The tests hold the library to them; the frozen values do not use them.
 """
 
 import math
@@ -480,6 +481,26 @@ def hjb_residual_dense(closed_path, vm, sample_points, *, seed=0):
                         + running)
             worst = max(worst, abs(residual) / (1.0 + float(x @ x)))
     return worst
+
+
+def ensemble_summary_whole(means, times, beta):
+    """The header and rows of the former ``cmd_simulate`` summary of the
+    group means [nodes, paths, d], each column formed over every node at
+    once."""
+    d = means.shape[2]
+    columns = {"t": times}
+    for k in range(1, d + 1):
+        series = means[:, :, k - 1]
+        columns[f"g{k}_mean"] = series.mean(axis=1)
+        levels = np.quantile(series, [0.05, 0.25, 0.50, 0.75, 0.95], axis=1)
+        for name, level in zip(("q05", "q25", "q50", "q75", "q95"), levels):
+            columns[f"g{k}_{name}"] = level
+    columns["global_mean"] = (means @ beta).mean(axis=1)
+    if d == 2:
+        distance = means[:, :, 0] - means[:, :, 1]
+        columns["dist_mean"] = distance.mean(axis=1)
+        columns["dist_std"] = distance.std(axis=1)
+    return list(columns), np.column_stack(list(columns.values())).tolist()
 
 
 # ----------------------------------------------------------------------

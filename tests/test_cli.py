@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _reference
 import interbank.cli as cli
 from interbank import riccati, simulate
 from interbank.cli import (
@@ -28,8 +29,8 @@ from interbank.cli import (
     parse_config_text,
     runconfig_from_manifest,
 )
-from interbank.model import StepFunction
-from interbank.riccati import solve_limiting
+from interbank.model import Mode, StepFunction, TimeGrid, validate
+from interbank.riccati import csv_text, solve_limiting
 from interbank.simulate import DefaultSpec, TargetKind
 
 TWO_GROUP = """\
@@ -69,6 +70,15 @@ q = 2.0
 eps = 5.0
 lam = 0.0
 n_banks = 10
+"""
+
+
+THREE_GROUP = TWO_GROUP + """
+[group.3]
+q = 1.5
+eps = 4.0
+lam = 0.3
+n_banks = 4
 """
 
 
@@ -444,6 +454,64 @@ def test_simulate_summary_does_not_depend_on_raw_dump(tmp_path):
     assert os.path.exists(os.path.join(dumped, "paths.bin"))
 
 
+# Correlated markets with random starts, one per group count.
+_SUMMARY_CONFIGS = {
+    1: "rho = 0.3\nx0 = 0.1~0.2\n" + ONE_GROUP,
+    2: "x0 = 0.3~0.2, -0.1~0.4\n" + TWO_GROUP.replace("rho = 0.0",
+                                                      "rho = 0.3"),
+    3: "x0 = 0.3~0.2, -0.1~0.4, 0.2~0.1\n" + THREE_GROUP.replace(
+        "rho = 0.0", "rho = 0.3"),
+}
+
+
+@pytest.mark.parametrize("steps, paths", [(400, 1000), (400, 1), (5, 1000),
+                                          (5, 1)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simulate_summary_equals_the_whole_array_summary(
+        tmp_path, monkeypatch, d, steps, paths):
+    # 401 nodes are twelve blocks of 32 and one of 17; 6 nodes are less
+    # than one block.  Either way the file holds the bytes of the summary
+    # formed over every node at once.
+    drawn = []
+
+    def recording(market, *args, **kwargs):
+        drawn.append((market, simulate.simulate_group_means(market, *args,
+                                                            **kwargs)))
+        return drawn[-1][1]
+    monkeypatch.setattr(cli, "simulate_group_means", recording)
+    rc, out = run(tmp_path, "simulate", _SUMMARY_CONFIGS[d],
+                  "--steps", str(steps), "--paths", str(paths))
+    assert rc == 0
+    ((market, means),) = drawn
+    assert means.shape == (steps + 1, paths, d)
+    header, rows = _reference.ensemble_summary_whole(
+        means, TimeGrid(t_end=1.0, n_steps=steps).times(),
+        validate(market, Mode.MFG).beta)
+    got = pathlib.Path(out, "ensemble_summary.csv").read_bytes()
+    assert got == csv_text(header, rows).encode("ascii")
+
+
+def test_simulate_holds_little_beside_its_group_means(tmp_path):
+    # cli_run's shape: 1000 paths, 400 steps, two groups, common noise.
+    # Drawn into the means and summarised 32 nodes at a time, the run
+    # holds a quarter of the means beside them, where a separate batch
+    # block and whole-array summary temporaries would hold about as much
+    # again as the means.
+    text = _SUMMARY_CONFIGS[2]
+    run(tmp_path, "simulate", text, "--steps", "5", "--paths", "2",
+        out="warm")
+    tracemalloc.start()
+    try:
+        rc, _ = run(tmp_path, "simulate", text, "--steps", "400",
+                    "--paths", "1000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    means = 401 * 1000 * 2 * 8
+    assert peak - means < 0.25 * means
+
+
 def test_sweep_population_passes(tmp_path, capsys):
     text = "axis = n_total\nvalues = 20, 50, 100\n" + TWO_GROUP
     rc, out = run(tmp_path, "sweep", text)
@@ -461,15 +529,6 @@ def test_check_command(tmp_path, capsys):
     assert lines[0] == "check,value,threshold,passed"
     assert len(lines) == 4
     assert all(line.endswith(",1") for line in lines[1:])
-
-
-THREE_GROUP = TWO_GROUP + """
-[group.3]
-q = 1.5
-eps = 4.0
-lam = 0.3
-n_banks = 4
-"""
 
 
 @pytest.mark.parametrize("text", [ONE_GROUP, THREE_GROUP],

@@ -166,6 +166,48 @@ def test_streams_cross_tile_and_batch_edges(monkeypatch, rho, rho_k):
             assert np.array_equal(increments[p], rows), (size, p)
 
 
+@pytest.mark.parametrize("rho, rho_k", [(0.0, (0.0, 0.0)),
+                                        (0.3, (0.0, 0.5))])
+def test_increments_drawn_into_out(monkeypatch, rho, rho_k):
+    # With out, every batch of 7 paths is its slice of out, holding the
+    # bits a fresh draw yields, and out ends up holding every block.
+    spec = NoiseSpec(rho=rho, rho_k=rho_k, seed=2**40 + 17, n_paths=23)
+    grid = TimeGrid(t_end=1.0, n_steps=9)
+    width = len(simulate._active_driver_columns(spec)) + 5
+    monkeypatch.setattr(simulate, "BATCH_PATHS", 7)
+    fresh = [b.block for b in generate_increments(spec, grid, (2, 3))]
+    out = np.full((10, 23, width), np.nan)
+    starts = []
+    for batch, want in zip(generate_increments(spec, grid, (2, 3), out),
+                           fresh, strict=True):
+        part = out[:, batch.start : batch.start + len(batch.x0_normals)]
+        assert np.shares_memory(batch.block, part)
+        assert batch.block.shape == part.shape == want.shape
+        assert np.array_equal(batch.block, want)
+        starts.append(batch.start)
+    assert starts == [0, 7, 14, 21]
+    assert np.array_equal(out, np.concatenate(fresh, axis=1))
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda shape: np.empty(shape[:2] + (shape[2] + 1,)),
+    lambda shape: np.empty((shape[0] - 1,) + shape[1:]),
+    lambda shape: np.empty(shape, dtype=np.float32),
+    lambda shape: np.empty(shape, dtype=">f8"),
+    lambda shape: np.broadcast_to(0.0, shape),
+], ids=["width", "nodes", "float32", "big-endian", "read-only"])
+def test_bad_out_is_refused_before_any_draw(monkeypatch, make_out):
+    spec = NoiseSpec(rho=0.3, rho_k=(0.0, 0.5), seed=5, n_paths=23)
+    grid = TimeGrid(t_end=1.0, n_steps=9)
+    shape = (10, 23, len(simulate._active_driver_columns(spec)) + 5)
+    seeded = []
+    monkeypatch.setattr(simulate, "_path_states",
+                        lambda *args: seeded.append(args))
+    with pytest.raises(ValueError, match="out "):
+        next(generate_increments(spec, grid, (2, 3), make_out(shape)))
+    assert seeded == []
+
+
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 17, 2**63 + 5, 2**64 - 1)
 
 
@@ -778,7 +820,9 @@ def test_group_means_are_bit_identical_across_batches_and_jobs(
     want = simulate_group_means(market, strategy, x0, spec, grid=grid)
     for size in (1, 7, BATCH_PATHS):
         monkeypatch.setattr(simulate, "BATCH_PATHS", size)
-        for jobs in (1, 2):
+        # Four threads, more than the cores, draw and step disjoint
+        # slices of one result.
+        for jobs in (1, 2, 4):
             batch_starts.clear()
             got = simulate_group_means(market, strategy, x0, spec, grid=grid,
                                        jobs=jobs)
@@ -812,17 +856,17 @@ def _traced_peak(fn):
 
 
 def test_means_only_run_holds_one_noise_block(monkeypatch, batch_starts):
-    # A batch is freed before the next one is drawn, and its block is
-    # stepped in place as the carried series: the peak stays under the
-    # stored means and 1.5 blocks of one column per group, where a
-    # carried copy beside the block would not.
+    # Each batch is drawn into, and stepped in, its slice of the returned
+    # means: the peak stays under the means and 0.75 of a block of one
+    # column per group (a tile of 8 paths and small temporaries), where
+    # a separate block copied into the means would not.
     market, grid, strategy, spec = _memory_case()
     monkeypatch.setattr(simulate, "BATCH_PATHS", 64)
     means, peak = _traced_peak(lambda: simulate_group_means(
         market, strategy, ((0.0, 0.1), (0.2, 0.3)), spec, grid=grid))
     assert batch_starts == list(range(0, 12 * 64, 64))
     block = _block(_independent(spec), grid, 2)
-    assert peak < means.nbytes + 1.5 * block
+    assert peak < means.nbytes + 0.75 * block
 
 
 @pytest.mark.parametrize("jobs", [None, 2])
