@@ -27,7 +27,9 @@ from .model import (
 )
 from .riccati import (
     CLOSED_LABELS,
+    LIMITING_LABELS,
     CoefficientPath,
+    mfg_labels,
     solve_closed_loop,
     solve_limiting,
     solve_mfg,
@@ -88,6 +90,7 @@ def check_sum_identity(limiting_path: CoefficientPath) -> tuple[float, float]:
     condition, so they vanish identically; the returned values measure
     integration error only.
     """
+    limiting_path.require_labels(LIMITING_LABELS, "limiting")
     eta = limiting_path.column("etahat4") + limiting_path.column("etahat5")
     phi = limiting_path.column("phihat4") + limiting_path.column("phihat5")
     return float(np.abs(eta).max()), float(np.abs(phi).max())
@@ -105,6 +108,7 @@ def check_prop1_bounds(limiting_path: CoefficientPath,
     Returns min(value - 0, bound - value) over both groups and all nodes;
     a negative result means a violation of that magnitude.
     """
+    limiting_path.require_labels(LIMITING_LABELS, "limiting")
     vm = validate(market, Mode.LIMITING)
     s = limiting_path.times
     slack = math.inf
@@ -123,6 +127,8 @@ def check_prop1_bounds(limiting_path: CoefficientPath,
 def check_mfg_row_sums(mfg_path: CoefficientPath) -> float:
     """Worst-case magnitude over k and t of sum_h psim_k_h(t)."""
     d = sum(1 for name in mfg_path.labels if name.startswith("etam_"))
+    # A path of no group is no mean-field path, and no sum over it a pass.
+    mfg_path.require_labels(mfg_labels(max(d, 1)), "mean-field")
     worst = 0.0
     for k in range(1, d + 1):
         total = sum(mfg_path.column(f"psim_{k}_{h}") for h in range(1, d + 1))
@@ -154,6 +160,9 @@ def _at_total(vm: ValidatedMarket, n_total: float) -> MarketParams:
 
 
 def _check_increasing(n_values) -> None:
+    if len(n_values) < 2:
+        raise ValueError("an N ladder needs at least 2 values to fit a "
+                         f"slope, got {len(n_values)}")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("N values must be strictly increasing")
 
@@ -183,8 +192,8 @@ def convergence_to_mfg(market: MarketParams | ValidatedMarket,
     For each total bank count (group sizes rounded from the fixed weights
     beta) the closed-loop and open-loop systems are solved and their
     strategies compared to the mean-field strategy in sup norm over all
-    coefficients.  The log-log slopes are least-squares fits; the gaps
-    themselves decay like 1/N.
+    coefficients.  The log-log slopes are least-squares fits over at
+    least two totals; the gaps themselves decay like 1/N.
     """
     vm = validate(market, Mode.MFG)
     if vm.d != 2:
@@ -237,7 +246,12 @@ class SweepAxis(enum.Enum):
     N_TOTAL = "n_total"
 
 
-def _check_monotone(values) -> None:
+def _check_axis_values(axis: SweepAxis, values) -> None:
+    # Only the horizon claim can be read off one curve.
+    least = 1 if axis is SweepAxis.HORIZON else 2
+    if len(values) < least:
+        raise ValueError(f"a sweep over {axis.value} needs at least {least} "
+                         f"value{'s' * (least > 1)}, got {len(values)}")
     diffs = np.diff(values)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("axis values must be strictly monotone")
@@ -254,7 +268,7 @@ class SweepResult:
     rate0: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_monotone(self.values)
+        _check_axis_values(self.axis, self.values)
         if not len(self.values) == len(self.times) == len(self.curves) == len(
                 self.rate0):
             raise ValueError("need one curve and summary per axis value")
@@ -267,13 +281,14 @@ def sweep_liquidity(market: MarketParams | ValidatedMarket, axis: SweepAxis,
 
     LAMBDA2 varies the second group's mixing weight, HORIZON the terminal
     time, N_TOTAL the total bank count at the market's fixed group
-    weights (each value must split integrally).
+    weights (each value must split integrally).  LAMBDA2 and N_TOTAL
+    take at least two values, HORIZON at least one.
     """
     vm = validate(market, Mode.CLOSED_LOOP)
     base = vm.market
     values = tuple(values)
     # Reject every bad value before the first solve.
-    _check_monotone(values)
+    _check_axis_values(axis, values)
     markets = []
     for v in values:
         try:
@@ -350,10 +365,13 @@ def hjb_residual(closed_path: CoefficientPath,
     Sample times are snapped to grid-segment midpoints, where the central
     difference of the piecewise-linear coefficient interpolant matches the
     true derivative to second order in the grid step.  Returns
-    max |residual| / (1 + |x|^2) over samples and both groups.
+    max |residual| / (1 + |x|^2) over samples and both groups; fewer
+    than one sample raises ValueError.
     """
-    if tuple(closed_path.labels) != CLOSED_LABELS:
-        raise ValueError("hjb_residual needs a closed-loop coefficient path")
+    closed_path.require_labels(CLOSED_LABELS, "closed-loop")
+    if sample_points < 1:
+        raise ValueError("hjb_residual needs at least one sample point, "
+                         f"got {sample_points}")
     vm = validate(market, Mode.CLOSED_LOOP)
     sizes = vm.group_sizes()
     group_index = np.repeat(np.arange(2), sizes)

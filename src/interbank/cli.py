@@ -85,7 +85,6 @@ from .riccati import (
 from .simulate import (
     DefaultSpec,
     NoiseSpec,
-    SimulationBlowUp,
     TargetKind,
     mc_hitting_probability,
     mean_step_covariance,
@@ -656,7 +655,7 @@ def main(argv=None) -> int:
     except RejectedParams as exc:
         print(f"rejected parameters: {exc}", file=sys.stderr)
         return 2
-    except (BlowUp, SimulationBlowUp) as exc:
+    except BlowUp as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError) as exc:

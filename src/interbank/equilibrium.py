@@ -16,7 +16,6 @@ CSV form; it never closes over solver state.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -27,22 +26,13 @@ from .riccati import (
     CLOSED_LABELS,
     OPEN_LABELS,
     CoefficientPath,
+    LabelMismatch,  # re-exported: every builder raises it through its path
     OutOfHorizon,  # re-exported: a strategy raises it through its path
     mfg_labels,
     solve_closed_loop,
     solve_mfg,
     tracking_offsets,
 )
-
-
-class LabelMismatch(KeyError):
-    """The coefficient path does not carry the labels a builder expects."""
-
-
-class StrategyKind(enum.Enum):
-    CLOSED_LOOP = "closed"
-    OPEN_LOOP = "open"
-    MFG = "mfg"
 
 
 def _strategy_labels(d: int) -> tuple[str, ...]:
@@ -65,7 +55,6 @@ class FeedbackStrategy:
     intercept    [n_nodes, d]
     """
 
-    kind: StrategyKind
     path: CoefficientPath
 
     def __post_init__(self) -> None:
@@ -120,21 +109,11 @@ class FeedbackStrategy:
                      + weights[group_index] @ averages + inter[group_index])
 
 
-def _strategy(kind: StrategyKind, grid: TimeGrid,
-              columns: list[np.ndarray]) -> FeedbackStrategy:
+def _strategy(grid: TimeGrid, columns: list[np.ndarray]) -> FeedbackStrategy:
     """A strategy from its sampled columns, listed in label order."""
     d = math.isqrt(len(columns) + 1) - 1
-    return FeedbackStrategy(kind, CoefficientPath(
+    return FeedbackStrategy(CoefficientPath(
         grid, np.stack(columns, axis=1), _strategy_labels(d)))
-
-
-def _require_labels(path: CoefficientPath, expected: tuple[str, ...],
-                    what: str) -> None:
-    if tuple(path.labels) != expected:
-        raise LabelMismatch(
-            f"path labels do not match the {what} system "
-            f"(got {path.labels[:3]}... expected {expected[:3]}...)"
-        )
 
 
 def feedback_closed(path: CoefficientPath,
@@ -145,7 +124,7 @@ def feedback_closed(path: CoefficientPath,
     (1 - 1/N_k) and 1/N_k.  Its large-N limit, intercepts included, is
     the mean-field rule ``feedback_mfg(solve_mfg(market), market)``.
     """
-    _require_labels(path, CLOSED_LABELS, "closed-loop")
+    path.require_labels(CLOSED_LABELS, "closed-loop")
     vm = validate(market, Mode.CLOSED_LOOP)
     n1, n2 = (1.0 / s for s in vm.group_sizes())
     q1, q2 = (g.q for g in vm.groups)
@@ -153,7 +132,7 @@ def feedback_closed(path: CoefficientPath,
     col = path.column
     # Tilde transforms: (1 - 1/N_k) times the own-gap component minus
     # 1/N_k times the paired component, plus the constant tracking shift.
-    return _strategy(StrategyKind.CLOSED_LOOP, path.grid, [
+    return _strategy(path.grid, [
         q1 + (1.0 - n1) * col("eta1") - n1 * col("eta4"),
         q2 + (1.0 - n2) * col("phi1") - n2 * col("phi5"),
         (1.0 - n1) * col("eta4") - n1 * col("eta2") + q1 * off[0, 0],
@@ -173,14 +152,14 @@ def feedback_open(path: CoefficientPath,
     and the equilibrium control is q_k times the tracking gap minus
     (1 - 1/N~_k) times that form, with 1/N~_k = (1 - lam_k)/N_k + lam_k/N.
     """
-    _require_labels(path, OPEN_LABELS, "open-loop")
+    path.require_labels(OPEN_LABELS, "open-loop")
     vm = validate(market, Mode.OPEN_LOOP)
     i1, i2 = vm.inv_tilde_sizes()
     r1, r2 = 1.0 - i1, 1.0 - i2
     q1, q2 = (g.q for g in vm.groups)
     off = tracking_offsets(vm)
     col = path.column
-    return _strategy(StrategyKind.OPEN_LOOP, path.grid, [
+    return _strategy(path.grid, [
         q1 + r1 * col("etao1"),
         q2 + r2 * col("phio1"),
         r1 * col("etao2") + q1 * off[0, 0],
@@ -201,12 +180,12 @@ def feedback_mfg(path: CoefficientPath,
     """
     vm = validate(market, Mode.MFG)
     d = vm.d
-    _require_labels(path, mfg_labels(d), "mean-field")
+    path.require_labels(mfg_labels(d), "mean-field")
     q = np.array([g.q for g in vm.groups])
     off = tracking_offsets(vm)
     col = path.column
     groups = range(1, d + 1)
-    return _strategy(StrategyKind.MFG, path.grid,
+    return _strategy(path.grid,
                      [q[k - 1] + col(f"etam_{k}") for k in groups]
                      + [col(f"psim_{k}_{h}") + q[k - 1] * off[k - 1, h - 1]
                         for k in groups for h in groups]
@@ -222,7 +201,7 @@ def liquidity_rate(path: CoefficientPath,
     control once the averaging feedback of the bank's own state is folded
     in.
     """
-    _require_labels(path, CLOSED_LABELS, "closed-loop")
+    path.require_labels(CLOSED_LABELS, "closed-loop")
     vm = validate(market, Mode.CLOSED_LOOP)
     n1 = 1.0 / vm.group_sizes()[0]
     return (1.0 - n1) * path.column("eta1") - n1 * path.column("eta4")

@@ -95,6 +95,11 @@ class StepFunction:
     def __call__(self, t: float) -> float:
         return self.values[bisect_left(self.breaks, t)]
 
+    def at(self, times) -> np.ndarray:
+        """The value at each of ``times``, left-continuous as a call is."""
+        return np.asarray(self.values)[
+            np.searchsorted(self.breaks, times, side="left")]
+
     @property
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.values)

@@ -87,13 +87,35 @@ class OutOfHorizon(ValueError):
     """A sampled path was evaluated outside its solved time range."""
 
 
-class BlowUp(RuntimeError):
-    """A coefficient left [-BLOWUP_LIMIT, BLOWUP_LIMIT] during integration."""
+class LabelMismatch(KeyError, ValueError):
+    """A coefficient path does not carry the labels its reader expects."""
 
-    def __init__(self, t: float, component: str):
-        super().__init__(f"coefficient {component} blew up near t={t:g}")
-        self.t = t
+
+class BlowUp(RuntimeError):
+    """A coefficient left [-BLOWUP_LIMIT, BLOWUP_LIMIT] during integration,
+    or a simulated state did during a simulation (``component`` None)."""
+
+    def __init__(self, t: float, component: str | None = None):
+        what = ("simulated state" if component is None
+                else f"coefficient {component}")
+        super().__init__(f"{what} blew up near t={t:g}")
+        self.t = float(t)
         self.component = component
+
+    @classmethod
+    def check(cls, rows: np.ndarray, times: Sequence[float],
+              labels: Sequence[str] | None = None) -> None:
+        """Raise at the first of ``rows``, in stepping order, that holds a
+        NaN or passes BLOWUP_LIMIT in magnitude, at its time ``times[j]``
+        and, given ``labels`` for the last axis, its first such label."""
+        # max and min allocate nothing, and a nan fails both comparisons.
+        if rows.size and not (rows.max() <= BLOWUP_LIMIT
+                              and rows.min() >= -BLOWUP_LIMIT):
+            for row, t in zip(rows, times):
+                bad = ~(np.abs(row) <= BLOWUP_LIMIT)
+                if bad.any():
+                    raise cls(t, None if labels is None
+                              else labels[int(np.argmax(bad))])
 
 
 @dataclass(frozen=True)
@@ -148,9 +170,28 @@ class CoefficientPath:
         if not np.isfinite(values).all():
             raise ValueError("coefficient path contains non-finite entries")
 
+    @staticmethod
+    def check_size(grid: TimeGrid, columns: int, what: str,
+                   fewer: str) -> None:
+        """Refuse ``what``, ``columns`` doubles per node of ``grid``, above
+        MAX_ENSEMBLE_BYTES, advising fewer ``fewer``, before it exists."""
+        size = (grid.n_steps + 1) * columns * 8
+        if size > MAX_ENSEMBLE_BYTES:
+            raise ValueError(f"{what} would take {size / 2**30:.3g} GiB, "
+                             f"above the {MAX_ENSEMBLE_BYTES / 2**30:g} GiB "
+                             f"cap; use fewer {fewer}")
+
     @property
     def horizon(self) -> float:
         return self.grid.t_end
+
+    def require_labels(self, expected: tuple[str, ...], what: str) -> None:
+        """Raise :class:`LabelMismatch` unless the labels are ``expected``,
+        those of the ``what`` system."""
+        if self.labels != expected:
+            raise LabelMismatch(
+                f"path labels do not match the {what} system "
+                f"(got {self.labels[:3]}... expected {expected[:3]}...)")
 
     def _index(self, label: str) -> int:
         try:
@@ -317,11 +358,7 @@ def integrate_backward(system: OdeSystem, grid: TimeGrid,
     """
     rhs = system.rhs
     n = len(system.labels)
-    size = (grid.n_steps + 1) * n * 8
-    if size > MAX_ENSEMBLE_BYTES:
-        raise ValueError(f"a {size / 2**30:.3g} GiB coefficient table is "
-                         f"above the {MAX_ENSEMBLE_BYTES / 2**30:g} GiB cap; "
-                         "use fewer steps")
+    CoefficientPath.check_size(grid, n, "a coefficient table", "steps")
     if n not in _RK4_STEPS:
         namespace: dict = {}
         exec(compile(_rk4_step_source(n), f"<rk4_step n={n}>", "exec"),
@@ -353,29 +390,16 @@ def integrate_backward(system: OdeSystem, grid: TimeGrid,
                 else:
                     y = step(rhs, times[j], h, nudge, y)
                 values[j - 1] = y
-            _check_window(values, j - 1, top, times, system.labels)
+            # Rows j - 1 .. top - 1, the highest (first integrated) first.
+            BlowUp.check(values[j - 1 : top][::-1], times[j - 1 : top][::-1],
+                         system.labels)
     except (ArithmeticError, ValueError):
         # Float math may fail (overflow, a zero division, a domain error)
         # only once it is fed a state that already left the window:
         # report that as the blow-up it is.
-        _check_window(values, j, top, times, system.labels)
+        BlowUp.check(values[j:top][::-1], times[j:top][::-1], system.labels)
         raise
     return CoefficientPath(grid=grid, values=values, labels=system.labels)
-
-
-def _check_window(values: np.ndarray, low: int, high: int,
-                  times: Sequence[float], labels: Sequence[str]) -> None:
-    """Raise :class:`BlowUp` if any of rows ``low`` to ``high`` - 1 of
-    ``values`` is NaN or exceeds BLOWUP_LIMIT in magnitude, at the highest
-    such row (the first one integrated) and its first such label."""
-    rows = values[low:high]
-    # max and min allocate nothing, and a nan fails both comparisons.
-    if rows.size and not (rows.max() <= BLOWUP_LIMIT
-                          and rows.min() >= -BLOWUP_LIMIT):
-        for j in range(high - 1, low - 1, -1):
-            bad = ~(np.abs(values[j]) <= BLOWUP_LIMIT)
-            if bad.any():
-                raise BlowUp(times[j], labels[int(np.argmax(bad))])
 
 
 def _quad_pattern(g: float, o1: float, o2: float) -> tuple[float, ...]:

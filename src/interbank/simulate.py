@@ -46,7 +46,7 @@ from .model import (
     noise_loadings,
     validate,
 )
-from .riccati import BLOWUP_LIMIT, MAX_ENSEMBLE_BYTES
+from .riccati import BlowUp, CoefficientPath
 
 # Fixed number of paths per work unit.  Batch boundaries depend only on
 # this constant, never on the worker count, so parallel schedules cannot
@@ -68,14 +68,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK_128 = 2**128 - 1
-
-
-class SimulationBlowUp(RuntimeError):
-    """A simulated state left [-BLOWUP_LIMIT, BLOWUP_LIMIT]."""
-
-    def __init__(self, t: float):
-        super().__init__(f"simulated state blew up near t={t:g}")
-        self.t = t
 
 
 @dataclass(frozen=True)
@@ -457,14 +449,8 @@ def _strategy_tables(strategy: FeedbackStrategy, vm: ValidatedMarket,
         raise ValueError("strategy horizon does not match the simulation grid")
     times = grid.times()[:grid.n_steps]
     gap, weights, inter = strategy.at(times)
-    return gap, weights, inter + _growth_rates(vm, times)
-
-
-def _growth_rates(vm: ValidatedMarket, times: np.ndarray) -> np.ndarray:
-    """Every group's growth rate at ``times``, [times, d], looked up like
-    :class:`~interbank.model.StepFunction` does: left-continuous."""
-    return np.stack([np.asarray(g.gamma.values)[np.searchsorted(
-        g.gamma.breaks, times, side="left")] for g in vm.groups], axis=1)
+    return gap, weights, inter + np.stack([g.gamma.at(times)
+                                           for g in vm.groups], axis=1)
 
 
 def _check_spec(vm: ValidatedMarket, spec: NoiseSpec) -> None:
@@ -527,13 +513,12 @@ def _euler_means(series: np.ndarray, weights: np.ndarray,
     recursion exactly; so does each bank's deviation from its group
     mean, with diagonal W = -gap and b = 0.  The series is stepped in
     place, each row becoming its node's state, and returned.  Every
-    carried series is checked against ``BLOWUP_LIMIT`` once, after the
-    last step; a series that left the window raises
-    :class:`SimulationBlowUp` at the first node where any did, as a
-    check after each step would.
+    carried series is checked against the blow-up window once, after
+    the last step; a series that left it raises
+    :class:`~interbank.riccati.BlowUp` at the first node where any did,
+    as a check after each step would.
     """
     dt = grid.dt
-    times = grid.times()
     wdt = weights * dt if weights.any() else None
     ddt = drift * dt if np.any(drift) else None
     # A state past the limit may overflow to inf or nan in later steps;
@@ -547,24 +532,8 @@ def _euler_means(series: np.ndarray, weights: np.ndarray,
             if wdt is not None:
                 nxt += (m * wdt[n] if wdt.ndim == 2
                         else np.einsum("ps,ts->pt", m, wdt[n]))
-    # max and min allocate nothing, and a nan fails both comparisons.
-    stepped = series[1:]
-    if not (stepped.max() <= BLOWUP_LIMIT
-            and stepped.min() >= -BLOWUP_LIMIT):
-        for n, node in enumerate(stepped):
-            if not np.abs(node).max() <= BLOWUP_LIMIT:
-                raise SimulationBlowUp(float(times[n + 1]))
+    BlowUp.check(series[1:], grid.times()[1:])
     return series
-
-
-def _check_stored(spec: NoiseSpec, series: int, grid: TimeGrid) -> None:
-    """Refuse, before any draw, to store ``series`` doubles per node and
-    path beyond ``MAX_ENSEMBLE_BYTES``."""
-    size = spec.n_paths * series * (grid.n_steps + 1) * 8
-    if size > MAX_ENSEMBLE_BYTES:
-        raise ValueError(f"storing {size / 2**30:.3g} GiB is above the "
-                         f"{MAX_ENSEMBLE_BYTES / 2**30:g} GiB cap; use fewer "
-                         "paths or steps")
 
 
 def simulate_closed_loop(market: MarketParams | ValidatedMarket,
@@ -589,13 +558,15 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     than their sums.  Start states are stored exactly.
 
     Every path of every bank is kept, so an ensemble above
-    ``MAX_ENSEMBLE_BYTES`` raises ValueError.
+    :meth:`~interbank.riccati.CoefficientPath.check_size`'s cap raises
+    ValueError before any draw.
     """
     # MFG mode takes any group count; the simulators also need sizes.
     vm = validate(market, Mode.MFG)
     grid = grid or strategy.path.grid
     sizes = vm.group_sizes()
-    _check_stored(spec, sum(sizes), grid)
+    CoefficientPath.check_size(grid, spec.n_paths * sum(sizes),
+                               "storing the bank paths", "paths or steps")
     group_index = np.repeat(np.arange(vm.d), sizes)
     members = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
     _check_spec(vm, spec)
@@ -769,8 +740,9 @@ def simulate_group_means(market: MarketParams | ValidatedMarket,
     without common noise is diag(sigma_k c_i / sqrt(N_k)).  For one seed
     the draws differ from those of :func:`simulate_closed_loop`; the law
     of the means does not.  The result does not depend on the batching
-    or ``jobs``.  Means above ``MAX_ENSEMBLE_BYTES`` raise ValueError
-    before any draw.
+    or ``jobs``.  Means above
+    :meth:`~interbank.riccati.CoefficientPath.check_size`'s cap raise
+    ValueError before any draw.
 
     Each batch is drawn into, mixed and stepped in its slice of the
     returned array, so beside it a run holds no batch block: one tile of
@@ -779,7 +751,8 @@ def simulate_group_means(market: MarketParams | ValidatedMarket,
     """
     vm = validate(market, Mode.MFG)
     grid = grid or strategy.path.grid
-    _check_stored(spec, vm.d, grid)
+    CoefficientPath.check_size(grid, spec.n_paths * vm.d,
+                               "storing the group means", "paths or steps")
     out = np.empty((grid.n_steps + 1, spec.n_paths, vm.d))
     for _ in _group_mean_batches(vm, strategy, X0, spec, grid,
                                  lambda carried: None, jobs, out=out):

@@ -28,9 +28,22 @@ from interbank.analysis import (
     sweep_liquidity,
 )
 from interbank import riccati
+from interbank.equilibrium import (
+    LabelMismatch,
+    feedback_closed,
+    feedback_mfg,
+    feedback_open,
+    liquidity_rate,
+)
 from interbank.model import (Mode, RejectedParams, TimeGrid, two_groups,
                              validate)
-from interbank.riccati import solve_closed_loop, solve_limiting, solve_mfg
+from interbank.riccati import (
+    CoefficientPath,
+    solve_closed_loop,
+    solve_limiting,
+    solve_mfg,
+    solve_open_loop,
+)
 
 GRID = TimeGrid(t_end=1.0, n_steps=2000)
 
@@ -157,6 +170,15 @@ def test_population_sweep_rejects_totals_that_do_not_split(n_total):
      RejectedParams, "horizon"),
     (lambda m: convergence_to_mfg(m, (100, 10), grid=TimeGrid(1.0, 50)),
      ValueError, "strictly increasing"),
+    # One value shows no trend, and one N fits no slope.
+    (lambda m: sweep_liquidity(m, SweepAxis.LAMBDA2, (0.3,), n_steps=50),
+     ValueError, "sweep over lambda2 needs at least 2 values"),
+    (lambda m: sweep_liquidity(m, SweepAxis.N_TOTAL, (20,), n_steps=50),
+     ValueError, "sweep over n_total needs at least 2 values"),
+    (lambda m: sweep_liquidity(m, SweepAxis.HORIZON, (), n_steps=50),
+     ValueError, "sweep over horizon needs at least 1 value"),
+    (lambda m: convergence_to_mfg(m, (100,), grid=TimeGrid(1.0, 50)),
+     ValueError, "N ladder needs at least 2 values"),
 ])
 def test_bad_sweep_and_ladder_inputs_fail_before_any_solve(
         monkeypatch, call, error, message):
@@ -214,6 +236,11 @@ def test_sweep_result_validation():
     with pytest.raises(ValueError):
         SweepResult(axis=result.axis, values=result.values,
                     times=result.times, curves=result.curves,
+                    rate0=result.rate0[:1])
+    # One lambda2 value would claim an increase over nothing.
+    with pytest.raises(ValueError, match="at least 2 values"):
+        SweepResult(axis=result.axis, values=result.values[:1],
+                    times=result.times[:1], curves=result.curves[:1],
                     rate0=result.rate0[:1])
 
 
@@ -300,3 +327,35 @@ def test_hjb_residual_requires_closed_path():
     market = market_from_params("benchmark")
     with pytest.raises(ValueError):
         hjb_residual(solve_limiting(market, GRID), market, 10)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_hjb_residual_needs_a_sample(samples):
+    # A maximum over no samples would read 0.0, a pass.
+    market = market_from_params("benchmark")
+    path = solve_closed_loop(market, TimeGrid(t_end=1.0, n_steps=50))
+    with pytest.raises(ValueError, match="at least one sample"):
+        hjb_residual(path, market, samples)
+
+
+@pytest.mark.parametrize("read, wrong", [
+    (lambda path, m: feedback_closed(path, m), "open"),
+    (lambda path, m: feedback_open(path, m), "closed"),
+    (lambda path, m: feedback_mfg(path, m), "closed"),
+    (lambda path, m: liquidity_rate(path, m), "limiting"),
+    (lambda path, m: hjb_residual(path, m, 10), "open"),
+    (lambda path, m: check_sum_identity(path), "closed"),
+    (lambda path, m: check_prop1_bounds(path, m), "open"),
+    (lambda path, m: check_mfg_row_sums(path), "closed"),
+    (lambda path, m: check_mfg_row_sums(path), "no"),
+], ids=["feedback_closed", "feedback_open", "feedback_mfg", "liquidity_rate",
+        "hjb_residual", "check_sum_identity", "check_prop1_bounds",
+        "check_mfg_row_sums", "check_mfg_row_sums-no-columns"])
+def test_path_readers_refuse_another_systems_path(read, wrong):
+    market = market_from_params("benchmark")
+    grid = TimeGrid(t_end=1.0, n_steps=50)
+    solve = {"closed": solve_closed_loop, "open": solve_open_loop,
+             "limiting": solve_limiting,
+             "no": lambda m, g: CoefficientPath(g, np.zeros((51, 0)), ())}
+    with pytest.raises(LabelMismatch):
+        read(solve[wrong](market, grid), market)

@@ -357,6 +357,7 @@ def test_sweep_lambda2_fails_monotonicity(tmp_path, capsys):
 @pytest.mark.parametrize("values, message", [
     ("0.5, 1.5", "lam must lie"),
     ("0.1, 0.5, 0.3", "strictly monotone"),
+    ("0.3", "needs at least 2 values"),
 ])
 def test_sweep_bad_values_exit_code(tmp_path, capsys, values, message):
     text = f"axis = lambda2\nvalues = {values}\n" + TWO_GROUP
@@ -408,10 +409,10 @@ def test_readme_states_the_simulate_memory_cap(tmp_path, monkeypatch, capsys,
         text = " ".join(fh.read().split())
     assert ("stores paths × d × (steps + 1) doubles" in text
             and "paths × banks × (steps + 1) doubles" in text
-            and "1 GiB" in text and simulate.MAX_ENSEMBLE_BYTES == 2**30)
+            and "1 GiB" in text and riccati.MAX_ENSEMBLE_BYTES == 2**30)
     config = ("raw_dump = true\n" if raw_dump else "") + TWO_GROUP
     row = stored * 201 * 8
-    above = simulate.MAX_ENSEMBLE_BYTES // row + 1
+    above = riccati.MAX_ENSEMBLE_BYTES // row + 1
     tracemalloc.start()
     try:
         rc, out = run(tmp_path, "simulate", config, "--paths", str(above))

@@ -9,7 +9,7 @@ from interbank.equilibrium import (
     FeedbackStrategy,
     LabelMismatch,
     OutOfHorizon,
-    StrategyKind,
+    default_strategy,
     feedback_closed,
     feedback_mfg,
     feedback_open,
@@ -64,7 +64,12 @@ def test_flat_cost_strategies_reduce_to_tracking_shift():
 def test_large_n_rule_is_the_mean_field_rule():
     market = weights_market()
     strategy = feedback_mfg(solve_mfg(market, GRID), market)
-    assert strategy.kind is StrategyKind.MFG
+    # It is the rule default_strategy plays for any group count but two.
+    solo = MarketParams(rho=0.0, horizon=1.0, groups=market.groups[:1],
+                        beta=(1.0,))
+    assert np.array_equal(
+        default_strategy(solo, GRID).path.values,
+        feedback_mfg(solve_mfg(solo, GRID), solo).path.values)
     # Weight rows cancel exactly in the infinite-bank rule.
     assert np.abs(strategy.avg_weights.sum(axis=2)).max() < 1e-14
     assert np.abs(strategy.intercept).max() == 0.0
@@ -197,19 +202,17 @@ def test_strategy_validation():
     nodes = GRID.n_steps + 1
     values = np.zeros((nodes, 8))
     values[:, :2] = 1.0
-    good = FeedbackStrategy(StrategyKind.MFG,
-                            CoefficientPath(GRID, values, STRATEGY_LABELS))
+    good = FeedbackStrategy(CoefficientPath(GRID, values, STRATEGY_LABELS))
     assert good.gap_gain.shape == (nodes, 2)
     assert good.avg_weights.shape == (nodes, 2, 2)
     assert good.intercept.shape == (nodes, 2)
     # Three gap gains with two groups' weights and intercepts.
     wrong = STRATEGY_LABELS[:2] + ("gap_3",) + STRATEGY_LABELS[3:]
     with pytest.raises(ValueError):
-        FeedbackStrategy(StrategyKind.MFG,
-                         CoefficientPath(GRID, values, wrong))
+        FeedbackStrategy(CoefficientPath(GRID, values, wrong))
     # Weights short of a column.
     with pytest.raises(ValueError):
-        FeedbackStrategy(StrategyKind.MFG, CoefficientPath(
+        FeedbackStrategy(CoefficientPath(
             GRID, values[:, :7], STRATEGY_LABELS[:6] + ("int_1",)))
     # Node count off the grid.
     with pytest.raises(ValueError):
@@ -262,7 +265,7 @@ def test_strategy_csv(tmp_path):
     assert np.array_equal(parsed[:, 1:3], strategy.gap_gain)
     assert np.array_equal(parsed[:, 3:7],
                           strategy.avg_weights.reshape(5, 4))
-    loaded = FeedbackStrategy(strategy.kind, read_csv(target))
+    loaded = FeedbackStrategy(read_csv(target))
     assert np.array_equal(loaded.path.values, strategy.path.values)
 
 

@@ -9,7 +9,7 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "interbank"
 
 # Names a module imports only so that callers can import them from it.
-RE_EXPORTS = {"equilibrium": {"OutOfHorizon"}}
+RE_EXPORTS = {"equilibrium": {"OutOfHorizon", "LabelMismatch"}}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -81,6 +81,31 @@ def test_only_riccati_formats_and_writes_files(path):
     writes = [node.lineno for node in ast.walk(ast.parse(source))
               if _writes_a_file(node)]
     assert not writes, f"{path.name}: opens files for writing at {writes}"
+
+
+# Limits that riccati alone reads: every blow-up check is BlowUp.check and
+# every size check CoefficientPath.check_size.
+RICCATI_LIMITS = {"BLOWUP_LIMIT", "MAX_ENSEMBLE_BYTES"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_only_riccati_names_the_shared_limits(path):
+    if path.name == "riccati.py":
+        return
+    named = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname]
+        else:
+            continue
+        named += [(getattr(node, "lineno", None), name) for name in names
+                  if name in RICCATI_LIMITS]
+    assert not named, f"{path.name}: names riccati's limits {named}"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),

@@ -24,6 +24,8 @@ from interbank.model import (
 )
 from interbank.riccati import (
     BLOWUP_LIMIT,
+    MAX_ENSEMBLE_BYTES,
+    BlowUp,
     solve_closed_loop,
     solve_mfg,
     solve_open_loop,
@@ -32,7 +34,6 @@ from interbank.simulate import (
     BATCH_PATHS,
     DefaultSpec,
     NoiseSpec,
-    SimulationBlowUp,
     TargetKind,
     TrajectoryEnsemble,
     distance_process,
@@ -414,7 +415,7 @@ def test_growth_rates_follow_the_step_function():
     vm = validate(market, Mode.MFG)
     times = TimeGrid(t_end=1.0, n_steps=16).times()
     assert {0.25, 0.5, 0.5625} <= set(times)
-    got = simulate._growth_rates(vm, times)
+    got = np.stack([g.gamma.at(times) for g in vm.groups], axis=1)
     want = [[gamma(t), -0.4] for t in times]
     assert np.array_equal(got, want)
 
@@ -1224,9 +1225,11 @@ def test_simulation_blow_up():
     strategy = closed_strategy(two_groups(n1=2, n2=2), grid)
     market = two_groups(n1=2, n2=2, gamma=(1e16, 0.0))
     spec = NoiseSpec.from_market(market, seed=0, n_paths=2)
-    with pytest.raises(SimulationBlowUp) as exc_info:
+    with pytest.raises(BlowUp) as exc_info:
         simulate_closed_loop(market, strategy, 0.0, spec, grid=grid)
     assert 0.0 < exc_info.value.t <= 1.0
+    assert exc_info.value.component is None
+    assert str(exc_info.value).startswith("simulated state blew up near t=")
 
 
 def test_blow_up_reports_the_first_node_past_the_limit():
@@ -1253,7 +1256,7 @@ def test_blow_up_reports_the_first_node_past_the_limit():
     for name, run in runs.items():
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            with pytest.raises(SimulationBlowUp) as exc_info:
+            with pytest.raises(BlowUp) as exc_info:
                 run()
         assert exc_info.value.t == times[first + 1], name
 
@@ -1296,7 +1299,7 @@ def test_oversized_ensemble_is_refused_before_any_allocation():
     strategy = closed_strategy(market, TimeGrid(t_end=1.0, n_steps=50))
     # 10**10 paths x 20 banks x 51 nodes x 8 bytes: about 82 TB.
     spec = NoiseSpec.from_market(market, seed=0, n_paths=10**10)
-    assert (spec.n_paths * 20 * 51 * 8) > simulate.MAX_ENSEMBLE_BYTES
+    assert (spec.n_paths * 20 * 51 * 8) > MAX_ENSEMBLE_BYTES
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="cap"):
