@@ -339,13 +339,13 @@ def test_hjb_residual_needs_a_sample(samples):
 
 
 @pytest.mark.parametrize("read, wrong", [
-    (lambda path, m: feedback_closed(path, m), "open"),
-    (lambda path, m: feedback_open(path, m), "closed"),
-    (lambda path, m: feedback_mfg(path, m), "closed"),
-    (lambda path, m: liquidity_rate(path, m), "limiting"),
+    (feedback_closed, "open"),
+    (feedback_open, "closed"),
+    (feedback_mfg, "closed"),
+    (liquidity_rate, "limiting"),
     (lambda path, m: hjb_residual(path, m, 10), "open"),
     (lambda path, m: check_sum_identity(path), "closed"),
-    (lambda path, m: check_prop1_bounds(path, m), "open"),
+    (check_prop1_bounds, "open"),
     (lambda path, m: check_mfg_row_sums(path), "closed"),
     (lambda path, m: check_mfg_row_sums(path), "no"),
 ], ids=["feedback_closed", "feedback_open", "feedback_mfg", "liquidity_rate",
