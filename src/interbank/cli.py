@@ -192,6 +192,10 @@ def _finite(text: str) -> float:
     return value
 
 
+def _finites(text: str) -> tuple[float, ...]:
+    return tuple(map(_finite, text.split(",")))
+
+
 def _parse_x0(text: str, d: int) -> tuple[tuple[float, float], ...]:
     tokens = [t.strip() for t in text.split(",")]
     if len(tokens) == 1:
@@ -299,8 +303,7 @@ def _build_market(sections: dict[str, dict[str, str]]) -> MarketParams:
         rho=_read(top, "rho", float, 0.0),
         horizon=_read(top, "horizon", float, 1.0),
         groups=tuple(groups),
-        beta=_read(top, "beta", lambda t: tuple(map(_finite, t.split(","))),
-                   None),
+        beta=_read(top, "beta", _finites, None),
     )
 
 
@@ -338,10 +341,14 @@ def build_runconfig(command: str, sections: dict[str, dict[str, str]],
     d = len(market.groups)
     level = _read(top, "barrier",
                   lambda t: DefaultSpec.global_average(float(t)).level, None)
-    # The target is read, and so checked, with or without a barrier.
+    # The target is read, and so checked, with or without a barrier.  It
+    # must exist: its group in the market, and its bank where the group's
+    # size is known.
     spec_level = 0.0 if level is None else level
     barrier = _read(top, "target", lambda t: _parse_target(t, spec_level),
                     DefaultSpec.global_average(spec_level))
+    barrier.check_sizes([math.inf if g.n_banks is None else g.n_banks
+                         for g in market.groups])
     return RunConfig(
         command=command,
         text=_config_text(sections),
@@ -358,8 +365,7 @@ def build_runconfig(command: str, sections: dict[str, dict[str, str]],
         mc=_read(top, "mc", _parse_bool, False),
         raw_dump=_read(top, "raw_dump", _parse_bool, False),
         axis=_read(top, "axis", SweepAxis, None),
-        values=_read(top, "values", lambda t: tuple(map(float, t.split(","))),
-                     ()),
+        values=_read(top, "values", _finites, ()),
         checks=_read(top, "checks", _names(_CHECKS), ()),
     )
 
@@ -562,7 +568,6 @@ def cmd_prob(config: RunConfig) -> tuple[int, list[str]]:
     if config.barrier is None:
         raise ValueError("prob needs 'barrier' in the config")
     market = config.market
-    config.barrier.check_sizes(validate(market, Mode.MFG).group_sizes())
     grid = _grid(config)
     strategy = default_strategy(market, grid)
     level = config.barrier.level

@@ -246,10 +246,11 @@ class ValidatedMarket:
 
 
 def mfg_terminal_threshold(groups: tuple[GroupParams, ...]) -> float:
-    """Smallest terminal weight guaranteeing the mean-field system exists.
+    """Terminal weight that suffices for the mean-field system to exist.
 
-    Every group's ``c`` should dominate max over group pairs (k, h) of
-    q_k * lam_k / lam_h - q_h.  Only meaningful when all lam_k > 0.
+    Every group's ``c`` at or above max over group pairs (k, h) of
+    q_k * lam_k / lam_h - q_h suffices; it is not necessary.  Only
+    meaningful when all lam_k > 0.
     """
     return max(
         gk.q * gk.lam / gh.lam - gh.q
@@ -366,8 +367,9 @@ def validate(market: MarketParams | ValidatedMarket,
         low = [k for k, g in enumerate(groups, start=1) if g.c < threshold]
         if low:
             warnings.append(
-                f"groups {low}: terminal weight c below {threshold:g}; the "
-                "mean-field coefficient system may leave its existence region"
+                f"groups {low}: terminal weight c below {threshold:g}, the "
+                "sufficient (not necessary) level for the mean-field "
+                "coefficient system to stay in its existence region"
             )
 
     return ValidatedMarket(

@@ -2,23 +2,23 @@
 
 Each bank's diffusion mixes one global driver W0, one per-group driver Wk,
 and one idiosyncratic driver, with loadings (rho, sqrt(1-rho^2)*rho_k,
-sqrt(1-rho^2)*sqrt(1-rho_k^2)) that square-sum to one.  Only drivers
-with a nonzero loading are drawn; moving a group's banks alike, the
-common ones reach the group means only.
+sqrt(1-rho^2)*sqrt(1-rho_k^2)) that square-sum to one.
 
 One Euler kernel steps every series.  Under an affine rule the
 within-group gap terms sum to zero, so the group means follow a closed
 d-dimensional equation, and a bank is its group mean plus a deviation
-that decays at the gap gain.  The full simulator steps both on one
-column per bank; group-mean runs and default probabilities step the
-means alone on one slot per group, not one column per bank.  Only the
-slots' joint law matters there, so each draws one normal per step and
-the Cholesky factor of their step covariance mixes them: d normals per
-step whatever the correlations.
+that decays at the gap gain.  Every run steps the means on one slot per
+group, not one column per bank.  Only the slots' joint law matters, so
+each draws one normal per step and the Cholesky factor of their step
+covariance mixes them: d normals per step whatever the correlations.
+The full simulator adds one column per bank for the deviations, which
+carry the idiosyncratic noise alone; the common drivers move a group's
+banks alike and reach its mean only.
 
-Randomness is keyed per path: path p draws its entire normal block from
-the PCG64 state that SeedSequence((seed, p)) seeds, so any partition of
-paths into batches or threads reproduces the same numbers.  Products
+Randomness is keyed per path: path p draws its slots' normal block from
+the PCG64 state that SeedSequence((seed, p)) seeds, and a bank run its
+deviation columns from SeedSequence((seed, 2**63 + p)), so any partition
+of paths into batches or threads reproduces the same numbers.  Products
 run path by path (stacked or ``einsum``, never a 2-D BLAS call whose
 kernel depends on the row count) and reductions over paths are integer
 counts or fixed-order writes, so results are bit-identical for any
@@ -32,7 +32,7 @@ import enum
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -60,6 +60,11 @@ _TILE_PATHS = 8
 _MIX_ROWS = 32
 
 _MAX_SEED = 2**64
+
+# A bank run draws path p's deviation columns from the stream keyed
+# (seed, _BANK_KEY + p), which no group-mean stream, keyed (seed, p),
+# reaches.
+_BANK_KEY = 2**63
 
 # numpy's SeedSequence hash (pool of four uint32 words) and PCG64's
 # 128-bit multiplier, as in numpy/random/bit_generator.pyx and pcg64.h.
@@ -105,28 +110,25 @@ class NoiseSpec:
 class IncrementBatch:
     """Normal draws for a contiguous block of paths.
 
-    ``block`` [n_steps + 1, paths, len(active) + columns] is time-major.
-    Row n + 1 holds step n's draws scaled by sqrt(dt): leading column i
-    is driver ``active[i]`` (0 global, k for group k of ``d``), then one
-    idiosyncratic column per bank or group slot.  Row 0 holds the
-    unscaled start normals under the columns and zeros under the
-    drivers.  The block is a new array, or a view of the caller's
-    ``out`` (see :func:`generate_increments`); either way the consumer
-    owns it and may step it in place.
-    ``x0_normals`` [paths, columns], ``increments`` [paths, n_steps,
-    width] and its column part ``idiosyncratic`` are path-major views of
-    it; ``drivers`` expands the leading columns into a new [paths,
-    n_steps, 1 + d] array, zero where a driver is not drawn.
+    ``block`` [n_steps + 1, paths, columns] is time-major, one column per
+    bank or group slot.  Row 0 holds the unscaled start normals and row
+    n + 1 step n's draws scaled by sqrt(dt).  The block is a new array,
+    or a view of the caller's ``out`` (see :func:`generate_increments`);
+    either way the consumer owns it and may step it in place.
+    ``x0_normals`` [paths, columns] and ``increments`` (or
+    ``idiosyncratic``) [paths, n_steps, columns] are path-major views of
+    it.  No common driver is drawn, so ``drivers`` is a new zero array
+    [paths, n_steps, 1 + d]; it and ``idiosyncratic`` remain for
+    ``perfbench/tracing.py``, which reads them.
     """
 
     start: int
     block: np.ndarray
-    active: tuple[int, ...]
     d: int
 
     @property
     def x0_normals(self) -> np.ndarray:
-        return self.block[0, :, len(self.active):]
+        return self.block[0]
 
     @property
     def increments(self) -> np.ndarray:
@@ -134,23 +136,11 @@ class IncrementBatch:
 
     @property
     def drivers(self) -> np.ndarray:
-        out = np.zeros(self.increments.shape[:2] + (1 + self.d,))
-        out[:, :, list(self.active)] = self.increments[:, :, :len(self.active)]
-        return out
+        return np.zeros(self.increments.shape[:2] + (1 + self.d,))
 
     @property
     def idiosyncratic(self) -> np.ndarray:
-        return self.increments[:, :, len(self.active):]
-
-
-def _active_driver_columns(spec: NoiseSpec) -> tuple[int, ...]:
-    """Driver indices (0 global, k for group k) with a nonzero loading."""
-    active = []
-    if spec.rho != 0.0:
-        active.append(0)
-    if abs(spec.rho) < 1.0:
-        active.extend(1 + k for k, r in enumerate(spec.rho_k) if r != 0.0)
-    return tuple(active)
+        return self.increments
 
 
 def _hash_constants(value: int, mult: int) -> Iterator[tuple[int, int]]:
@@ -205,49 +195,15 @@ def _path_states(seed: int, start: int, count: int
         yield ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK_128, inc
 
 
-def generate_increments(spec: NoiseSpec, grid: TimeGrid,
-                        n_banks_per_group: Sequence[int],
-                        out: np.ndarray | None = None
-                        ) -> Iterator[IncrementBatch]:
-    """Yield per-path driver and idiosyncratic increments in batches of
-    ``BATCH_PATHS`` paths.
-
-    Path p's stream is drawn in one call from a PCG64 generator seeded
-    SeedSequence((seed, p)): x0 normals first, then step-major rows (the
-    active drivers in index order, one column per bank).  A batch's
-    generator states are derived in one vectorised pass that equals
-    numpy's per-path construction, and one generator is set to each in
-    turn.  Streams are drawn into a tile of ``_TILE_PATHS`` paths, which
-    is copied into the batch's time-major block.  A driver whose loading
-    vanishes for every group (rho == 0 for the global one,
-    sqrt(1-rho^2)*rho_k == 0 for group k) can never reach a bank, so it
-    draws no randomness and has no column; fully independent markets
-    pay for exactly one normal per bank per step.
-    The layout depends only on (spec, grid, n_banks_per_group), and
-    ``BATCH_PATHS``, read at each call, only groups the paths.  Callers
-    that step group means pass slot counts per group in place of bank
-    counts and a spec with zero correlations, so that only the slot
-    columns are drawn.
-
-    Without ``out`` each batch's block is a new array.  With ``out``, a
-    writeable float64 array [n_steps + 1, n_paths, width] (width the
-    active drivers plus the columns), each block is the view
-    ``out[:, start:start + count]`` and no block is allocated; a wrong
-    shape, dtype or a read-only ``out`` raises ValueError before any
-    draw.  Beside the block, a batch allocates one tile and its seed
-    states.
-    """
-    sizes = tuple(int(n) for n in n_banks_per_group)
-    if len(sizes) != spec.d:
-        raise ValueError("one bank count per group is required")
-    n_banks = sum(sizes)
+def _batches(seed: int, key: int, n_paths: int, grid: TimeGrid,
+             columns: int, d: int, out: np.ndarray | None = None
+             ) -> Iterator[IncrementBatch]:
+    """The batches of :func:`generate_increments`, ``columns`` wide, with
+    path p's stream keyed (seed, key + p)."""
     n_steps = grid.n_steps
-    active = _active_driver_columns(spec)
-    lead = len(active)
-    width = lead + n_banks
     root = math.sqrt(grid.dt)
     if out is not None:
-        shape = (n_steps + 1, spec.n_paths, width)
+        shape = (n_steps + 1, n_paths, columns)
         if out.shape != shape:
             raise ValueError(f"out has shape {out.shape}, not {shape}")
         if out.dtype != np.float64:
@@ -265,12 +221,11 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
         """The block of paths start .. start + count - 1, in ``out`` when
         given; its tile and seed states are freed on return."""
         if out is None:
-            block = np.empty((n_steps + 1, count, width))
+            block = np.empty((n_steps + 1, count, columns))
         else:
             block = out[:, start : start + count]
-        block[0, :, :lead] = 0.0
-        tile = np.empty((min(_TILE_PATHS, count), n_banks + n_steps * width))
-        states = _path_states(spec.seed, start, count)
+        tile = np.empty((min(_TILE_PATHS, count), (n_steps + 1) * columns))
+        states = _path_states(seed, key + start, count)
         for lo in range(0, count, _TILE_PATHS):
             streams = tile[:min(_TILE_PATHS, count - lo)]
             hi = lo + len(streams)
@@ -280,19 +235,47 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
                 rng.standard_normal(out=stream)
                 # Scaled on the stream's contiguous row, where numpy
                 # needs no buffer.
-                stream[n_banks:] *= root
-            block[0, lo:hi, lead:] = streams[:, :n_banks]
-            steps = streams[:, n_banks:].reshape(hi - lo, n_steps, width)
-            block[1:, lo:hi] = steps.transpose(1, 0, 2)
+                stream[columns:] *= root
+            block[:, lo:hi] = streams.reshape(hi - lo, n_steps + 1,
+                                              columns).transpose(1, 0, 2)
         return block
 
-    for start in range(0, spec.n_paths, BATCH_PATHS):
-        block = draw(start, min(BATCH_PATHS, spec.n_paths - start))
-        yield IncrementBatch(start=start, block=block, active=active,
-                             d=spec.d)
+    for start in range(0, n_paths, BATCH_PATHS):
+        block = draw(start, min(BATCH_PATHS, n_paths - start))
+        yield IncrementBatch(start=start, block=block, d=d)
         # The consumer is done with this batch: free it before the next
         # draw, so only one block is alive at a time.
         del block
+
+
+def generate_increments(spec: NoiseSpec, grid: TimeGrid,
+                        n_banks_per_group: Sequence[int],
+                        out: np.ndarray | None = None
+                        ) -> Iterator[IncrementBatch]:
+    """Yield per-path start normals and increments, one column per bank
+    or group slot, in batches of ``BATCH_PATHS`` paths.
+
+    Path p's stream is drawn in one call from a PCG64 generator seeded
+    SeedSequence((seed, p)): the start normals first, then one row per
+    step.  A batch's generator states are derived in one vectorised pass
+    that equals numpy's per-path construction, and one generator is set
+    to each in turn.  Streams are drawn into a tile of ``_TILE_PATHS``
+    paths, which is copied into the batch's time-major block.  The
+    layout depends only on (grid, n_banks_per_group), never on the
+    spec's correlations: the simulators mix the columns themselves.
+    ``BATCH_PATHS``, read at each call, only groups the paths.
+
+    Without ``out`` each batch's block is a new array.  With ``out``, a
+    writeable float64 array [n_steps + 1, n_paths, columns], each block
+    is the view ``out[:, start:start + count]`` and no block is
+    allocated; a wrong shape, dtype or a read-only ``out`` raises
+    ValueError before any draw.  Beside the block, a batch allocates one
+    tile and its seed states.
+    """
+    sizes = tuple(int(n) for n in n_banks_per_group)
+    if len(sizes) != spec.d:
+        raise ValueError("one bank count per group is required")
+    return _batches(spec.seed, 0, spec.n_paths, grid, sum(sizes), spec.d, out)
 
 
 class TargetKind(enum.Enum):
@@ -454,39 +437,34 @@ def _strategy_tables(strategy: FeedbackStrategy, vm: ValidatedMarket,
 
 
 def _check_spec(vm: ValidatedMarket, spec: NoiseSpec) -> None:
-    """The spec picks which drivers are drawn, so its correlations must be
-    the market's."""
+    """The noise law comes from the market, so a spec whose correlations
+    differ from the market's was built for another market."""
     if spec != NoiseSpec.from_market(vm, spec.seed, spec.n_paths):
         raise ValueError("noise spec correlations differ from the market's")
 
 
-def _loadings(vm: ValidatedMarket, groups: np.ndarray, drivers,
+def _loadings(vm: ValidatedMarket, groups: np.ndarray,
               idio=1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Volatility-scaled [drivers, columns] loadings on ``drivers`` (0
-    global, k for group k) and each column's own loading times ``idio``;
-    column j is in group ``groups[j]``."""
+    """Volatility-scaled [1 + d, columns] loadings on the global driver
+    and the group drivers (row k for group k), and each column's own
+    loading times ``idio``; column j is in group ``groups[j]``."""
     sig = np.array([g.sigma for g in vm.groups])[groups]
     loads = sig[:, None] * np.array([noise_loadings(vm.rho, g.rho_k)
                                      for g in vm.groups])[groups]
-    drivers = np.array(drivers, dtype=int)[:, None]
-    driver = np.where(drivers == 0, loads[:, 0],
-                      np.where(drivers == 1 + groups, loads[:, 1], 0.0))
+    driver = np.zeros((1 + vm.d, len(groups)))
+    driver[0] = loads[:, 0]
+    driver[1 + groups, np.arange(len(groups))] = loads[:, 1]
     return driver, loads[:, 2] * idio
 
 
-def _run_batches(spec: NoiseSpec, grid: TimeGrid, sizes, worker,
-                 jobs: int | None, out: np.ndarray | None = None
-                 ) -> Iterator:
+def _run_batches(batches: Iterator, worker, jobs: int | None) -> Iterator:
     """``worker`` applied to every batch, yielded lazily in batch order.
 
     A batch is freed once its worker returns, so a serial run holds one
     noise block at a time provided the caller drops each result before it
     asks for the next; with ``jobs`` threads at most ``jobs`` batches are
-    drawn and not yet consumed.  With ``out`` every batch is drawn into
-    its slice of it, as :func:`generate_increments` does, and no block
-    is allocated.
+    drawn and not yet consumed.
     """
-    batches = generate_increments(spec, grid, sizes, out)
     if jobs is None or jobs <= 1:
         yield from map(worker, batches)
         return
@@ -536,6 +514,17 @@ def _euler_means(series: np.ndarray, weights: np.ndarray,
     return series
 
 
+def _paired(slots: Iterator[IncrementBatch], banks: Iterator[IncrementBatch]
+            ) -> Iterator[tuple[IncrementBatch, IncrementBatch]]:
+    """Each slot batch with the bank batch of the same paths.  Neither
+    pair is held while the next is drawn, as ``zip`` would hold it."""
+    for slot in slots:
+        pair = slot, next(banks)
+        del slot
+        yield pair
+        del pair
+
+
 def simulate_closed_loop(market: MarketParams | ValidatedMarket,
                          strategy: FeedbackStrategy, X0, spec: NoiseSpec,
                          *, grid: TimeGrid | None = None,
@@ -543,19 +532,22 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     """Euler-Maruyama simulation of every bank under an affine feedback rule.
 
     Controls at step n are evaluated from the step-n group averages
-    (explicit scheme); the per-bank diffusion increment is the unit-norm
-    mixture of the global, group, and idiosyncratic drivers scaled by the
-    group volatility.  Works for any strategy kind: mean-field strategies
-    are applied with sample group averages in place of the means.
+    (explicit scheme); each bank's diffusion is the unit-norm mixture of
+    the global, group, and idiosyncratic drivers scaled by the group
+    volatility.  Works for any strategy kind: mean-field strategies are
+    applied with sample group averages in place of the means.
 
     Each bank is stepped as its group mean plus its deviation from it.
-    The means follow the closed d-dimensional recursion of
-    :func:`_euler_means` driven by the common drivers and the group
-    means of the idiosyncratic increments; each deviation decays at its
-    group's gap gain and carries the bank's idiosyncratic increment less
-    its group's mean of them.  Both run on the same kernel, whose
-    blow-up guard therefore watches the means and the deviations rather
-    than their sums.  Start states are stored exactly.
+    The group means are those of :func:`simulate_group_means` for the
+    same spec, bit for bit: the same slot stream, mixed and stepped by
+    the same code.  The deviations take one column per bank from path
+    p's stream keyed (seed, 2**63 + p): a start normal times std_k and
+    step normals times sigma_k ci_k, less their group's mean of them, so
+    that they sum to zero within a group; each then decays at its
+    group's gap gain on the same kernel.  The kernel's blow-up guard
+    therefore watches the means and the deviations rather than their
+    sums.  A bank's start state is its group's start mean plus its
+    start deviation, and is stored exactly so.
 
     Every path of every bank is kept, so an ensemble above
     :meth:`~interbank.riccati.CoefficientPath.check_size`'s cap raises
@@ -567,47 +559,39 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     sizes = vm.group_sizes()
     CoefficientPath.check_size(grid, spec.n_paths * sum(sizes),
                                "storing the bank paths", "paths or steps")
+    _check_spec(vm, spec)
+    counts, step = _slot_stepper(vm, strategy, X0, grid)
     group_index = np.repeat(np.arange(vm.d), sizes)
     members = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
-    _check_spec(vm, spec)
-    active = _active_driver_columns(spec)
-    # Each drawn driver's loading on each group, and each group's own.
-    driver, own = _loadings(vm, np.arange(vm.d), active)
-    gap_t, w_t, drift = _strategy_tables(strategy, vm, grid)
-    decay = -gap_t[:, group_index]
-    mean, std = _expand_x0(X0, sizes)
-    proj = _group_projector(group_index, vm.d)
+    own = _loadings(vm, group_index)[1]
+    decay = -_strategy_tables(strategy, vm, grid)[0][:, group_index]
+    std = _expand_x0(X0, sizes)[1]
 
-    def worker(batch: IncrementBatch):
-        x0 = mean + std * batch.x0_normals
-        # Summed bank by bank, so no batch size changes their bits.
-        m0 = np.stack([np.cumsum(x0[:, banks] * proj[k, banks],
-                                 axis=1)[:, -1]
-                       for k, banks in enumerate(members)], axis=1)
-        # Every batch reaches exactly one worker, so its idiosyncratic
-        # block may become the deviations' noise in place.  The common
-        # drivers move a group's banks alike and reach the means alone.
-        noise = batch.idiosyncratic
-        noise *= own[group_index]
-        mean_noise = noise @ proj.T
-        for k, banks in enumerate(members):
-            noise[:, :, banks] -= mean_noise[:, :, k : k + 1]
-        if active:
-            mean_noise += batch.increments[:, :, :len(active)] @ driver
-        means = _euler_means(np.concatenate(
-            [m0[None], mean_noise.transpose(1, 0, 2)]), w_t, drift, grid)
-        # The deviations step on the block's columns, whose row 0 held
-        # the start normals.
-        states = batch.block[:, :, len(active):]
-        states[0] = x0 - m0[:, group_index]
+    def worker(pair: tuple[IncrementBatch, IncrementBatch]):
+        slots, banks = pair
+        means = step(slots.block)
+        # The deviations are scaled, centred and stepped in the drawn
+        # block; each group's mean is summed bank by bank, so no batch
+        # size changes its bits.
+        states = banks.block
+        states[0] *= std
+        states[1:] *= own
+        for k, cols in enumerate(members):
+            part = states[:, :, cols]
+            total = part[:, :, 0].copy()
+            for j in range(1, sizes[k]):
+                total += part[:, :, j]
+            part -= (total / sizes[k])[:, :, None]
         _euler_means(states, decay, 0.0, grid)
-        for k, banks in enumerate(members):
-            states[:, :, banks] += means[:, :, k : k + 1]
-        states[0] = x0
-        return batch.start, states
+        for k, cols in enumerate(members):
+            states[:, :, cols] += means[:, :, k : k + 1]
+        return slots.start, states
 
+    pairs = _paired(generate_increments(spec, grid, counts),
+                    _batches(spec.seed, _BANK_KEY, spec.n_paths, grid,
+                             sum(sizes), vm.d))
     all_states = np.empty((spec.n_paths, len(group_index), grid.n_steps + 1))
-    for start, states in _run_batches(spec, grid, sizes, worker, jobs):
+    for start, states in _run_batches(pairs, worker, jobs):
         all_states[start : start + states.shape[1]] = states.transpose(1, 2, 0)
         # Free this batch's paths before the next batch is drawn.
         del states
@@ -643,7 +627,7 @@ def _mean_slots(vm: ValidatedMarket, bank_group: int | None = None):
     slot's group, whether it is a mean, its scale (1 / sqrt(N_k) or
     sqrt(1 - 1/N_k)), and the per-unit-time covariance driver^T driver +
     diag(own^2) of the slot increments, over all d + 1 drivers: a driver
-    the market leaves inactive has zero loadings and adds nothing.
+    no group loads adds nothing.
     """
     counts = [1] * vm.d
     if bank_group is not None:
@@ -654,7 +638,7 @@ def _mean_slots(vm: ValidatedMarket, bank_group: int | None = None):
     is_mean = np.isin(np.arange(len(groups)), np.cumsum([0] + counts[:-1]))
     n_k = np.array(vm.group_sizes(), dtype=float)[groups]
     scale = np.where(is_mean, 1.0 / np.sqrt(n_k), np.sqrt(1.0 - 1.0 / n_k))
-    driver, own = _loadings(vm, groups, range(vm.d + 1), scale)
+    driver, own = _loadings(vm, groups, scale)
     # A deviation slot carries no common noise.
     driver[:, ~is_mean] = 0.0
     cov = driver.T @ driver + np.diag(own**2)
@@ -672,23 +656,19 @@ def mean_step_covariance(market: MarketParams | ValidatedMarket,
     return _mean_slots(validate(market, Mode.MFG), bank_group)[-1]
 
 
-def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
-                        spec: NoiseSpec, grid: TimeGrid, reduce,
-                        jobs: int | None, bank_group: int | None = None,
-                        out: np.ndarray | None = None) -> Iterator:
-    """``reduce`` of each batch's carried series [nodes, paths, slots] of
-    :func:`_mean_slots`, yielded in batch order.  With ``out`` [nodes,
-    n_paths, slots] each carried series is its batch's slice of it.
+def _slot_stepper(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
+                  grid: TimeGrid, bank_group: int | None = None):
+    """The slot counts per group of :func:`_mean_slots`, and the stepper
+    that turns one drawn block [nodes, paths, slots] of them into the
+    carried series, in place, and returns it.
 
     Only the slots' joint law matters, so each path draws one normal per
-    slot and step, ``generate_increments`` of the spec with its
-    correlations zeroed, and mixes them through the lower Cholesky factor
-    L of the slots' covariance: the increments are Z L^T.  With no common
+    slot and step and mixes them through the lower Cholesky factor L of
+    the slots' covariance: the increments are Z L^T.  With no common
     driver the covariance is diag(own^2), L is diag(own) exactly, and the
-    slots are scaled by their own loadings alone.  The carried series is
-    the batch's drawn block, mixed, started and stepped in place.
+    slots are scaled by their own loadings alone.  The start row becomes
+    each slot's start, and the series is then stepped.
     """
-    _check_spec(vm, spec)
     counts, groups, is_mean, scale, cov = _mean_slots(vm, bank_group)
     lower = _cholesky(cov)
     means = np.flatnonzero(is_mean)
@@ -705,8 +685,7 @@ def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
         deviation = means[bank_group] + 1
         weights[:, deviation, deviation] = -gap_t[:, bank_group]
 
-    def worker(batch: IncrementBatch):
-        series = batch.block
+    def step(series: np.ndarray) -> np.ndarray:
         # Z L^T in place and element by element, last slot first: slot j
         # sums L[j, i] Z_i over i <= j, whose draws are intact.
         for lo in range(1, len(series), _MIX_ROWS):
@@ -718,29 +697,42 @@ def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
         start = series[0]
         start *= start_scale
         start += start_loc
-        return reduce(_euler_means(series, weights, drift, grid))
+        return _euler_means(series, weights, drift, grid)
 
-    independent = replace(spec, rho=0.0, rho_k=(0.0,) * vm.d)
-    return _run_batches(independent, grid, counts, worker, jobs, out)
+    return counts, step
+
+
+def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
+                        spec: NoiseSpec, grid: TimeGrid, reduce,
+                        jobs: int | None, bank_group: int | None = None,
+                        out: np.ndarray | None = None) -> Iterator:
+    """``reduce`` of each batch's carried series [nodes, paths, slots] of
+    :func:`_slot_stepper`, yielded in batch order: the batch's drawn
+    block, mixed, started and stepped in place.  With ``out`` [nodes,
+    n_paths, slots] each block is its batch's slice of it."""
+    _check_spec(vm, spec)
+    counts, step = _slot_stepper(vm, strategy, x0, grid, bank_group)
+    return _run_batches(generate_increments(spec, grid, counts, out),
+                        lambda batch: reduce(step(batch.block)), jobs)
 
 
 def simulate_group_means(market: MarketParams | ValidatedMarket,
                          strategy: FeedbackStrategy, X0, spec: NoiseSpec,
                          *, grid: TimeGrid | None = None,
                          jobs: int | None = None) -> np.ndarray:
-    """The group means of :func:`simulate_closed_loop`, in law, time-major
+    """The group means of :func:`simulate_closed_loop`, time-major
     [n_steps + 1, paths, d].
 
     Under an affine rule the group means follow a closed d-dimensional
     equation, so they are stepped alone and the cost scales with d, not
     the number of banks.  Per path d start normals and d normals per
-    step are drawn, ``generate_increments`` of the spec with zero
-    correlations and (1,) * d slots; the step normals are mixed through
-    the lower Cholesky factor of :func:`mean_step_covariance`, which
-    without common noise is diag(sigma_k c_i / sqrt(N_k)).  For one seed
-    the draws differ from those of :func:`simulate_closed_loop`; the law
-    of the means does not.  The result does not depend on the batching
-    or ``jobs``.  Means above
+    step are drawn, ``generate_increments`` of the spec with (1,) * d
+    slots; the step normals are mixed through the lower Cholesky factor
+    of :func:`mean_step_covariance`, which without common noise is
+    diag(sigma_k c_i / sqrt(N_k)).  :func:`simulate_closed_loop` steps
+    the same slots for the same spec, so its group averages are these
+    means up to the rounding of its per-bank sums.  The result does not
+    depend on the batching or ``jobs``.  Means above
     :meth:`~interbank.riccati.CoefficientPath.check_size`'s cap raise
     ValueError before any draw.
 
@@ -788,9 +780,9 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
     :func:`simulate_group_means`: d normals per path and step.  A
     single-bank target adds a slot in its group, and one normal per step,
     for the bank's deviation from the group mean, which decays at the gap
-    gain and is independent of the means.  For one seed the draws
-    differ from those of :func:`simulate_closed_loop`; the law of the
-    estimate does not.
+    gain and is independent of the means.  For one seed a bank's
+    deviation differs from its deviation in :func:`simulate_closed_loop`;
+    the law of the estimate does not.
 
     The barrier is monitored at grid nodes only (t=0 included), so
     excursions below the level inside a step go unseen: the estimate is

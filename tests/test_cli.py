@@ -328,6 +328,25 @@ def test_simulate_raw_dump(tmp_path):
     assert np.abs(states[:, :, 0]).max() == 0.0
 
 
+def test_raw_dump_paths_average_to_the_summary_means(tmp_path):
+    # The dumped banks step the summary's own group means, so their group
+    # averages, averaged over the paths, are its g{k}_mean columns.
+    text = ("raw_dump = true\nrho = 0.3\nx0 = 0.1~0.2, -0.2~0.3\n"
+            + TWO_GROUP.replace("rho = 0.0\n", "")
+            .replace("lam = 0.1\n", "lam = 0.1\nrho_k = 0.4\n")
+            .replace("paths = 64", "paths = 600"))
+    rc, out = run(tmp_path, "simulate", text, "--quiet")
+    assert rc == 0
+    with open(os.path.join(out, "paths.bin"), "rb") as fh:
+        fh.readline()
+        states = np.frombuffer(fh.read(), dtype="<f8").reshape(600, 20, 201)
+    data = np.genfromtxt(os.path.join(out, "ensemble_summary.csv"),
+                         delimiter=",", names=True)
+    for name, banks in (("g1_mean", slice(0, 4)), ("g2_mean", slice(4, 20))):
+        averages = states[:, banks].mean(axis=1).mean(axis=0)
+        assert np.abs(averages - data[name]).max() < 1e-12, name
+
+
 def test_failed_raw_dump_leaves_no_temporary(tmp_path, monkeypatch, capsys):
     replace = os.replace
 
@@ -617,6 +636,8 @@ def test_sweep_total_that_does_not_split_exit_code(tmp_path, capsys):
     ("target = nonsense:1:2:3\n" + TWO_GROUP, "target = nonsense:1:2:3",
      "out"),
     ("x0 = 0.1~\n" + TWO_GROUP, "x0 = 0.1~", "out"),
+    ("target = bank:1:9\n" + TWO_GROUP, "target bank 9 out of range", "out"),
+    ("target = group:3\n" + TWO_GROUP, "target group 3 out of range", "out"),
     # The manifest's config text would read these --out values back as
     # another directory: "o" for "o#1".
     (TWO_GROUP, "--out", "o#1"),
@@ -624,7 +645,8 @@ def test_sweep_total_that_does_not_split_exit_code(tmp_path, capsys):
     (TWO_GROUP, "--out", "o "),
 ], ids=["repeated-section", "numbering-gap", "leading-zero", "repeated-key",
         "negative-jobs", "negative-seed", "seed-past-64-bits",
-        "target-without-barrier", "x0-empty-std",
+        "target-without-barrier", "x0-empty-std", "bank-past-its-group",
+        "group-past-the-market",
         "out-comment", "out-line-break", "out-trailing-space"])
 def test_misread_config_text_is_rejected(tmp_path, capsys, text, named, out):
     rc, out = run(tmp_path, "solve", text, out=out)
@@ -848,6 +870,8 @@ seed = 11
 paths = 8
 x0 = 0.1 ~ 0.2, 0.0
 beta = 0.2, 0.8
+axis = lambda2
+values = 0.1, 0.5
 
 [group.1]
 sigma = 1.0
@@ -876,7 +900,7 @@ _NUMBER_SPANS = [m.span() for m in re.finditer(r"(?<=[\s:])-?\d+(?:\.\d+)?",
 def test_all_numbers_config_is_valid(tmp_path):
     rc, _ = run(tmp_path, "solve", ALL_NUMBERS, "--quiet")
     assert rc == 0
-    assert len(_NUMBER_SPANS) == 28
+    assert len(_NUMBER_SPANS) == 30
 
 
 @settings(max_examples=60, deadline=None)

@@ -99,39 +99,38 @@ def test_increments_deterministic_and_batch_invariant(monkeypatch):
     small = list(generate_increments(spec, grid, (2, 3)))
     assert [x.start for x in small] == [0, 7, 14, 21]
     assert [len(x.x0_normals) for x in small] == [7, 7, 7, 2]
-    joined = np.concatenate([x.drivers for x in small])
-    assert np.array_equal(joined, a[0].drivers)
+    joined = np.concatenate([x.increments for x in small])
+    assert np.array_equal(joined, a[0].increments)
 
 
 def test_increment_scaling_and_layout():
     spec = NoiseSpec(rho=0.5, rho_k=(0.4,), seed=1, n_paths=200)
     grid = TimeGrid(t_end=1.0, n_steps=100)
     (batch,) = generate_increments(spec, grid, (3,))
-    assert batch.drivers.shape == (200, 100, 2)
+    assert batch.block.shape == (101, 200, 3)
+    assert batch.drivers.shape == (200, 100, 2) and not batch.drivers.any()
     assert batch.idiosyncratic.shape == (200, 100, 3)
-    assert abs(batch.drivers.std() - np.sqrt(grid.dt)) < 0.01
+    assert abs(batch.increments.std() - np.sqrt(grid.dt)) < 0.01
     assert abs(batch.x0_normals.std() - 1.0) < 0.1
 
 
 def test_zero_loading_drivers_draw_nothing():
-    # A driver no bank can load never varies; only the group column with
-    # rho_k != 0 carries randomness here.
+    # No driver is drawn, whatever the loadings: the simulators mix the
+    # columns themselves, so the block holds one column per bank or slot.
     spec = NoiseSpec(rho=0.0, rho_k=(0.0, 0.7), seed=1, n_paths=50)
     grid = TimeGrid(t_end=1.0, n_steps=40)
     (batch,) = generate_increments(spec, grid, (2, 2))
-    assert batch.drivers.shape == (50, 40, 3)
-    assert np.abs(batch.drivers[:, :, 0]).max() == 0.0
-    assert np.abs(batch.drivers[:, :, 1]).max() == 0.0
-    assert abs(batch.drivers[:, :, 2].std() - np.sqrt(grid.dt)) < 0.01
+    assert batch.drivers.shape == (50, 40, 3) and not batch.drivers.any()
+    assert batch.block.shape == (41, 50, 4)
+    assert abs(batch.increments.std() - np.sqrt(grid.dt)) < 0.01
     # Path 0 reconstructed by hand: x0 normals first, then step rows of
-    # (group-2 driver, four banks), scaled by sqrt(dt).
+    # four banks, scaled by sqrt(dt).
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=(1, 0))))
     x0 = rng.standard_normal(4)
-    rows = rng.standard_normal((40, 5)) * np.sqrt(grid.dt)
+    rows = rng.standard_normal((40, 4)) * np.sqrt(grid.dt)
     assert np.array_equal(batch.x0_normals[0], x0)
-    assert np.array_equal(batch.drivers[0, :, 2], rows[:, 0])
-    assert np.array_equal(batch.idiosyncratic[0], rows[:, 1:])
+    assert np.array_equal(batch.idiosyncratic[0], rows)
 
 
 @pytest.mark.parametrize("rho, rho_k", [(0.0, (0.0, 0.0)),
@@ -139,32 +138,34 @@ def test_zero_loading_drivers_draw_nothing():
 def test_streams_cross_tile_and_batch_edges(monkeypatch, rho, rho_k):
     # 23 paths make batches of 7, 7, 7 and 2, or one batch of tiles of
     # 8, 8 and 7: wherever a path falls, its start normals and step rows
-    # are one draw of numpy's SeedSequence((seed, p)) stream, and a
-    # driver that is not drawn reads zero.
+    # are one draw of numpy's SeedSequence((seed, p)) stream, one column
+    # per bank whatever the correlations, and no driver is drawn.  The
+    # bank runs' deviation columns, keyed (seed, 2**63 + p), are drawn
+    # the same way.
     spec = NoiseSpec(rho=rho, rho_k=rho_k, seed=2**40 + 17, n_paths=23)
     grid = TimeGrid(t_end=1.0, n_steps=9)
-    active = simulate._active_driver_columns(spec)
-    width = len(active) + 5
-    undrawn = [c for c in range(3) if c not in active]
+    width = 5
+    draws = {0: lambda: generate_increments(spec, grid, (2, 3)),
+             2**63: lambda: simulate._batches(spec.seed, 2**63, spec.n_paths,
+                                              grid, width, spec.d)}
     for size in (7, BATCH_PATHS):
         monkeypatch.setattr(simulate, "BATCH_PATHS", size)
-        batches = list(generate_increments(spec, grid, (2, 3)))
-        assert [b.start for b in batches] == list(range(0, 23, size))
-        for b in batches:
-            assert b.block.shape == (10, len(b.x0_normals), width)
-        x0 = np.concatenate([b.x0_normals for b in batches])
-        increments = np.concatenate([b.increments for b in batches])
-        drivers = np.concatenate([b.drivers for b in batches])
-        assert not drivers[:, :, undrawn].any()
-        assert np.array_equal(drivers[:, :, list(active)],
-                              increments[:, :, :len(active)])
-        for p in range(spec.n_paths):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence((spec.seed, p))))
-            stream = rng.standard_normal(5 + grid.n_steps * width)
-            assert np.array_equal(x0[p], stream[:5]), (size, p)
-            rows = stream[5:].reshape(grid.n_steps, width) * np.sqrt(grid.dt)
-            assert np.array_equal(increments[p], rows), (size, p)
+        for key, draw in draws.items():
+            batches = list(draw())
+            assert [b.start for b in batches] == list(range(0, 23, size))
+            for b in batches:
+                assert b.block.shape == (10, len(b.x0_normals), width)
+                assert not b.drivers.any()
+            x0 = np.concatenate([b.x0_normals for b in batches])
+            increments = np.concatenate([b.increments for b in batches])
+            for p in range(spec.n_paths):
+                rng = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence((spec.seed, key + p))))
+                stream = rng.standard_normal(5 + grid.n_steps * width)
+                assert np.array_equal(x0[p], stream[:5]), (size, key, p)
+                rows = (stream[5:].reshape(grid.n_steps, width)
+                        * np.sqrt(grid.dt))
+                assert np.array_equal(increments[p], rows), (size, key, p)
 
 
 @pytest.mark.parametrize("rho, rho_k", [(0.0, (0.0, 0.0)),
@@ -174,7 +175,7 @@ def test_increments_drawn_into_out(monkeypatch, rho, rho_k):
     # bits a fresh draw yields, and out ends up holding every block.
     spec = NoiseSpec(rho=rho, rho_k=rho_k, seed=2**40 + 17, n_paths=23)
     grid = TimeGrid(t_end=1.0, n_steps=9)
-    width = len(simulate._active_driver_columns(spec)) + 5
+    width = 5
     monkeypatch.setattr(simulate, "BATCH_PATHS", 7)
     fresh = [b.block for b in generate_increments(spec, grid, (2, 3))]
     out = np.full((10, 23, width), np.nan)
@@ -200,7 +201,7 @@ def test_increments_drawn_into_out(monkeypatch, rho, rho_k):
 def test_bad_out_is_refused_before_any_draw(monkeypatch, make_out):
     spec = NoiseSpec(rho=0.3, rho_k=(0.0, 0.5), seed=5, n_paths=23)
     grid = TimeGrid(t_end=1.0, n_steps=9)
-    shape = (10, 23, len(simulate._active_driver_columns(spec)) + 5)
+    shape = (10, 23, 5)
     seeded = []
     monkeypatch.setattr(simulate, "_path_states",
                         lambda *args: seeded.append(args))
@@ -241,7 +242,7 @@ def test_increments_build_no_seed_sequence(monkeypatch):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=(spec.seed, p))))
         want.append((rng.standard_normal(3),
-                     rng.standard_normal((8, 5)) * np.sqrt(grid.dt)))
+                     rng.standard_normal((8, 3)) * np.sqrt(grid.dt)))
     calls = []
     real = np.random.SeedSequence
 
@@ -272,16 +273,17 @@ def test_independent_increments_are_uncorrelated():
 
 
 def _composite_correlations(rho, rho_k, seed=9):
-    spec = NoiseSpec(rho=rho, rho_k=rho_k, seed=seed, n_paths=500)
+    """Correlations of four simulated banks' noise: each step's move less
+    the drift of the explicit per-bank scheme."""
+    market = two_groups(n1=2, n2=2, rho=rho, rho_k=rho_k)
     grid = TimeGrid(t_end=1.0, n_steps=200)
-    (batch,) = generate_increments(spec, grid, (2, 2))
-    group_index = np.array([0, 0, 1, 1])
-    loads = np.array([noise_loadings(rho, rk) for rk in rho_k])
-    mixed = (loads[group_index, 0] * batch.drivers[:, :, :1]
-             + loads[group_index, 1] * batch.drivers[:, :, 1 + group_index]
-             + loads[group_index, 2] * batch.idiosyncratic)
-    flat = mixed.reshape(-1, 4)
-    return np.corrcoef(flat, rowvar=False)
+    strategy = closed_strategy(market, grid)
+    spec = NoiseSpec.from_market(market, seed=seed, n_paths=500)
+    x = simulate_closed_loop(market, strategy, 0.0, spec, grid=grid).states
+    rate = _drift(market, strategy, grid)
+    noise = np.stack([x[:, :, n + 1] - x[:, :, n] - rate(n, x[:, :, n])
+                      * grid.dt for n in range(grid.n_steps)], axis=1)
+    return np.corrcoef(noise.reshape(-1, 4), rowvar=False)
 
 
 def test_within_group_correlation():
@@ -338,8 +340,9 @@ def test_decoupled_group_average_is_noise_plus_growth():
     strategy = closed_strategy(market)
     ens = simulate_closed_loop(market, strategy, 0.0, spec, grid=GRID)
 
-    (batch,) = generate_increments(spec, GRID, (4, 16))
-    noise_mean = batch.idiosyncratic[:, :, :4].mean(axis=2)
+    # Group 1's mean slot loads sigma ci / sqrt(N_1) = 1/2 on its draws.
+    (batch,) = generate_increments(spec, GRID, (1, 1))
+    noise_mean = 0.5 * batch.increments[:, :, 0]
     steps = GRID.times()[:-1]
     growth = np.cumsum(np.array([gamma1(t) for t in steps]) * GRID.dt)
     want = np.concatenate(
@@ -358,8 +361,8 @@ def test_x0_forms():
 
     ens = simulate_closed_loop(market, strategy, ((0.5, 0.2), -0.5), spec,
                                grid=grid)
-    (batch,) = generate_increments(spec, grid, (2, 3))
-    assert np.array_equal(ens.x0[:, :2], 0.5 + 0.2 * batch.x0_normals[:, :2])
+    want = _bank_noise(market, spec, grid, ((0.5, 0.2), (-0.5, 0.0)))[0]
+    assert np.array_equal(ens.x0[:, :2], want[:, :2])
     assert np.array_equal(ens.x0[:, 2:], np.full((10, 3), -0.5))
     with pytest.raises(ValueError):
         simulate_closed_loop(market, strategy, (0.0,), spec, grid=grid)
@@ -536,8 +539,8 @@ def test_parallel_run_is_byte_identical(monkeypatch, batch_starts):
 
 
 def test_spec_correlations_must_match_the_market():
-    # The spec decides which drivers are drawn and the market how they
-    # load: a spec that drops the common noise must not run silently.
+    # The market decides how the noise loads, so a spec built for another
+    # market, say one without the common noise, must not run silently.
     market = two_groups(n1=4, n2=16, rho=0.9, lam=(0.0, 0.0))
     grid = TimeGrid(t_end=1.0, n_steps=20)
     strategy = closed_strategy(market, grid)
@@ -563,12 +566,6 @@ def test_mfg_mean_zero_fixed_point():
     spec = NoiseSpec.from_market(market, seed=1, n_paths=4)
     means = simulate_group_means(market, strategy, 0.0, spec, grid=GRID)
     assert np.abs(means).max() == 0.0
-
-
-def _independent(spec):
-    """The spec with its correlations zeroed: the block a group-mean run
-    draws, one normal per slot and step."""
-    return dataclasses.replace(spec, rho=0.0, rho_k=(0.0,) * spec.d)
 
 
 def _slot_factor(market, bank_group=None):
@@ -602,7 +599,7 @@ def test_mfg_mean_single_group_decoupled():
     strategy = feedback_mfg(solve_mfg(market, GRID), market)
     spec = NoiseSpec(rho=0.6, rho_k=(0.0,), seed=8, n_paths=16)
     means = simulate_group_means(market, strategy, 0.25, spec, grid=GRID)
-    (batch,) = generate_increments(_independent(spec), GRID, (1,))
+    (batch,) = generate_increments(spec, GRID, (1,))
     noise = np.cumsum(batch.increments @ _slot_factor(market).T, axis=1)
     want = 0.25 + 0.4 * GRID.times()[1:] + noise[:, :, 0]
     assert np.abs(means[1:, :, 0].T - want).max() < 1e-12
@@ -647,37 +644,79 @@ def test_mfg_mean_deterministic_flow_matches_ode():
     assert np.abs(means[:, 0] - np.stack(ref)).max() < 5e-3
 
 
-def _bank_increments(market, batch, group_index):
-    """Per-bank mixed increments, computed apart from the simulator."""
-    sig = np.array([g.sigma for g in market.groups])[group_index]
-    loads = np.array([noise_loadings(market.rho, g.rho_k)
-                      for g in market.groups])[group_index]
-    return sig * (loads[:, 0] * batch.drivers[:, :, :1]
-                  + loads[:, 1] * batch.drivers[:, :, 1 + group_index]
-                  + loads[:, 2] * batch.idiosyncratic)
+def _numpy_streams(spec, grid, columns, key=0):
+    """Start normals [paths, columns] and increments [paths, n_steps,
+    columns] of numpy's own SeedSequence((seed, key + p)) streams."""
+    starts, steps = [], []
+    for p in range(spec.n_paths):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((spec.seed, key + p))))
+        starts.append(rng.standard_normal(columns))
+        steps.append(rng.standard_normal((grid.n_steps, columns))
+                     * np.sqrt(grid.dt))
+    return np.array(starts), np.array(steps)
 
 
-def _reference_states(market, strategy, x0, spec, grid):
-    """Every bank under the explicit per-bank Euler scheme, [paths, banks,
-    nodes]: controls from the step-n sample group averages, increments
-    from :func:`_bank_increments`, all in one batch."""
+def _bank_noise(market, spec, grid, x0):
+    """Every bank's start [paths, banks] and increments [paths, n_steps,
+    banks], rebuilt apart from the simulator: its group's slot from the
+    SeedSequence((seed, p)) stream, started at mean_k + std_k / sqrt(N_k)
+    Z and stepped by the draws times the factor of mean_step_covariance,
+    plus its deviation from its column of the SeedSequence((seed, 2**63 +
+    p)) stream, scaled by std_k on the start and by sigma_k ci_k on the
+    steps and less its group's mean, summed bank by bank.  ``x0`` holds
+    one (mean, std) pair per group."""
+    sizes = [g.n_banks for g in market.groups]
+    group_index = np.repeat(np.arange(len(sizes)), sizes)
+    slot_start, slot_steps = _numpy_streams(spec, grid, len(sizes))
+    bank_start, bank_steps = _numpy_streams(spec, grid, sum(sizes), 2**63)
+    mean, std = np.array(x0, dtype=float).T
+    m0 = mean + std * (1.0 / np.sqrt(sizes)) * slot_start
+    factor = np.linalg.cholesky(mean_step_covariance(market))
+    own = np.array([g.sigma * noise_loadings(market.rho, g.rho_k)[2]
+                    for g in market.groups])
+
+    def centred(z):
+        for k, n in enumerate(sizes):
+            cols = group_index == k
+            z[..., cols] -= np.cumsum(z[..., cols], axis=-1)[..., -1:] / n
+        return z
+
+    start = m0[:, group_index] + centred(std[group_index] * bank_start)
+    steps = ((slot_steps @ factor.T)[:, :, group_index]
+             + centred(own[group_index] * bank_steps))
+    return start, steps
+
+
+def _drift(market, strategy, grid):
+    """Every bank's drift under the explicit per-bank scheme, as a
+    function of the step n and the states [paths, banks] at it: the
+    rule's control from the step-n sample group averages plus the
+    group's growth rate."""
     sizes = [g.n_banks for g in market.groups]
     group_index = np.repeat(np.arange(len(sizes)), sizes)
     proj = np.array([group_index == k for k in range(len(sizes))], dtype=float)
     proj /= proj.sum(axis=1, keepdims=True)
     growth = np.array([[g.gamma(t) for g in market.groups]
                        for t in grid.times()[:-1]])
-    (batch,) = generate_increments(spec, grid, sizes)
-    noise = _bank_increments(market, batch, group_index)
-    mean, std = np.array(x0, dtype=float)[group_index].T
-    x = mean + std * batch.x0_normals
-    states = [x]
-    for n in range(grid.n_steps):
+
+    def rate(n, x):
         avg = x @ proj.T
-        rate = (strategy.gap_gain[n, group_index] * (avg[:, group_index] - x)
+        return (strategy.gap_gain[n, group_index] * (avg[:, group_index] - x)
                 + (avg @ strategy.avg_weights[n].T)[:, group_index]
                 + (strategy.intercept[n] + growth[n])[group_index])
-        x = x + rate * grid.dt + noise[:, n, :]
+    return rate
+
+
+def _reference_states(market, strategy, x0, spec, grid):
+    """Every bank under the explicit per-bank Euler scheme, [paths, banks,
+    nodes]: controls from the step-n sample group averages, starts and
+    increments from :func:`_bank_noise`."""
+    x, noise = _bank_noise(market, spec, grid, x0)
+    rate = _drift(market, strategy, grid)
+    states = [x]
+    for n in range(grid.n_steps):
+        x = x + rate(n, x) * grid.dt + noise[:, n, :]
         states.append(x)
     return np.stack(states, axis=2)
 
@@ -731,6 +770,24 @@ def test_simulation_matches_the_per_bank_reference(name, rule, x0, jobs,
     assert np.abs(ens.states - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("jobs", [None, 2])
+@pytest.mark.parametrize("name, rule, x0", _CASES)
+def test_bank_group_averages_are_the_group_means(name, rule, x0, jobs,
+                                                 monkeypatch, batch_starts):
+    # The bank simulator steps the slot stream of simulate_group_means,
+    # and its deviations sum to zero within a group: every path's group
+    # averages are those means, up to the rounding of the bank sums.
+    market, grid, strategy, spec = _case(name, rule)
+    monkeypatch.setattr(simulate, "BATCH_PATHS", 16)
+    ens = simulate_closed_loop(market, strategy, x0, spec, grid=grid,
+                               jobs=jobs)
+    means = simulate_group_means(market, strategy, x0, spec, grid=grid,
+                                 jobs=jobs)
+    assert batch_starts == [0, 16, 32] * 2
+    averages = ens.group_averages.transpose(2, 0, 1)
+    assert np.abs(averages - means).max() < 1e-12
+
+
 def _chi2_quantile(p, dof):
     """Wilson-Hilferty approximation to the chi-square quantile."""
     z = NormalDist().inv_cdf(p)
@@ -779,7 +836,7 @@ def test_group_means_retrace_the_slot_stream(monkeypatch, batch_starts):
     spec = NoiseSpec.from_market(market, seed=4, n_paths=40)
     strategy = closed_strategy(market, grid)
     x0 = ((0.2, 0.4), (-0.1, 0.3))
-    (batch,) = generate_increments(_independent(spec), grid, (1, 1))
+    (batch,) = generate_increments(spec, grid, (1, 1))
     monkeypatch.setattr(simulate, "BATCH_PATHS", 16)
     means = simulate_group_means(market, strategy, x0, spec, grid=grid)
     assert batch_starts == [0, 16, 32]
@@ -841,10 +898,9 @@ def _memory_case():
     return market, grid, closed_strategy(market, grid), spec
 
 
-def _block(spec, grid, columns):
+def _block(grid, columns):
     """Bytes of one drawn 64-path batch: start normals and increments."""
-    width = len(simulate._active_driver_columns(spec)) + columns
-    return 64 * (columns + grid.n_steps * width) * 8
+    return 64 * (grid.n_steps + 1) * columns * 8
 
 
 def _traced_peak(fn):
@@ -866,7 +922,7 @@ def test_means_only_run_holds_one_noise_block(monkeypatch, batch_starts):
     means, peak = _traced_peak(lambda: simulate_group_means(
         market, strategy, ((0.0, 0.1), (0.2, 0.3)), spec, grid=grid))
     assert batch_starts == list(range(0, 12 * 64, 64))
-    block = _block(_independent(spec), grid, 2)
+    block = _block(grid, 2)
     assert peak < means.nbytes + 0.75 * block
 
 
@@ -883,7 +939,7 @@ def test_bank_simulation_peak_is_the_ensemble_and_a_few_batches(
     assert batch_starts == list(range(0, 12 * 64, 64))
     stored = (ens.states.nbytes + ens.group_averages.nbytes
               + ens.global_average.nbytes)
-    batch = _block(spec, grid, 20) + 64 * 20 * (grid.n_steps + 1) * 8
+    batch = _block(grid, 20) + 64 * 20 * (grid.n_steps + 1) * 8
     assert peak < stored + 2 * batch
 
 
@@ -907,8 +963,7 @@ def test_group_mean_kernel_reproduces_the_bank_simulation():
                                spec, grid)
 
     group_index = np.repeat([0, 1], (3, 5))
-    (batch,) = generate_increments(spec, grid, (3, 5))
-    bank_noise = _bank_increments(market, batch, group_index)
+    bank_noise = _bank_noise(market, spec, grid, ((0.3, 0.2), (-0.1, 0.4)))[1]
     proj = np.array([group_index == k for k in (0, 1)], dtype=float)
     proj /= proj.sum(axis=1, keepdims=True)
     mean_noise = bank_noise @ proj.T
@@ -943,11 +998,9 @@ def _recorded_draws(monkeypatch):
     real = simulate.generate_increments
 
     def recording(spec, grid, sizes, *args, **kwargs):
-        n_active = len(simulate._active_driver_columns(spec))
         for batch in real(spec, grid, sizes, *args, **kwargs):
             width = batch.x0_normals.shape[1]
-            seen.append((tuple(sizes),
-                         width + grid.n_steps * (n_active + width),
+            seen.append((tuple(sizes), width + grid.n_steps * width,
                          batch.idiosyncratic.shape[2]))
             yield batch
     monkeypatch.setattr(simulate, "generate_increments", recording)
@@ -971,7 +1024,7 @@ def test_estimate_draws_one_slot_per_group(monkeypatch):
     # lam = 0 and gamma = 0 leave the group means driftless: each is its
     # start mean_k + std_k / sqrt(N_k) Z plus the summed increments Z L^T
     # of the recorded block.
-    (batch,) = generate_increments(_independent(spec), grid, (1, 1))
+    (batch,) = generate_increments(spec, grid, (1, 1))
     inc = batch.increments @ _slot_factor(market).T
     start = (np.array([0.2, -0.1])
              + np.array([0.4, 0.3]) / np.sqrt([3.0, 5.0]) * batch.x0_normals)
@@ -989,7 +1042,7 @@ def test_estimate_draws_one_slot_per_group(monkeypatch):
     est = mc_hitting_probability(market, spec, DefaultSpec.single_bank(
         -0.3, 1, 2), strategy, x0=x0, grid=grid)
     assert seen == [((1, 2), 3 + 50 * 3, 3)]
-    (batch,) = generate_increments(_independent(spec), grid, (1, 2))
+    (batch,) = generate_increments(spec, grid, (1, 2))
     factor = _slot_factor(market, bank_group=1)
     assert np.array_equal(factor[2, :2], [0.0, 0.0])
     inc = batch.increments @ factor.T
@@ -1060,15 +1113,16 @@ def test_bank_target_hit_count_is_pinned():
 
 def test_bank_states_are_pinned():
     # The SHA-256 of the states of a common-noise market with random
-    # starts, recorded before the bank simulator stepped its deviations
-    # in the drawn block.
+    # starts, recorded when the bank simulator took its group means from
+    # the slot stream of simulate_group_means and its deviations from
+    # the (seed, 2**63 + p) columns.
     market = _pinned_market(4, 8)
     grid = TimeGrid(t_end=1.0, n_steps=50)
     ens = simulate_closed_loop(
         market, closed_strategy(market, grid), ((0.1, 0.3), (-0.2, 0.1)),
         NoiseSpec.from_market(market, seed=5, n_paths=37), grid=grid)
     assert hashlib.sha256(ens.states.tobytes()).hexdigest() == (
-        "c74254ab3b6b75dfb274d8b5a1aea4699c2662ab3f9f3967fa3cf1fcff80fdf4")
+        "805c16f8fca48915aaf34e0ec85f33e2434038768edab50299c9778309e5cfda")
 
 
 def test_hitting_probability_at_start_level():
