@@ -272,10 +272,11 @@ def test_independent_increments_are_uncorrelated():
     assert np.abs(off_diag).max() < 3.0 / np.sqrt(flat.shape[0])
 
 
-def _composite_correlations(rho, rho_k, seed=9):
-    """Correlations of four simulated banks' noise: each step's move less
-    the drift of the explicit per-bank scheme."""
-    market = two_groups(n1=2, n2=2, rho=rho, rho_k=rho_k)
+def _composite_correlations(rho, rho_k, sigma, seed=9):
+    """Correlations and per-unit-time variances of four simulated banks'
+    noise: each step's move less the drift of the explicit per-bank
+    scheme."""
+    market = two_groups(n1=2, n2=2, rho=rho, rho_k=rho_k, sigma=sigma)
     grid = TimeGrid(t_end=1.0, n_steps=200)
     strategy = closed_strategy(market, grid)
     spec = NoiseSpec.from_market(market, seed=seed, n_paths=500)
@@ -283,17 +284,20 @@ def _composite_correlations(rho, rho_k, seed=9):
     rate = _drift(market, strategy, grid)
     noise = np.stack([x[:, :, n + 1] - x[:, :, n] - rate(n, x[:, :, n])
                       * grid.dt for n in range(grid.n_steps)], axis=1)
-    return np.corrcoef(noise.reshape(-1, 4), rowvar=False)
+    flat = noise.reshape(-1, 4)
+    return np.corrcoef(flat, rowvar=False), flat.var(axis=0) / grid.dt
 
 
 def test_within_group_correlation():
     # rho = 0, rho_1 = 0.6: same-group pairs correlate at
-    # rho^2 + (1 - rho^2) rho_1^2 = 0.36, cross-group pairs at rho^2 = 0.
-    corr = _composite_correlations(0.0, (0.6, 0.0))
+    # rho^2 + (1 - rho^2) rho_1^2 = 0.36, cross-group pairs at rho^2 = 0,
+    # and each bank's noise has variance sigma_k^2 per unit time.
+    corr, variance = _composite_correlations(0.0, (0.6, 0.0), (1.2, 0.8))
     tol = 0.02
     assert abs(corr[0, 1] - 0.36) < tol
     assert abs(corr[2, 3] - 0.0) < tol
     assert abs(corr[0, 2]) < tol and abs(corr[1, 3]) < tol
+    assert np.abs(variance / np.repeat([1.44, 0.64], 2) - 1.0).max() < 0.03
 
 
 def test_full_common_noise_keeps_equal_starts_together():
