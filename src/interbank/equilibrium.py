@@ -99,7 +99,11 @@ class FeedbackStrategy:
 
     def control(self, t: float, group_index: int, own_state: float,
                 group_averages: np.ndarray) -> float:
-        """Control of a group ``group_index`` bank at state ``own_state``."""
+        """Control of a group ``group_index`` bank at state ``own_state``;
+        a ``group_index`` outside 0 .. d - 1 raises ValueError."""
+        if not 0 <= group_index < self.d:
+            raise ValueError(f"group index {group_index} not in "
+                             f"0 .. {self.d - 1}")
         averages = np.asarray(group_averages, dtype=float)
         if averages.shape != (self.d,):
             raise ValueError(f"need {self.d} group averages")

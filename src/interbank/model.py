@@ -45,6 +45,15 @@ def _as_float(value):
     return float(value) if isinstance(value, numbers.Real) else value
 
 
+def _as_int(value):
+    """An integral number, an integral float included, as a Python int;
+    any other value as it is, for the caller to reject."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    return value
+
+
 class RejectedParams(ValueError):
     """Parameters violate a standing assumption of the model."""
 
@@ -145,10 +154,7 @@ class GroupParams:
     def __post_init__(self) -> None:
         for name in ("sigma", "q", "eps", "c", "lam", "rho_k"):
             object.__setattr__(self, name, _as_float(getattr(self, name)))
-        n = self.n_banks
-        if isinstance(n, numbers.Integral) or (
-                isinstance(n, numbers.Real) and float(n).is_integer()):
-            object.__setattr__(self, "n_banks", int(n))
+        object.__setattr__(self, "n_banks", _as_int(self.n_banks))
         object.__setattr__(self, "gamma", as_step_function(self.gamma))
 
     @property
@@ -190,6 +196,9 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not 0.0 < self.t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
+        object.__setattr__(self, "n_steps", _as_int(self.n_steps))
+        if not isinstance(self.n_steps, int):
+            raise ValueError("n_steps must be a whole number")
         if self.n_steps < 2:
             raise ValueError("need at least two steps")
 

@@ -11,9 +11,11 @@ that decays at the gap gain.  Every run steps the means on one slot per
 group, not one column per bank.  Only the slots' joint law matters, so
 each draws one normal per step and the Cholesky factor of their step
 covariance mixes them: d normals per step whatever the correlations.
-The full simulator adds one column per bank for the deviations, which
-carry the idiosyncratic noise alone; the common drivers move a group's
-banks alike and reach its mean only.
+Every sampler runs one batch pipeline that steps each batch's means
+and hands them to a reducer.  The full simulator's reducer adds one
+column per bank for the deviations, which carry the idiosyncratic noise
+alone; the common drivers move a group's banks alike and reach its mean
+only.
 
 Randomness is keyed per path: path p draws its slots' normal block from
 the PCG64 state that SeedSequence((seed, p)) seeds, and a bank run its
@@ -31,6 +33,7 @@ import collections
 import enum
 import functools
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -86,6 +89,11 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho_k", tuple(float(r) for r in self.rho_k))
+        for name in ("seed", "n_paths"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
         if self.n_paths < 1:
@@ -436,13 +444,6 @@ def _strategy_tables(strategy: FeedbackStrategy, vm: ValidatedMarket,
                                            for g in vm.groups], axis=1)
 
 
-def _check_spec(vm: ValidatedMarket, spec: NoiseSpec) -> None:
-    """The noise law comes from the market, so a spec whose correlations
-    differ from the market's was built for another market."""
-    if spec != NoiseSpec.from_market(vm, spec.seed, spec.n_paths):
-        raise ValueError("noise spec correlations differ from the market's")
-
-
 def _loadings(vm: ValidatedMarket, groups: np.ndarray,
               idio=1.0) -> tuple[np.ndarray, np.ndarray]:
     """Volatility-scaled [1 + d, columns] loadings on the global driver
@@ -514,17 +515,6 @@ def _euler_means(series: np.ndarray, weights: np.ndarray,
     return series
 
 
-def _paired(slots: Iterator[IncrementBatch], banks: Iterator[IncrementBatch]
-            ) -> Iterator[tuple[IncrementBatch, IncrementBatch]]:
-    """Each slot batch with the bank batch of the same paths.  Neither
-    pair is held while the next is drawn, as ``zip`` would hold it."""
-    for slot in slots:
-        pair = slot, next(banks)
-        del slot
-        yield pair
-        del pair
-
-
 def simulate_closed_loop(market: MarketParams | ValidatedMarket,
                          strategy: FeedbackStrategy, X0, spec: NoiseSpec,
                          *, grid: TimeGrid | None = None,
@@ -539,15 +529,16 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
 
     Each bank is stepped as its group mean plus its deviation from it.
     The group means are those of :func:`simulate_group_means` for the
-    same spec, bit for bit: the same slot stream, mixed and stepped by
-    the same code.  The deviations take one column per bank from path
-    p's stream keyed (seed, 2**63 + p): a start normal times std_k and
-    step normals times sigma_k ci_k, less their group's mean of them, so
-    that they sum to zero within a group; each then decays at its
-    group's gap gain on the same kernel.  The kernel's blow-up guard
-    therefore watches the means and the deviations rather than their
-    sums.  A bank's start state is its group's start mean plus its
-    start deviation, and is stored exactly so.
+    same spec, bit for bit: the same pipeline steps them, and its reducer
+    here adds the deviations.  For each path p of a batch it draws one
+    column per bank from the stream keyed (seed, 2**63 + p), on the
+    worker thread when ``jobs`` > 1: a start normal times std_k and step
+    normals times sigma_k ci_k, less their group's mean of them, so that
+    they sum to zero within a group; each then decays at its group's gap
+    gain on the same kernel.  The kernel's blow-up guard therefore
+    watches the means and the deviations rather than their sums.  A
+    bank's start state is its group's start mean plus its start
+    deviation, and is stored exactly so.
 
     Every path of every bank is kept, so an ensemble above
     :meth:`~interbank.riccati.CoefficientPath.check_size`'s cap raises
@@ -559,21 +550,18 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     sizes = vm.group_sizes()
     CoefficientPath.check_size(grid, spec.n_paths * sum(sizes),
                                "storing the bank paths", "paths or steps")
-    _check_spec(vm, spec)
-    counts, step = _slot_stepper(vm, strategy, X0, grid)
     group_index = np.repeat(np.arange(vm.d), sizes)
     members = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
     own = _loadings(vm, group_index)[1]
     decay = -_strategy_tables(strategy, vm, grid)[0][:, group_index]
     std = _expand_x0(X0, sizes)[1]
 
-    def worker(pair: tuple[IncrementBatch, IncrementBatch]):
-        slots, banks = pair
-        means = step(slots.block)
-        # The deviations are scaled, centred and stepped in the drawn
+    def banks(start: int, means: np.ndarray):
+        # The deviations are drawn, scaled, centred and stepped in one
         # block; each group's mean is summed bank by bank, so no batch
         # size changes its bits.
-        states = banks.block
+        states = next(_batches(spec.seed, _BANK_KEY + start, means.shape[1],
+                               grid, len(group_index), vm.d)).block
         states[0] *= std
         states[1:] *= own
         for k, cols in enumerate(members):
@@ -585,13 +573,11 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
         _euler_means(states, decay, 0.0, grid)
         for k, cols in enumerate(members):
             states[:, :, cols] += means[:, :, k : k + 1]
-        return slots.start, states
+        return start, states
 
-    pairs = _paired(generate_increments(spec, grid, counts),
-                    _batches(spec.seed, _BANK_KEY, spec.n_paths, grid,
-                             sum(sizes), vm.d))
     all_states = np.empty((spec.n_paths, len(group_index), grid.n_steps + 1))
-    for start, states in _run_batches(pairs, worker, jobs):
+    for start, states in _group_mean_batches(vm, strategy, X0, spec, grid,
+                                             banks, jobs):
         all_states[start : start + states.shape[1]] = states.transpose(1, 2, 0)
         # Free this batch's paths before the next batch is drawn.
         del states
@@ -656,19 +642,25 @@ def mean_step_covariance(market: MarketParams | ValidatedMarket,
     return _mean_slots(validate(market, Mode.MFG), bank_group)[-1]
 
 
-def _slot_stepper(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
-                  grid: TimeGrid, bank_group: int | None = None):
-    """The slot counts per group of :func:`_mean_slots`, and the stepper
-    that turns one drawn block [nodes, paths, slots] of them into the
-    carried series, in place, and returns it.
+def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
+                        spec: NoiseSpec, grid: TimeGrid, reduce,
+                        jobs: int | None, bank_group: int | None = None,
+                        out: np.ndarray | None = None) -> Iterator:
+    """``reduce(start, carried)`` of each batch, yielded in batch order:
+    the batch's first path and its block [nodes, paths, slots] of the
+    slots of :func:`_mean_slots`, mixed, started and stepped in place.
+    With ``out`` [nodes, n_paths, slots] each block is its batch's slice
+    of it.
 
     Only the slots' joint law matters, so each path draws one normal per
     slot and step and mixes them through the lower Cholesky factor L of
     the slots' covariance: the increments are Z L^T.  With no common
-    driver the covariance is diag(own^2), L is diag(own) exactly, and the
-    slots are scaled by their own loadings alone.  The start row becomes
-    each slot's start, and the series is then stepped.
+    driver the covariance is diag(own^2) and L is diag(own) exactly.
     """
+    # The noise law comes from the market, so a spec whose correlations
+    # differ from the market's was built for another market.
+    if spec != NoiseSpec.from_market(vm, spec.seed, spec.n_paths):
+        raise ValueError("noise spec correlations differ from the market's")
     counts, groups, is_mean, scale, cov = _mean_slots(vm, bank_group)
     lower = _cholesky(cov)
     means = np.flatnonzero(is_mean)
@@ -685,7 +677,8 @@ def _slot_stepper(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
         deviation = means[bank_group] + 1
         weights[:, deviation, deviation] = -gap_t[:, bank_group]
 
-    def step(series: np.ndarray) -> np.ndarray:
+    def step(batch: IncrementBatch):
+        series = batch.block
         # Z L^T in place and element by element, last slot first: slot j
         # sums L[j, i] Z_i over i <= j, whose draws are intact.
         for lo in range(1, len(series), _MIX_ROWS):
@@ -697,23 +690,10 @@ def _slot_stepper(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
         start = series[0]
         start *= start_scale
         start += start_loc
-        return _euler_means(series, weights, drift, grid)
+        return reduce(batch.start, _euler_means(series, weights, drift, grid))
 
-    return counts, step
-
-
-def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
-                        spec: NoiseSpec, grid: TimeGrid, reduce,
-                        jobs: int | None, bank_group: int | None = None,
-                        out: np.ndarray | None = None) -> Iterator:
-    """``reduce`` of each batch's carried series [nodes, paths, slots] of
-    :func:`_slot_stepper`, yielded in batch order: the batch's drawn
-    block, mixed, started and stepped in place.  With ``out`` [nodes,
-    n_paths, slots] each block is its batch's slice of it."""
-    _check_spec(vm, spec)
-    counts, step = _slot_stepper(vm, strategy, x0, grid, bank_group)
-    return _run_batches(generate_increments(spec, grid, counts, out),
-                        lambda batch: reduce(step(batch.block)), jobs)
+    return _run_batches(generate_increments(spec, grid, counts, out), step,
+                        jobs)
 
 
 def simulate_group_means(market: MarketParams | ValidatedMarket,
@@ -747,7 +727,8 @@ def simulate_group_means(market: MarketParams | ValidatedMarket,
                                "storing the group means", "paths or steps")
     out = np.empty((grid.n_steps + 1, spec.n_paths, vm.d))
     for _ in _group_mean_batches(vm, strategy, X0, spec, grid,
-                                 lambda carried: None, jobs, out=out):
+                                 lambda start, carried: None, jobs,
+                                 out=out):
         pass
     return out
 
@@ -814,7 +795,7 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
     if not (target[unit] == 1.0).all():
         unit = None
 
-    def count(carried: np.ndarray) -> int:
+    def count(start: int, carried: np.ndarray) -> int:
         if unit is None:
             series = np.einsum("nps,s->np", carried, target)
         else:

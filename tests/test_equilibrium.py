@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -192,6 +193,16 @@ def test_control_checks_average_count():
     strategy = feedback_closed(solve_closed_loop(market, GRID), market)
     with pytest.raises(ValueError):
         strategy.control(0.5, 0, 0.0, np.zeros(3))
+
+
+@pytest.mark.parametrize("group_index", [-1, 2, 5])
+def test_control_checks_the_group_index(group_index):
+    # -1 would otherwise index the last group's coefficients.
+    market = market_from_params("benchmark")
+    strategy = feedback_closed(solve_closed_loop(market, GRID), market)
+    with pytest.raises(ValueError, match="group index"):
+        strategy.control(0.5, group_index, 0.0, np.zeros(2))
+    assert math.isfinite(strategy.control(0.5, 1, 0.0, np.zeros(2)))
 
 
 STRATEGY_LABELS = ("gap_1", "gap_2", "w_1_1", "w_1_2", "w_2_1", "w_2_2",

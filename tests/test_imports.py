@@ -152,3 +152,18 @@ def test_no_unused_private_names(path):
               if name.startswith("_") and not name.endswith("__")
               and name not in read}
     assert not unused, f"{path.name}: private names never read {unused}"
+
+
+def test_one_batch_pipeline_in_the_simulator():
+    # Every sampler in simulate.py runs through _group_mean_batches: no
+    # other function draws the slot stream or hands batches to workers.
+    tree = ast.parse((PACKAGE / "simulate.py").read_text(encoding="utf-8"))
+    pipeline = {"_run_batches", "generate_increments"}
+    users = {
+        (top.name if isinstance(top, ast.FunctionDef) else "<module>",
+         node.id)
+        for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        and node.id in pipeline
+    }
+    assert users == {("_group_mean_batches", name) for name in pipeline}

@@ -72,6 +72,18 @@ def test_time_grid():
         TimeGrid(t_end=1.0, n_steps=1)
 
 
+def test_time_grid_needs_a_whole_step_count():
+    # An integral count, an integral float or a numpy integer included,
+    # is stored as a Python int, so the grid's nodes can be formed.
+    for n_steps in (4, 4.0, np.int64(4), np.float64(4.0)):
+        grid = TimeGrid(t_end=2.0, n_steps=n_steps)
+        assert type(grid.n_steps) is int and grid == TimeGrid(2.0, 4)
+        assert len(grid.times()) == 5
+    for n_steps in (2.5, math.nan, math.inf, "4", None):
+        with pytest.raises(ValueError, match="whole number"):
+            TimeGrid(t_end=1.0, n_steps=n_steps)
+
+
 def test_sizes_win_over_weights():
     market = two_groups(n1=4, n2=16, beta=(0.5, 0.5))
     vm = validate(market, Mode.CLOSED_LOOP)

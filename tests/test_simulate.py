@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import importlib.util
 import math
+import pathlib
 import tracemalloc
 import warnings
 from statistics import NormalDist
@@ -8,6 +10,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+import _reference
 from conftest import market_from_params
 
 from interbank.equilibrium import feedback_closed, feedback_mfg, feedback_open
@@ -81,6 +84,16 @@ def test_noise_spec_validation():
         NoiseSpec(rho=0.0, rho_k=(0.0,), seed=2**64, n_paths=1)
     with pytest.raises(ValueError):
         NoiseSpec(rho=0.0, rho_k=(0.0,), seed=0, n_paths=0)
+    # Seeds and path counts are integers: a float, even an integral one,
+    # is refused where it is given, not deep inside a draw.
+    for seed, n_paths in ((1.5, 1), (3.0, 1), ("3", 1), (0, 4.0), (0, 2.5),
+                          (0, None)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            NoiseSpec(rho=0.0, rho_k=(0.0,), seed=seed, n_paths=n_paths)
+    spec = NoiseSpec(rho=0.0, rho_k=(0.0,), seed=np.uint64(2**63),
+                     n_paths=np.int64(4))
+    assert type(spec.seed) is int and type(spec.n_paths) is int
+    assert spec == NoiseSpec(rho=0.0, rho_k=(0.0,), seed=2**63, n_paths=4)
     spec = NoiseSpec.from_market(market_from_params("rich"), 3, 5)
     assert spec.rho == 0.4 and spec.rho_k == (0.3, 0.5) and spec.d == 2
 
@@ -799,34 +812,56 @@ def _chi2_quantile(p, dof):
                   + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
 
 
+def _euler_group_moments():
+    """``euler_group_moments`` of ``perfbench/oracles.py``, loaded from its
+    file: the exact moments of the Euler scheme of the group means,
+    computed apart from the package."""
+    path = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+            / "oracles.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.euler_group_moments
+
+
 @pytest.mark.parametrize("name, rule, x0", _CASES)
 def test_group_means_match_the_ensemble_averages(name, rule, x0):
-    # The slot-stream means and the per-bank ensemble's averages are two
-    # independent samples of one Gaussian law.  At each node a two-sample
-    # z-test per group mean and Box's M test of the covariance matrices
-    # (chi-square with d(d+1)/2 degrees of freedom) each hold at 1e-3.
+    # Under an affine rule the bank ensemble's group averages follow
+    # m_{n+1} = m_n + (W_n m_n + b_n) dt + e_n, with W and b from the rule
+    # plus growth and e_n ~ N(0, P Sigma P^T dt) for the banks' diffusion
+    # covariance Sigma and the group-averaging projector P, so at each
+    # node they are Gaussian with that recursion's exact moments.  At
+    # each node a z-test per group mean and the likelihood-ratio test of
+    # the covariance matrix (Bartlett-corrected, chi-square with
+    # d(d+1)/2 degrees of freedom) each hold at 1e-3.
     market, grid, strategy, spec = _case(name, rule, n_paths=2000)
-    means = simulate_group_means(market, strategy, x0, spec, grid=grid)
-    averages = simulate_closed_loop(
-        market, strategy, x0, dataclasses.replace(spec, seed=spec.seed + 1),
-        grid=grid).group_averages.transpose(2, 0, 1)
-    assert means.shape == averages.shape
-    n, d = means.shape[1:]
+    averages = simulate_closed_loop(market, strategy, x0, spec, grid=grid
+                                    ).group_averages.transpose(2, 0, 1)
+    sizes = np.array([g.n_banks for g in market.groups])
+    group_index = np.repeat(np.arange(len(sizes)), sizes)
+    proj = (group_index == np.arange(len(sizes))[:, None]) / sizes[:, None]
+    step_cov = (proj @ _reference._covariance(market, group_index) @ proj.T
+                * grid.dt)
+    steps = grid.n_steps
+    growth = np.array([[g.gamma(t) for g in market.groups]
+                       for t in grid.times()[:steps]])
+    mean0, std0 = np.array(x0, dtype=float).T
+    mu, cov = _euler_group_moments()(
+        strategy.avg_weights[:steps], strategy.intercept[:steps] + growth,
+        step_cov, mean0, np.diag(std0**2 / sizes), grid.dt)
+    n, d = averages.shape[1:]
     nodes = (1, 10, 50, 100)
     alpha = 1e-3 / len(nodes)
     z_max = NormalDist().inv_cdf(1.0 - alpha / (2 * d))
     chi2_max = _chi2_quantile(1.0 - alpha, d * (d + 1) // 2)
-    box = (1.0 - (2 * d * d + 3 * d - 1) / (6.0 * (d + 1)) * 1.5 / (n - 1))
+    bartlett = 1.0 - (2 * d * d + 3 * d - 1) / (6.0 * (n - 1) * (d + 1))
     for j in nodes:
-        a, b = means[j], averages[j]
-        se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / n)
-        z = (a.mean(axis=0) - b.mean(axis=0)) / se
+        sample = averages[j]
+        z = (sample.mean(axis=0) - mu[j]) / np.sqrt(np.diag(cov[j]) / n)
         assert np.abs(z).max() < z_max, (j, z)
-        cov_a, cov_b = np.cov(a, rowvar=False), np.cov(b, rowvar=False)
-        logdet = lambda c: np.linalg.slogdet(c)[1]
-        m_stat = (n - 1) * (2.0 * logdet((cov_a + cov_b) / 2.0)
-                            - logdet(cov_a) - logdet(cov_b))
-        assert box * m_stat < chi2_max, (j, box * m_stat)
+        ratio = np.linalg.solve(cov[j], np.cov(sample, rowvar=False))
+        lr = (n - 1) * (np.trace(ratio) - np.linalg.slogdet(ratio)[1] - d)
+        assert bartlett * lr < chi2_max, (j, bartlett * lr)
 
 
 def test_group_means_retrace_the_slot_stream(monkeypatch, batch_starts):
