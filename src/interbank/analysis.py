@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,10 +366,14 @@ def hjb_residual(closed_path: CoefficientPath,
     Sample times are snapped to grid-segment midpoints, where the central
     difference of the piecewise-linear coefficient interpolant matches the
     true derivative to second order in the grid step.  Returns
-    max |residual| / (1 + |x|^2) over samples and both groups; fewer
-    than one sample raises ValueError.
+    max |residual| / (1 + |x|^2) over samples and both groups; a sample
+    count that is not an integer, or fewer than one sample, raises
+    ValueError.
     """
     closed_path.require_labels(CLOSED_LABELS, "closed-loop")
+    if not isinstance(sample_points, numbers.Integral):
+        raise ValueError("hjb_residual needs a whole number of sample "
+                         f"points, got {sample_points!r}")
     if sample_points < 1:
         raise ValueError("hjb_residual needs at least one sample point, "
                          f"got {sample_points}")

@@ -18,9 +18,10 @@ alone; the common drivers move a group's banks alike and reach its mean
 only.
 
 Randomness is keyed per path: path p draws its slots' normal block from
-the PCG64 state that SeedSequence((seed, p)) seeds, and a bank run its
-deviation columns from SeedSequence((seed, 2**63 + p)), so any partition
-of paths into batches or threads reproduces the same numbers.  Products
+numpy's ``PCG64(SeedSequence(seed)).jumped(p)`` stream, and a bank run
+its deviation columns from ``jumped(2**63 + p)``, so any partition of
+paths into batches or threads reproduces the same numbers.  Distinct
+jump counts below 2**64 start at least about 2**62 draws apart.  Products
 run path by path (stacked or ``einsum``, never a 2-D BLAS call whose
 kernel depends on the row count) and reductions over paths are integer
 counts or fixed-order writes, so results are bit-identical for any
@@ -64,17 +65,14 @@ _MIX_ROWS = 32
 
 _MAX_SEED = 2**64
 
-# A bank run draws path p's deviation columns from the stream keyed
-# (seed, _BANK_KEY + p), which no group-mean stream, keyed (seed, p),
+# A bank run draws path p's deviation columns from the stream jumped
+# _BANK_KEY + p times, which no group-mean stream, jumped p times,
 # reaches.
 _BANK_KEY = 2**63
 
-# numpy's SeedSequence hash (pool of four uint32 words) and PCG64's
-# 128-bit multiplier, as in numpy/random/bit_generator.pyx and pcg64.h.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# numpy's PCG64 jump step, (phi - 1) 2**128, as in ``PCG64.jumped``:
+# advancing a state by (key + p) times it gives ``jumped(key + p)``.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 _MASK_128 = 2**128 - 1
 
 
@@ -151,63 +149,16 @@ class IncrementBatch:
         return self.increments
 
 
-def _hash_constants(value: int, mult: int) -> Iterator[tuple[int, int]]:
-    """The (xor, multiplier) pair of each successive hash."""
-    while True:
-        nxt = value * mult & 0xFFFFFFFF
-        yield value, nxt
-        value = nxt
-
-
-def _path_states(seed: int, start: int, count: int
-                 ) -> Iterator[tuple[int, int]]:
-    """PCG64 (state, inc) of paths start .. start + count - 1, each equal
-    to ``PCG64(SeedSequence((seed, p))).state``, hashed in one numpy pass.
-
-    The entropy of (seed, p) is the seed's uint32 words, then p's low and
-    high words: at most four, the pool size, and SeedSequence hashes a
-    missing word as a zero.  The pool is mixed as ``mix_entropy`` and
-    expanded as ``generate_state(4, uint64)`` do, in wrapping uint32
-    arithmetic; PCG64's seeding of the four 64-bit words runs in Python
-    ints.
-    """
-    paths = np.uint64(start) + np.arange(count, dtype=np.uint64)
-    seed_words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
-    pool = np.zeros((4, count), dtype=np.uint32)
-    pool[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    pool[len(seed_words)] = paths & 0xFFFFFFFF
-    pool[len(seed_words) + 1] = paths >> 32
-    hash_a = _hash_constants(_INIT_A, _MULT_A)
-    hash_b = _hash_constants(_INIT_B, _MULT_B)
-
-    def hashmix(value, consts):
-        xor, mult = next(consts)
-        value = (value ^ xor) * mult
-        return value ^ (value >> 16)
-
-    with np.errstate(over="ignore"):
-        for i in range(4):
-            pool[i] = hashmix(pool[i], hash_a)
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src],
-                                                                  hash_a)
-                    pool[dst] = mixed ^ (mixed >> 16)
-        halves = [hashmix(pool[i % 4], hash_b).astype(np.uint64)
-                  for i in range(8)]
-    words = [(halves[2 * i] | halves[2 * i + 1] << 32).tolist()
-             for i in range(4)]
-    for w0, w1, w2, w3 in zip(*words):
-        inc = (w2 << 64 | w3) << 1 & _MASK_128 | 1
-        yield ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK_128, inc
-
-
 def _batches(seed: int, key: int, n_paths: int, grid: TimeGrid,
              columns: int, d: int, out: np.ndarray | None = None
              ) -> Iterator[IncrementBatch]:
     """The batches of :func:`generate_increments`, ``columns`` wide, with
-    path p's stream keyed (seed, key + p)."""
+    path p's stream ``PCG64(SeedSequence(seed)).jumped(key + p)``.
+
+    One generator is seeded per call; before each path's draw it is set
+    back to that base state and advanced by (key + p) jump steps, which
+    is the state ``jumped`` gives without building a generator per path.
+    """
     n_steps = grid.n_steps
     root = math.sqrt(grid.dt)
     if out is not None:
@@ -218,28 +169,24 @@ def _batches(seed: int, key: int, n_paths: int, grid: TimeGrid,
             raise ValueError(f"out has dtype {out.dtype}, not float64")
         if not out.flags.writeable:
             raise ValueError("out is read-only")
-    # Every path overwrites the whole state, so one generator serves all;
-    # its own seed is never drawn from.
-    bits = np.random.PCG64(0)
+    bits = np.random.PCG64(np.random.SeedSequence(seed))
     rng = np.random.Generator(bits)
-    state = bits.state
-    pcg = state["state"]
+    base = bits.state
 
     def draw(start: int, count: int) -> np.ndarray:
         """The block of paths start .. start + count - 1, in ``out`` when
-        given; its tile and seed states are freed on return."""
+        given; its tile is freed on return."""
         if out is None:
             block = np.empty((n_steps + 1, count, columns))
         else:
             block = out[:, start : start + count]
         tile = np.empty((min(_TILE_PATHS, count), (n_steps + 1) * columns))
-        states = _path_states(seed, key + start, count)
         for lo in range(0, count, _TILE_PATHS):
             streams = tile[:min(_TILE_PATHS, count - lo)]
             hi = lo + len(streams)
-            for stream, (path_state, inc) in zip(streams, states):
-                pcg["state"], pcg["inc"] = path_state, inc
-                bits.state = state
+            for p, stream in enumerate(streams, key + start + lo):
+                bits.state = base
+                bits.advance(p * _JUMP & _MASK_128)
                 rng.standard_normal(out=stream)
                 # Scaled on the stream's contiguous row, where numpy
                 # needs no buffer.
@@ -263,14 +210,13 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     """Yield per-path start normals and increments, one column per bank
     or group slot, in batches of ``BATCH_PATHS`` paths.
 
-    Path p's stream is drawn in one call from a PCG64 generator seeded
-    SeedSequence((seed, p)): the start normals first, then one row per
-    step.  A batch's generator states are derived in one vectorised pass
-    that equals numpy's per-path construction, and one generator is set
-    to each in turn.  Streams are drawn into a tile of ``_TILE_PATHS``
-    paths, which is copied into the batch's time-major block.  The
-    layout depends only on (grid, n_banks_per_group), never on the
-    spec's correlations: the simulators mix the columns themselves.
+    Path p's stream is drawn in one call from numpy's
+    ``PCG64(SeedSequence(seed)).jumped(p)``: the start normals first,
+    then one row per step.  One generator is seeded per call and jumped
+    to each path's state in turn.  Streams are drawn into a tile of
+    ``_TILE_PATHS`` paths, which is copied into the batch's time-major
+    block.  The layout depends only on (grid, n_banks_per_group), never
+    on the spec's correlations: the simulators mix the columns themselves.
     ``BATCH_PATHS``, read at each call, only groups the paths.
 
     Without ``out`` each batch's block is a new array.  With ``out``, a
@@ -278,7 +224,7 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     is the view ``out[:, start:start + count]`` and no block is
     allocated; a wrong shape, dtype or a read-only ``out`` raises
     ValueError before any draw.  Beside the block, a batch allocates one
-    tile and its seed states.
+    tile.
     """
     sizes = tuple(int(n) for n in n_banks_per_group)
     if len(sizes) != spec.d:
@@ -312,8 +258,15 @@ class DefaultSpec:
             raise ValueError(f"{self.kind.value} target needs a group index")
         if self.kind is TargetKind.SINGLE_BANK and self.bank is None:
             raise ValueError("single-bank target needs a bank index")
-        if any(i is not None and i < 0 for i in (self.group, self.bank)):
-            raise ValueError("group and bank indices start at 0")
+        for name in ("group", "bank"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < 0:
+                raise ValueError("group and bank indices start at 0")
+            object.__setattr__(self, name, int(value))
 
     def check_sizes(self, sizes: Sequence[int]) -> None:
         """Raise ValueError unless the target exists in a market whose
@@ -349,7 +302,8 @@ class TrajectoryEnsemble:
     ``group_averages`` [paths, d, nodes] and ``global_average``
     [paths, nodes] are computed from ``states`` and ``group_index`` when
     first read and kept; ``x0`` (a view of ``states[:, :, 0]``) and
-    ``times`` are computed on each read.
+    ``times`` are computed on each read.  ``group_index`` holds one
+    integer in 0 .. d - 1 per bank, and every group has a bank.
     """
 
     grid: TimeGrid
@@ -363,6 +317,11 @@ class TrajectoryEnsemble:
             raise ValueError("states do not match the grid")
         if len(self.group_index) != n_banks:
             raise ValueError("need one group index per bank")
+        if not all(isinstance(k, numbers.Integral) and k >= 0
+                   for k in self.group_index):
+            raise ValueError("group indices must be integers from 0")
+        if set(self.group_index) != set(range(self.d)):
+            raise ValueError(f"every group 0 .. {self.d - 1} needs a bank")
 
     @functools.cached_property
     def group_averages(self) -> np.ndarray:
@@ -466,7 +425,7 @@ def _run_batches(batches: Iterator, worker, jobs: int | None) -> Iterator:
     asks for the next; with ``jobs`` threads at most ``jobs`` batches are
     drawn and not yet consumed.
     """
-    if jobs is None or jobs <= 1:
+    if jobs is None or jobs == 1:
         yield from map(worker, batches)
         return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -531,7 +490,7 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     The group means are those of :func:`simulate_group_means` for the
     same spec, bit for bit: the same pipeline steps them, and its reducer
     here adds the deviations.  For each path p of a batch it draws one
-    column per bank from the stream keyed (seed, 2**63 + p), on the
+    column per bank from the stream jumped 2**63 + p times, on the
     worker thread when ``jobs`` > 1: a start normal times std_k and step
     normals times sigma_k ci_k, less their group's mean of them, so that
     they sum to zero within a group; each then decays at its group's gap
@@ -656,7 +615,11 @@ def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
     slot and step and mixes them through the lower Cholesky factor L of
     the slots' covariance: the increments are Z L^T.  With no common
     driver the covariance is diag(own^2) and L is diag(own) exactly.
+    A ``jobs`` other than None or an integer >= 1 raises ValueError.
     """
+    if jobs is not None and not (isinstance(jobs, numbers.Integral)
+                                 and jobs >= 1):
+        raise ValueError(f"jobs must be None or an integer >= 1, not {jobs!r}")
     # The noise law comes from the market, so a spec whose correlations
     # differ from the market's was built for another market.
     if spec != NoiseSpec.from_market(vm, spec.seed, spec.n_paths):

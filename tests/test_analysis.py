@@ -124,6 +124,15 @@ def test_convergence_report_validation():
                           open_slope=0.0)
 
 
+def test_convergence_needs_two_groups_and_no_empty_group():
+    with pytest.raises(ValueError, match="two-group only"):
+        convergence_to_mfg(market_from_params("mfg3"), (10, 100), grid=GRID)
+    # Four banks at weights (0.9, 0.1) round to sizes (4, 0).
+    market = two_groups(beta=(0.9, 0.1))
+    with pytest.raises(ValueError, match="leaves an empty group"):
+        convergence_to_mfg(market, (4, 100), grid=GRID)
+
+
 def test_feedback_rules_converge_to_mean_field():
     report = convergence_to_mfg(market_from_params("benchmark"),
                                 (100, 1000, 10000), grid=GRID)
@@ -329,12 +338,15 @@ def test_hjb_residual_requires_closed_path():
         hjb_residual(solve_limiting(market, GRID), market, 10)
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("samples", [0, -3, 2.5, 2.0])
 def test_hjb_residual_needs_a_sample(samples):
-    # A maximum over no samples would read 0.0, a pass.
+    # A maximum over no samples would read 0.0, a pass; a sample count is
+    # a whole number, refused here rather than by range().
     market = market_from_params("benchmark")
     path = solve_closed_loop(market, TimeGrid(t_end=1.0, n_steps=50))
-    with pytest.raises(ValueError, match="at least one sample"):
+    message = ("whole number" if isinstance(samples, float)
+               else "at least one sample")
+    with pytest.raises(ValueError, match=message):
         hjb_residual(path, market, samples)
 
 

@@ -227,6 +227,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x0 = 0~-1\n" + TWO_GROUP, "standard deviations must be nonnegative"),
+    ("horizon = 1.0\nsteps = 10\n", "at least one [group.k] section"),
+], ids=["negative-std", "no-groups"])
+def test_config_rejections_exit_code(tmp_path, capsys, text, message):
+    rc, _ = run(tmp_path, "simulate", text)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_blow_up_exit_code(tmp_path, capsys):
     # A huge growth rate diverges in the linear components only; a huge
     # slack diverges in every system at the first step.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -98,6 +99,13 @@ def test_weights_only_market():
     assert vm.n_total is None
     with pytest.raises(RejectedParams):
         vm.group_sizes()
+
+
+def test_weights_need_one_per_group():
+    for beta in ((1.0,), (0.2, 0.3, 0.5)):
+        with pytest.raises(RejectedParams, match="one weight per group"):
+            validate(dataclasses.replace(two_groups(), beta=beta),
+                     Mode.LIMITING)
 
 
 @pytest.mark.parametrize("mode", [Mode.CLOSED_LOOP, Mode.OPEN_LOOP])

@@ -592,6 +592,25 @@ def test_labels():
                              "psim_2_1", "psim_2_2", "mum_1", "mum_2")
 
 
+def test_systems_and_paths_check_their_labels():
+    with pytest.raises(ValueError, match="disagree on dimension"):
+        OdeSystem(rhs=lambda t, y: y, terminal=np.zeros(3), labels=("a", "b"))
+    with pytest.raises(ValueError, match="labels must be unique"):
+        OdeSystem(rhs=lambda t, y: y, terminal=np.zeros(2), labels=("a", "a"))
+    with pytest.raises(ValueError, match="labels must be unique"):
+        CoefficientPath(grid=TimeGrid(t_end=1.0, n_steps=2),
+                        values=np.zeros((3, 2)), labels=("a", "a"))
+
+
+def test_solve_without_a_grid_takes_the_default_steps():
+    market = weights_market()
+    path = solve_limiting(market)
+    assert path.grid == TimeGrid(t_end=market.horizon, n_steps=2000)
+    assert riccati.DEFAULT_STEPS == 2000
+    assert np.array_equal(path.values,
+                          solve_limiting(market, path.grid).values)
+
+
 def test_path_interpolation_and_range():
     market = weights_market()
     path = solve_limiting(market, TimeGrid(t_end=1.0, n_steps=10))
@@ -654,6 +673,13 @@ def test_csv_round_trip(tmp_path):
     assert loaded.grid == path.grid
     assert np.array_equal(loaded.values, path.values)
 
+
+
+def test_csv_with_an_uneven_time_column_is_rejected(tmp_path):
+    target = tmp_path / "uneven.csv"
+    target.write_text("t,eta1\n0,1\n0.25,1\n1,1\n")
+    with pytest.raises(ValueError, match="not a uniform grid"):
+        read_csv(target)
 
 
 @pytest.mark.parametrize("text", ["", "t,eta1\n", "t,eta1\n\n"])

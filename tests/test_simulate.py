@@ -56,6 +56,20 @@ def closed_strategy(market, grid=GRID):
 
 
 @pytest.fixture
+def seeded(monkeypatch):
+    """The arguments of every ``np.random.PCG64`` built, in order: a draw
+    builds one before it draws."""
+    calls = []
+    real = np.random.PCG64
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np.random, "PCG64", counted)
+    return calls
+
+
+@pytest.fixture
 def batch_starts(monkeypatch):
     """The first path of every batch the simulator draws, in draw order,
     so a test that sets ``simulate.BATCH_PATHS`` can see it take effect."""
@@ -138,8 +152,7 @@ def test_zero_loading_drivers_draw_nothing():
     assert abs(batch.increments.std() - np.sqrt(grid.dt)) < 0.01
     # Path 0 reconstructed by hand: x0 normals first, then step rows of
     # four banks, scaled by sqrt(dt).
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=(1, 0))))
+    rng = _numpy_rng(1, 0)
     x0 = rng.standard_normal(4)
     rows = rng.standard_normal((40, 4)) * np.sqrt(grid.dt)
     assert np.array_equal(batch.x0_normals[0], x0)
@@ -151,10 +164,9 @@ def test_zero_loading_drivers_draw_nothing():
 def test_streams_cross_tile_and_batch_edges(monkeypatch, rho, rho_k):
     # 23 paths make batches of 7, 7, 7 and 2, or one batch of tiles of
     # 8, 8 and 7: wherever a path falls, its start normals and step rows
-    # are one draw of numpy's SeedSequence((seed, p)) stream, one column
-    # per bank whatever the correlations, and no driver is drawn.  The
-    # bank runs' deviation columns, keyed (seed, 2**63 + p), are drawn
-    # the same way.
+    # are one draw of numpy's stream jumped p times, one column per bank
+    # whatever the correlations, and no driver is drawn.  The bank runs'
+    # deviation columns, jumped 2**63 + p times, are drawn the same way.
     spec = NoiseSpec(rho=rho, rho_k=rho_k, seed=2**40 + 17, n_paths=23)
     grid = TimeGrid(t_end=1.0, n_steps=9)
     width = 5
@@ -172,9 +184,8 @@ def test_streams_cross_tile_and_batch_edges(monkeypatch, rho, rho_k):
             x0 = np.concatenate([b.x0_normals for b in batches])
             increments = np.concatenate([b.increments for b in batches])
             for p in range(spec.n_paths):
-                rng = np.random.Generator(np.random.PCG64(
-                    np.random.SeedSequence((spec.seed, key + p))))
-                stream = rng.standard_normal(5 + grid.n_steps * width)
+                stream = _numpy_rng(spec.seed, key + p).standard_normal(
+                    5 + grid.n_steps * width)
                 assert np.array_equal(x0[p], stream[:5]), (size, key, p)
                 rows = (stream[5:].reshape(grid.n_steps, width)
                         * np.sqrt(grid.dt))
@@ -211,13 +222,10 @@ def test_increments_drawn_into_out(monkeypatch, rho, rho_k):
     lambda shape: np.empty(shape, dtype=">f8"),
     lambda shape: np.broadcast_to(0.0, shape),
 ], ids=["width", "nodes", "float32", "big-endian", "read-only"])
-def test_bad_out_is_refused_before_any_draw(monkeypatch, make_out):
+def test_bad_out_is_refused_before_any_draw(seeded, make_out):
     spec = NoiseSpec(rho=0.3, rho_k=(0.0, 0.5), seed=5, n_paths=23)
     grid = TimeGrid(t_end=1.0, n_steps=9)
     shape = (10, 23, 5)
-    seeded = []
-    monkeypatch.setattr(simulate, "_path_states",
-                        lambda *args: seeded.append(args))
     with pytest.raises(ValueError, match="out "):
         next(generate_increments(spec, grid, (2, 3), make_out(shape)))
     assert seeded == []
@@ -226,34 +234,56 @@ def test_bad_out_is_refused_before_any_draw(monkeypatch, make_out):
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 17, 2**63 + 5, 2**64 - 1)
 
 
-def _numpy_state(seed, path):
-    return np.random.PCG64(
-        np.random.SeedSequence(entropy=(seed, path))).state["state"]
+def _numpy_rng(seed, jumps):
+    """numpy's own generator for the stream jumped ``jumps`` times."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed)).jumped(jumps))
+
+
+def test_jump_step_is_numpys():
+    # Advancing by k jump steps is numpy's jumped(k); a numpy release
+    # that changed its jump step would fail here first.
+    for k in (1, 2, 2**63 + 9):
+        bits = np.random.PCG64(3)
+        want = bits.jumped(k).state
+        bits.advance(k * simulate._JUMP % 2**128)
+        assert bits.state == want, k
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_path_states_equal_numpy_seeding(seed):
-    # One-word and two-word seeds and path indices, taken one at a time
-    # and as runs that cross a batch and a 32-bit word boundary.
-    for path in (0, 1, 511, 512, 2**32 - 1, 2**32, 2**63 + 9):
-        (state,) = simulate._path_states(seed, path, 1)
-        want = _numpy_state(seed, path)
-        assert state == (want["state"], want["inc"]), path
-    for start in (0, 509, 2**32 - 2):
-        got = list(simulate._path_states(seed, start, 5))
-        want = [_numpy_state(seed, p) for p in range(start, start + 5)]
-        assert got == [(w["state"], w["inc"]) for w in want], start
+    # One-word and two-word seeds, group-mean and bank keys, and path
+    # indices taken one at a time and as runs that cross a batch and a
+    # 32-bit word boundary.  sqrt(dt) = 1/4, so unscaling is exact.
+    grid = TimeGrid(t_end=1.0, n_steps=16)
+    columns = 3
+
+    def drawn(key, start, count):
+        (batch,) = simulate._batches(seed, key + start, count, grid,
+                                     columns, 1)
+        return batch.x0_normals, batch.increments * 4.0
+
+    for key in (0, simulate._BANK_KEY):
+        for start, count in ((0, 1), (1, 1), (511, 1), (512, 1),
+                             (2**32 - 1, 1), (2**32, 1), (509, 5),
+                             (2**32 - 2, 5)):
+            x0, rows = drawn(key, start, count)
+            for i in range(count):
+                rng = _numpy_rng(seed, key + start + i)
+                assert np.array_equal(x0[i], rng.standard_normal(columns))
+                assert np.array_equal(
+                    rows[i], rng.standard_normal((grid.n_steps, columns))), (
+                        key, start + i)
 
 
 def test_increments_build_no_seed_sequence(monkeypatch):
-    # Every path's stream is numpy's SeedSequence((seed, p)) stream,
-    # though no SeedSequence is built to draw it.
+    # Every path's stream is numpy's stream jumped p times, though one
+    # SeedSequence per call, not one per path, is built to draw it.
     spec = NoiseSpec(rho=0.3, rho_k=(0.5,), seed=2**63 + 5, n_paths=5)
     grid = TimeGrid(t_end=1.0, n_steps=8)
     want = []
     for p in range(spec.n_paths):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=(spec.seed, p))))
+        rng = _numpy_rng(spec.seed, p)
         want.append((rng.standard_normal(3),
                      rng.standard_normal((8, 3)) * np.sqrt(grid.dt)))
     calls = []
@@ -265,13 +295,21 @@ def test_increments_build_no_seed_sequence(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", counted)
     monkeypatch.setattr(simulate, "BATCH_PATHS", 2)
     batches = list(generate_increments(spec, grid, (3,)))
-    assert calls == []
+    assert calls == [(spec.seed,)]
     assert [b.start for b in batches] == [0, 2, 4]
     x0 = np.concatenate([b.x0_normals for b in batches])
     increments = np.concatenate([b.increments for b in batches])
     for p, (start, rows) in enumerate(want):
         assert np.array_equal(x0[p], start)
         assert np.array_equal(increments[p], rows)
+
+
+def test_bank_counts_need_one_entry_per_group():
+    spec = NoiseSpec(rho=0.0, rho_k=(0.0, 0.0), seed=1, n_paths=2)
+    grid = TimeGrid(t_end=1.0, n_steps=4)
+    for sizes in ((2,), (2, 3, 1)):
+        with pytest.raises(ValueError, match="one bank count per group"):
+            generate_increments(spec, grid, sizes)
 
 
 def test_independent_increments_are_uncorrelated():
@@ -400,6 +438,14 @@ def test_ensemble_checks_consistency():
     with pytest.raises(ValueError, match="group index"):
         TrajectoryEnsemble(grid=ens.grid, states=ens.states,
                            group_index=(0, 0, 1))
+    # A negative or fractional index, or a group with no bank (whose
+    # average would be 0/0), has no group average.
+    for group_index, message in (((-1, 0), "integers from 0"),
+                                 ((0, 1.5), "integers from 0"),
+                                 ((0, 2), "needs a bank")):
+        with pytest.raises(ValueError, match=message):
+            TrajectoryEnsemble(grid=ens.grid, states=ens.states[:, :2],
+                               group_index=group_index)
     again = TrajectoryEnsemble(grid=ens.grid, states=ens.states,
                                group_index=ens.group_index)
     assert np.array_equal(again.group_averages, ens.group_averages)
@@ -454,6 +500,16 @@ def test_default_spec_validation():
                  DefaultSpec.single_bank(-1.0, 0, 4)):
         with pytest.raises(ValueError, match="out of range"):
             spec.check_sizes((4, 3))
+    # Indices are integers, refused where they are given rather than
+    # when a slice is taken with them.
+    for group, bank in ((1.5, 0), (1.0, 0), ("1", 0), (0, 2.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DefaultSpec.single_bank(-1.0, group, bank)
+    with pytest.raises(ValueError, match="must be an integer"):
+        DefaultSpec.group_average(-1.0, 1.5)
+    spec = DefaultSpec.single_bank(-1.0, np.int64(1), np.uint8(2))
+    assert type(spec.group) is int and type(spec.bank) is int
+    assert spec == DefaultSpec.single_bank(-1.0, 1, 2)
 
 
 @pytest.mark.parametrize("group, bank", [(-1, None), (-1, 0), (0, -1)])
@@ -461,6 +517,31 @@ def test_default_spec_rejects_negative_indices(group, bank):
     kind = TargetKind.GROUP_AVERAGE if bank is None else TargetKind.SINGLE_BANK
     with pytest.raises(ValueError, match="start at 0"):
         DefaultSpec(level=-0.5, kind=kind, group=group, bank=bank)
+
+
+@pytest.mark.parametrize("jobs", [1.5, 2.0, "2", 0, -3])
+def test_jobs_is_none_or_a_positive_integer(jobs, seeded):
+    # Each sampler refuses the worker count before it draws: a fraction
+    # would never fill the window of pending batches, and 0 or less
+    # would run serially as if the count were valid.
+    market = two_groups(n1=2, n2=2)
+    grid = TimeGrid(t_end=1.0, n_steps=8)
+    strategy = closed_strategy(market, grid)
+    spec = NoiseSpec.from_market(market, seed=1, n_paths=4)
+    runs = (
+        lambda j: simulate_closed_loop(market, strategy, 0.0, spec,
+                                       grid=grid, jobs=j).states,
+        lambda j: simulate_group_means(market, strategy, 0.0, spec,
+                                       grid=grid, jobs=j),
+        lambda j: mc_hitting_probability(
+            market, spec, DefaultSpec.global_average(-0.1), strategy,
+            grid=grid, jobs=j).n_hits)
+    for run in runs:
+        with pytest.raises(ValueError, match="jobs must be"):
+            run(jobs)
+    assert seeded == []
+    for run in runs:
+        assert np.array_equal(run(np.int64(2)), run(None))
 
 
 def test_symmetric_groups_have_zero_distance():
@@ -663,11 +744,10 @@ def test_mfg_mean_deterministic_flow_matches_ode():
 
 def _numpy_streams(spec, grid, columns, key=0):
     """Start normals [paths, columns] and increments [paths, n_steps,
-    columns] of numpy's own SeedSequence((seed, key + p)) streams."""
+    columns] of numpy's own streams jumped key + p times."""
     starts, steps = [], []
     for p in range(spec.n_paths):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((spec.seed, key + p))))
+        rng = _numpy_rng(spec.seed, key + p)
         starts.append(rng.standard_normal(columns))
         steps.append(rng.standard_normal((grid.n_steps, columns))
                      * np.sqrt(grid.dt))
@@ -677,10 +757,10 @@ def _numpy_streams(spec, grid, columns, key=0):
 def _bank_noise(market, spec, grid, x0):
     """Every bank's start [paths, banks] and increments [paths, n_steps,
     banks], rebuilt apart from the simulator: its group's slot from the
-    SeedSequence((seed, p)) stream, started at mean_k + std_k / sqrt(N_k)
-    Z and stepped by the draws times the factor of mean_step_covariance,
-    plus its deviation from its column of the SeedSequence((seed, 2**63 +
-    p)) stream, scaled by std_k on the start and by sigma_k ci_k on the
+    stream jumped p times, started at mean_k + std_k / sqrt(N_k) Z and
+    stepped by the draws times the factor of mean_step_covariance, plus
+    its deviation from its column of the stream jumped 2**63 + p times,
+    scaled by std_k on the start and by sigma_k ci_k on the
     steps and less its group's mean, summed bank by bank.  ``x0`` holds
     one (mean, std) pair per group."""
     sizes = [g.n_banks for g in market.groups]
@@ -1117,12 +1197,12 @@ def test_bank_target_matches_the_bank_simulation_in_law():
     assert 0.05 < full < 0.95
     assert abs(est.probability - full) < 4.0 * np.sqrt(2.0) * se
 
-@pytest.mark.parametrize("seed, hits", [(0, 174), (7, 219),
-                                        (2**40 + 17, 206), (2**64 - 1, 206)])
+@pytest.mark.parametrize("seed, hits", [(0, 184), (7, 210),
+                                        (2**40 + 17, 185), (2**64 - 1, 197)])
 def test_criterion_4_hit_counts_are_pinned(seed, hits):
-    # Hit counts of the criterion-4 market at 4096 paths, recorded before
-    # the group-mean block was stepped in place: any slip in the stream
-    # or its layout moves them.
+    # Hit counts of the criterion-4 market at 4096 paths, recorded when
+    # path p first drew numpy's stream jumped p times: any slip in the
+    # stream or its layout moves them.
     group = GroupParams(sigma=1.0, q=2.0, eps=5.0, c=0.0, lam=0.0, n_banks=10)
     market = MarketParams(groups=(group,), rho=0.0, horizon=1.0, beta=(1.0,))
     spec = NoiseSpec(rho=0.0, rho_k=(0.0,), seed=seed, n_paths=4096)
@@ -1139,7 +1219,7 @@ def _pinned_market(n1, n2):
 
 
 def test_bank_target_hit_count_is_pinned():
-    # Recorded before the group-mean block was stepped in place; the
+    # Recorded when path p first drew numpy's stream jumped p times; the
     # bank's deviation slot comes after its group's mean.
     market = _pinned_market(3, 5)
     grid = TimeGrid(t_end=1.0, n_steps=100)
@@ -1147,21 +1227,21 @@ def test_bank_target_hit_count_is_pinned():
         market, NoiseSpec.from_market(market, seed=17, n_paths=1000),
         DefaultSpec.single_bank(-0.4, 1, 2), closed_strategy(market, grid),
         x0=((0.1, 0.2), 0.0), grid=grid)
-    assert est.n_hits == 678
+    assert est.n_hits == 663
 
 
 def test_bank_states_are_pinned():
     # The SHA-256 of the states of a common-noise market with random
     # starts, recorded when the bank simulator took its group means from
     # the slot stream of simulate_group_means and its deviations from
-    # the (seed, 2**63 + p) columns.
+    # the columns of the stream jumped 2**63 + p times.
     market = _pinned_market(4, 8)
     grid = TimeGrid(t_end=1.0, n_steps=50)
     ens = simulate_closed_loop(
         market, closed_strategy(market, grid), ((0.1, 0.3), (-0.2, 0.1)),
         NoiseSpec.from_market(market, seed=5, n_paths=37), grid=grid)
     assert hashlib.sha256(ens.states.tobytes()).hexdigest() == (
-        "805c16f8fca48915aaf34e0ec85f33e2434038768edab50299c9778309e5cfda")
+        "09bf51bf3142ff2dd05c5fd46a17f5916a38b8eee7b2ced840c098795a48a409")
 
 
 def test_hitting_probability_at_start_level():
