@@ -55,6 +55,12 @@ def closed_strategy(market, grid=GRID):
     return feedback_closed(solve_closed_loop(market, grid), market)
 
 
+def _numpy_rng(seed, jumps):
+    """numpy's own generator for the stream jumped ``jumps`` times."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed)).jumped(jumps))
+
+
 @pytest.fixture
 def seeded(monkeypatch):
     """The arguments of every ``np.random.PCG64`` built, in order: a draw
@@ -232,12 +238,6 @@ def test_bad_out_is_refused_before_any_draw(seeded, make_out):
 
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 17, 2**63 + 5, 2**64 - 1)
-
-
-def _numpy_rng(seed, jumps):
-    """numpy's own generator for the stream jumped ``jumps`` times."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed)).jumped(jumps))
 
 
 def test_jump_step_is_numpys():
