@@ -760,9 +760,9 @@ def _bank_noise(market, spec, grid, x0):
     stream jumped p times, started at mean_k + std_k / sqrt(N_k) Z and
     stepped by the draws times the factor of mean_step_covariance, plus
     its deviation from its column of the stream jumped 2**63 + p times,
-    scaled by std_k on the start and by sigma_k ci_k on the
-    steps and less its group's mean, summed bank by bank.  ``x0`` holds
-    one (mean, std) pair per group."""
+    scaled by std_k on the start and by sigma_k ci_k on the steps and
+    less its group's mean, summed bank by bank.  ``x0`` holds one (mean,
+    std) pair per group."""
     sizes = [g.n_banks for g in market.groups]
     group_index = np.repeat(np.arange(len(sizes)), sizes)
     slot_start, slot_steps = _numpy_streams(spec, grid, len(sizes))
