@@ -12,20 +12,25 @@ group, not one column per bank.  Only the slots' joint law matters, so
 each draws one normal per step and the Cholesky factor of their step
 covariance mixes them: d normals per step whatever the correlations.
 Every sampler runs one batch pipeline that steps each batch's means
-and hands them to a reducer.  The full simulator's reducer adds one
-column per bank for the deviations, which carry the idiosyncratic noise
-alone; the common drivers move a group's banks alike and reach its mean
-only.
+and hands them to a reducer.  A batch is drawn and stepped in windows
+of consecutive nodes of about 1 MiB, each stepped on from the last row
+of the one before, so its memory does not grow with the number of
+steps; an estimate keeps only each path's running minimum between
+windows.  The full simulator's reducer stores the means and then adds
+one column per bank for the deviations, drawn and stepped in windows
+too, which carry the idiosyncratic noise alone; the common drivers move
+a group's banks alike and reach its mean only.
 
 Randomness is keyed per path: path p draws its slots' normal block from
 numpy's ``PCG64(SeedSequence(seed)).jumped(p)`` stream, and a bank run
-its deviation columns from ``jumped(2**63 + p)``, so any partition of
-paths into batches or threads reproduces the same numbers.  Distinct
+its deviation columns from ``jumped(2**63 + p)``, window after window,
+so any partition of paths into batches, windows or threads reproduces
+the same numbers.  Distinct
 jump counts below 2**64 start at least about 2**62 draws apart.  Products
 run path by path (stacked or ``einsum``, never a 2-D BLAS call whose
 kernel depends on the row count) and reductions over paths are integer
 counts or fixed-order writes, so results are bit-identical for any
-batch size and worker count.
+batch size, window size and worker count.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import collections
 import enum
 import functools
+import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -57,11 +63,21 @@ from .riccati import BlowUp, CoefficientPath
 # reorder any floating-point reduction.
 BATCH_PATHS = 512
 
-# Paths drawn before their streams are copied into a batch's time-major
+# Paths drawn before their streams are copied into a window's time-major
 # block (with one slot, one 64-byte line per node), and rows of a block
 # mixed per product, so no temporary is batch-sized.
 _TILE_PATHS = 8
 _MIX_ROWS = 32
+
+# Bytes of draws a batch holds at a time: it is drawn and stepped in
+# windows of consecutive nodes of at most this size, or of two rows where
+# two rows are larger.
+_WINDOW_BYTES = 2**20
+
+# Paths whose bank deviations are drawn and stepped together.  A window
+# of 512 paths and 20 banks would hold 12 nodes, and its 512 short draws
+# would cost more than the normals; one of 64 paths holds 102.
+_BANK_PATHS = 64
 
 _MAX_SEED = 2**64
 
@@ -114,23 +130,28 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class IncrementBatch:
-    """Normal draws for a contiguous block of paths.
+    """Normal draws for a window of consecutive nodes of a contiguous
+    block of paths.
 
-    ``block`` [n_steps + 1, paths, columns] is time-major, one column per
-    bank or group slot.  Row 0 holds the unscaled start normals and row
-    n + 1 step n's draws scaled by sqrt(dt).  The block is a new array,
-    or a view of the caller's ``out`` (see :func:`generate_increments`);
-    either way the consumer owns it and may step it in place.
-    ``x0_normals`` [paths, columns] and ``increments`` (or
-    ``idiosyncratic``) [paths, n_steps, columns] are path-major views of
-    it.  No common driver is drawn, so ``drivers`` is a new zero array
-    [paths, n_steps, 1 + d]; it and ``idiosyncratic`` remain for
-    ``perfbench/tracing.py``, which reads them.
+    ``block`` [rows, paths, columns] is time-major, one column per bank
+    or group slot, and holds nodes ``node`` .. ``node`` + rows - 1: row
+    i holds node ``node`` + i's draws, the unscaled start normals at
+    node 0 and step n's draws scaled by sqrt(dt) at node n + 1.  The
+    block is a new array, or a view of the caller's ``out`` (see
+    :func:`generate_increments`); either way the consumer owns it and
+    may step it in place.  ``x0_normals`` (row 0) [paths, columns] and
+    ``increments`` (or ``idiosyncratic``, the rows after it) [paths,
+    rows - 1, columns] are path-major views of it, the start normals and
+    the steps in a batch's first window.  No common driver is drawn, so
+    ``drivers`` is a new zero array [paths, rows - 1, 1 + d]; it and
+    ``idiosyncratic`` remain for ``perfbench/tracing.py``, which reads
+    them.
     """
 
     start: int
     block: np.ndarray
     d: int
+    node: int = 0
 
     @property
     def x0_normals(self) -> np.ndarray:
@@ -149,58 +170,108 @@ class IncrementBatch:
         return self.increments
 
 
+def _window_rows(paths: int, columns: int) -> int:
+    """Rows of a window of ``paths`` paths and ``columns`` columns."""
+    return max(2, _WINDOW_BYTES // (8 * paths * columns))
+
+
+class _Unseeded(np.random.bit_generator.ISeedSequence):
+    """Seeds the generators of a pool, each of which is set to a path's
+    state before it draws: their own seeding is never used, so it is
+    made from zeros instead of by hashing the seed again."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype)
+
+
+class _Streams:
+    """Path p's normals from numpy's ``PCG64(SeedSequence(seed))
+    .jumped(key + p)``, drawn window by window into time-major blocks.
+
+    One ``SeedSequence`` is built.  A batch drawn in one window uses one
+    generator, moved to each path's stream in turn.  A batch drawn in
+    several windows uses one generator per path, so that each window
+    continues every path's stream where the last one stopped; numpy's
+    normals do not depend on how a request is split.  The pool grows to
+    the largest such batch and serves every later one.  A generator is
+    moved to a path's stream by setting it to the seeded state and
+    advancing it by (key + p) jump steps, the state ``jumped`` gives.
+    """
+
+    def __init__(self, seed: int, key: int, grid: TimeGrid) -> None:
+        seeded = np.random.PCG64(np.random.SeedSequence(seed))
+        self._pool = [np.random.Generator(seeded)]
+        self._base = seeded.state
+        self._key = key
+        self._nodes = grid.n_steps + 1
+        self._root = math.sqrt(grid.dt)
+
+    def draw(self, block: np.ndarray, start: int, node: int) -> None:
+        """Fill ``block`` [rows, paths, columns] with nodes node .. node +
+        rows - 1 of paths start, start + 1, ...; the rows of steps are
+        scaled by sqrt(dt).  A batch's windows are drawn in node order
+        from node 0, before the next batch's."""
+        rows, count, columns = block.shape
+        pooled = rows < self._nodes
+        if pooled and node == 0:
+            self._pool += [np.random.Generator(np.random.PCG64(_Unseeded()))
+                           for _ in range(count - len(self._pool))]
+        tile = np.empty((min(_TILE_PATHS, count), rows * columns))
+        streams = list(tile)
+        # One element per node: copying a tile row into its path's column
+        # of the block moves whole nodes' bytes.
+        per_node = np.dtype((np.void, 8 * columns))
+        into, tiles = block.view(per_node)[:, :, 0], tile.view(per_node)
+        for lo in range(0, count, _TILE_PATHS):
+            hi = min(lo + _TILE_PATHS, count)
+            for j, stream in zip(range(lo, hi), streams):
+                rng = self._pool[j if pooled else 0]
+                if node == 0:
+                    bits = rng.bit_generator
+                    bits.state = self._base
+                    bits.advance((self._key + start + j) * _JUMP & _MASK_128)
+                rng.standard_normal(out=stream)
+            into[:, lo:hi] = tiles[:hi - lo].T
+        steps = block[1 if node == 0 else 0:]
+        if steps.flags.c_contiguous:
+            steps *= self._root
+        else:
+            # On a strided view numpy would buffer the multiply; its rows
+            # (nodes) are contiguous.
+            for row in steps:
+                row *= self._root
+
+
 def _batches(seed: int, key: int, n_paths: int, grid: TimeGrid,
              columns: int, d: int, out: np.ndarray | None = None
              ) -> Iterator[IncrementBatch]:
-    """The batches of :func:`generate_increments`, ``columns`` wide, with
-    path p's stream ``PCG64(SeedSequence(seed)).jumped(key + p)``.
-
-    One generator is seeded per call; before each path's draw it is set
-    back to that base state and advanced by (key + p) jump steps, which
-    is the state ``jumped`` gives without building a generator per path.
-    """
-    n_steps = grid.n_steps
-    root = math.sqrt(grid.dt)
+    """The windows of :func:`generate_increments`, ``columns`` wide, with
+    path p's stream ``PCG64(SeedSequence(seed)).jumped(key + p)``: each
+    batch's windows in node order, batch after batch."""
+    nodes = grid.n_steps + 1
     if out is not None:
-        shape = (n_steps + 1, n_paths, columns)
+        shape = (nodes, n_paths, columns)
         if out.shape != shape:
             raise ValueError(f"out has shape {out.shape}, not {shape}")
         if out.dtype != np.float64:
             raise ValueError(f"out has dtype {out.dtype}, not float64")
         if not out.flags.writeable:
             raise ValueError("out is read-only")
-    bits = np.random.PCG64(np.random.SeedSequence(seed))
-    rng = np.random.Generator(bits)
-    base = bits.state
-
-    def draw(start: int, count: int) -> np.ndarray:
-        """The block of paths start .. start + count - 1, in ``out`` when
-        given; its tile is freed on return."""
-        if out is None:
-            block = np.empty((n_steps + 1, count, columns))
-        else:
-            block = out[:, start : start + count]
-        tile = np.empty((min(_TILE_PATHS, count), (n_steps + 1) * columns))
-        for lo in range(0, count, _TILE_PATHS):
-            streams = tile[:min(_TILE_PATHS, count - lo)]
-            hi = lo + len(streams)
-            for p, stream in enumerate(streams, key + start + lo):
-                bits.state = base
-                bits.advance(p * _JUMP & _MASK_128)
-                rng.standard_normal(out=stream)
-                # Scaled on the stream's contiguous row, where numpy
-                # needs no buffer.
-                stream[columns:] *= root
-            block[:, lo:hi] = streams.reshape(hi - lo, n_steps + 1,
-                                              columns).transpose(1, 0, 2)
-        return block
-
+    draws = _Streams(seed, key, grid)
     for start in range(0, n_paths, BATCH_PATHS):
-        block = draw(start, min(BATCH_PATHS, n_paths - start))
-        yield IncrementBatch(start=start, block=block, d=d)
-        # The consumer is done with this batch: free it before the next
-        # draw, so only one block is alive at a time.
-        del block
+        count = min(BATCH_PATHS, n_paths - start)
+        # A window of out costs no memory, so it spans the horizon.
+        rows = nodes if out is not None else _window_rows(count, columns)
+        for node in range(0, nodes, rows):
+            if out is None:
+                block = np.empty((min(rows, nodes - node), count, columns))
+            else:
+                block = out[node : node + rows, start : start + count]
+            draws.draw(block, start, node)
+            yield IncrementBatch(start=start, block=block, d=d, node=node)
+            # The consumer is done with this window: free it before the
+            # next draw, so only one window is alive at a time.
+            del block
 
 
 def generate_increments(spec: NoiseSpec, grid: TimeGrid,
@@ -208,23 +279,29 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
                         out: np.ndarray | None = None
                         ) -> Iterator[IncrementBatch]:
     """Yield per-path start normals and increments, one column per bank
-    or group slot, in batches of ``BATCH_PATHS`` paths.
+    or group slot, in batches of ``BATCH_PATHS`` paths, each as windows
+    of consecutive nodes.
 
-    Path p's stream is drawn in one call from numpy's
+    Path p's normals are those of numpy's
     ``PCG64(SeedSequence(seed)).jumped(p)``: the start normals first,
-    then one row per step.  One generator is seeded per call and jumped
-    to each path's state in turn.  Streams are drawn into a tile of
-    ``_TILE_PATHS`` paths, which is copied into the batch's time-major
-    block.  The layout depends only on (grid, n_banks_per_group), never
-    on the spec's correlations: the simulators mix the columns themselves.
-    ``BATCH_PATHS``, read at each call, only groups the paths.
+    then one row per step.  A batch of ``paths`` paths comes in windows
+    of max(2, ``_WINDOW_BYTES`` // (8 paths columns)) rows, at most 1
+    MiB unless two rows are larger, in node order; each window continues
+    every path's stream where the last one stopped, so the windows
+    change no draw.  Streams are
+    drawn into a tile of ``_TILE_PATHS`` paths, which is copied into the
+    window's time-major block.  The layout depends only on (grid,
+    n_banks_per_group), never on the spec's correlations: the simulators
+    mix the columns themselves.  ``BATCH_PATHS``, read at each call,
+    only groups the paths.
 
-    Without ``out`` each batch's block is a new array.  With ``out``, a
-    writeable float64 array [n_steps + 1, n_paths, columns], each block
-    is the view ``out[:, start:start + count]`` and no block is
-    allocated; a wrong shape, dtype or a read-only ``out`` raises
-    ValueError before any draw.  Beside the block, a batch allocates one
-    tile.
+    Without ``out`` each window's block is a new array.  With ``out``, a
+    writeable float64 array [n_steps + 1, n_paths, columns], a batch is
+    one window spanning the horizon, the view ``out[:, start:start +
+    count]``, and no block is allocated; a wrong shape, dtype or a
+    read-only ``out`` raises ValueError before any draw.  Beside its
+    block, a window allocates one tile, and a batch of several windows
+    keeps one generator per path.
     """
     sizes = tuple(int(n) for n in n_banks_per_group)
     if len(sizes) != spec.d:
@@ -417,60 +494,91 @@ def _loadings(vm: ValidatedMarket, groups: np.ndarray,
     return driver, loads[:, 2] * idio
 
 
-def _run_batches(batches: Iterator, worker, jobs: int | None) -> Iterator:
-    """``worker`` applied to every batch, yielded lazily in batch order.
+def _check_jobs(jobs) -> None:
+    """Raise ValueError unless ``jobs`` is None or an integer >= 1."""
+    if jobs is not None and not (isinstance(jobs, numbers.Integral)
+                                 and jobs >= 1):
+        raise ValueError(f"jobs must be None or an integer >= 1, not {jobs!r}")
 
-    A batch is freed once its worker returns, so a serial run holds one
-    noise block at a time provided the caller drops each result before it
-    asks for the next; with ``jobs`` threads at most ``jobs`` batches are
-    drawn and not yet consumed.
+
+def _run_batches(windows: Iterator[IncrementBatch], worker,
+                 jobs: int | None) -> Iterator:
+    """``worker(window, state)`` applied to every window, yielded lazily
+    in order.
+
+    ``state`` is a dict that a batch's windows share, new at its first
+    window.  A batch's windows run in order on one thread: the caller's,
+    or with ``jobs`` > 1 one of ``jobs`` lanes that take the batches in
+    turn.  A window is freed once its worker returns, so a serial run
+    holds one window at a time provided the caller drops each result
+    before it asks for the next; with ``jobs`` lanes at most ``jobs``
+    windows are drawn and not yet consumed.
     """
     if jobs is None or jobs == 1:
-        yield from map(worker, batches)
+        for window in windows:
+            if window.node == 0:
+                state = {}
+            result = worker(window, state)
+            del window
+            yield result
         return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pending = collections.deque()
-        for batch in batches:
-            pending.append(pool.submit(worker, batch))
+    lanes = [ThreadPoolExecutor(max_workers=1) for _ in range(jobs)]
+    turns = itertools.cycle(lanes)
+    pending = collections.deque()
+    try:
+        for window in windows:
+            if window.node == 0:
+                lane, state = next(turns), {}
+            pending.append(lane.submit(worker, window, state))
             if len(pending) == jobs:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+    finally:
+        for lane in lanes:
+            lane.shutdown(cancel_futures=True)
 
 
 def _euler_means(series: np.ndarray, weights: np.ndarray,
-                 drift: np.ndarray | float, grid: TimeGrid) -> np.ndarray:
+                 drift: np.ndarray | float, grid: TimeGrid, node: int = 0,
+                 prev: np.ndarray | None = None) -> np.ndarray:
     """Euler steps of the closed linear SDE that group means follow.
 
     m_{n+1} = m_n + (W_n m_n + b_n) dt + e_n for the time-major
-    ``series`` [n_steps + 1, paths, s], which holds the start m_0 in row
-    0 and the increment e_n in row n + 1, ``weights`` W [n_steps, s, s]
-    and ``drift`` b [n_steps, s] (or 0).  Weights of shape [n_steps, s]
-    are the diagonal of W: a per-column decay.  Under any affine rule
-    the gap terms sum to zero within a group, so group means obey this
-    recursion exactly; so does each bank's deviation from its group
-    mean, with diagonal W = -gap and b = 0.  The series is stepped in
-    place, each row becoming its node's state, and returned.  Every
-    carried series is checked against the blow-up window once, after
-    the last step; a series that left it raises
+    ``series`` [rows, paths, s] of nodes ``node`` .. ``node`` + rows - 1,
+    which holds the increment e_n in the row of node n + 1 and, at node
+    0, the start m_0 in row 0; after node 0 ``prev`` is the state at
+    node ``node`` - 1.  ``weights`` W [n_steps, s, s] and ``drift`` b
+    [n_steps, s] (or 0) cover the whole grid.  Weights of shape
+    [n_steps, s] are the diagonal of W: a per-column decay.  Under any
+    affine rule the gap terms sum to zero within a group, so group means
+    obey this recursion exactly; so does each bank's deviation from its
+    group mean, with diagonal W = -gap and b = 0.  The series is stepped
+    in place, each row becoming its node's state, and returned.  Every
+    stepped row is checked against the blow-up window once, after the
+    last step; a series that left it raises
     :class:`~interbank.riccati.BlowUp` at the first node where any did,
     as a check after each step would.
     """
     dt = grid.dt
-    wdt = weights * dt if weights.any() else None
-    ddt = drift * dt if np.any(drift) else None
+    first = 1 if prev is None else 0
+    steps = slice(node + first - 1, node + len(series) - 1)
+    wdt = weights[steps] * dt if weights.any() else None
+    ddt = drift[steps] * dt if np.any(drift) else None
     # A state past the limit may overflow to inf or nan in later steps;
     # the check after the loop reports the first node it left at.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(len(series) - 1):
-            m, nxt = series[n], series[n + 1]
+        m = series[0] if prev is None else prev
+        for j, nxt in enumerate(series[first:]):
             if ddt is not None:
-                nxt += ddt[n]
+                nxt += ddt[j]
             nxt += m
             if wdt is not None:
-                nxt += (m * wdt[n] if wdt.ndim == 2
-                        else np.einsum("ps,ts->pt", m, wdt[n]))
-    BlowUp.check(series[1:], grid.times()[1:])
+                nxt += (m * wdt[j] if wdt.ndim == 2
+                        else np.einsum("ps,ts->pt", m, wdt[j]))
+            m = nxt
+    BlowUp.check(series[first:],
+                 grid.times()[node + first : node + len(series)])
     return series
 
 
@@ -488,21 +596,27 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
 
     Each bank is stepped as its group mean plus its deviation from it.
     The group means are those of :func:`simulate_group_means` for the
-    same spec, bit for bit: the same pipeline steps them, and its reducer
-    here adds the deviations.  For each path p of a batch it draws one
-    column per bank from the stream jumped 2**63 + p times, on the
-    worker thread when ``jobs`` > 1: a start normal times std_k and step
-    normals times sigma_k ci_k, less their group's mean of them, so that
-    they sum to zero within a group; each then decays at its group's gap
-    gain on the same kernel.  The kernel's blow-up guard therefore
-    watches the means and the deviations rather than their sums.  A
-    bank's start state is its group's start mean plus its start
-    deviation, and is stored exactly so.
+    same spec, bit for bit: the same pipeline steps them, window by
+    window, and its reducer writes them into every bank of the group.
+    Once a batch's means are stored, its deviations are added to them,
+    ``_BANK_PATHS`` paths at a time.  For each path p one column per bank
+    is drawn from the stream jumped 2**63 + p times, in windows of at
+    most ``_WINDOW_BYTES``: a start normal times std_k and step normals times
+    sigma_k ci_k, less their group's mean of them, so that they sum to
+    zero within a group; each then decays at its group's gap gain on the
+    same kernel.  With ``jobs`` > 1 the deviations are drawn and stepped
+    on ``jobs`` worker threads while the means of the next batches are
+    stepped.  The kernel's blow-up guard
+    therefore watches the means and the deviations rather than their
+    sums; a batch's means are checked before its deviations, and batches
+    in path order.  A bank's start state is its group's start mean plus
+    its start deviation, and is stored exactly so.
 
     Every path of every bank is kept, so an ensemble above
     :meth:`~interbank.riccati.CoefficientPath.check_size`'s cap raises
     ValueError before any draw.
     """
+    _check_jobs(jobs)
     # MFG mode takes any group count; the simulators also need sizes.
     vm = validate(market, Mode.MFG)
     grid = grid or strategy.path.grid
@@ -514,32 +628,60 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     own = _loadings(vm, group_index)[1]
     decay = -_strategy_tables(strategy, vm, grid)[0][:, group_index]
     std = _expand_x0(X0, sizes)[1]
+    nodes = grid.n_steps + 1
+    all_states = np.empty((spec.n_paths, len(group_index), nodes))
 
-    def banks(start: int, means: np.ndarray):
-        # The deviations are drawn, scaled, centred and stepped in one
-        # block; each group's mean is summed bank by bank, so no batch
-        # size changes its bits.
-        states = next(_batches(spec.seed, _BANK_KEY + start, means.shape[1],
-                               grid, len(group_index), vm.d)).block
-        states[0] *= std
-        states[1:] *= own
-        for k, cols in enumerate(members):
-            part = states[:, :, cols]
-            total = part[:, :, 0].copy()
-            for j in range(1, sizes[k]):
-                total += part[:, :, j]
-            part -= (total / sizes[k])[:, :, None]
-        _euler_means(states, decay, 0.0, grid)
-        for k, cols in enumerate(members):
-            states[:, :, cols] += means[:, :, k : k + 1]
-        return start, states
+    def banks(start: int, count: int) -> None:
+        # The deviations are drawn, scaled, centred and stepped window by
+        # window; each group's mean is summed bank by bank, so no batch,
+        # window or path grouping changes its bits.
+        draws = _Streams(spec.seed, _BANK_KEY, grid)
+        rows = _window_rows(count, len(group_index))
+        window = np.empty((min(rows, nodes), count, len(group_index)))
+        last = None
+        for node in range(0, nodes, rows):
+            dev = window[:min(rows, nodes - node)]
+            draws.draw(dev, start, node)
+            if node == 0:
+                dev[0] *= std
+            dev[1 if node == 0 else 0:] *= own
+            for k, cols in enumerate(members):
+                part = dev[:, :, cols]
+                total = part[:, :, 0].copy()
+                for j in range(1, sizes[k]):
+                    total += part[:, :, j]
+                part -= (total / sizes[k])[:, :, None]
+            _euler_means(dev, decay, 0.0, grid, node, last)
+            last = dev[-1].copy()
+            all_states[start : start + count, :, node : node + len(dev)] += (
+                dev.transpose(1, 2, 0))
 
-    all_states = np.empty((spec.n_paths, len(group_index), grid.n_steps + 1))
-    for start, states in _group_mean_batches(vm, strategy, X0, spec, grid,
-                                             banks, jobs):
-        all_states[start : start + states.shape[1]] = states.transpose(1, 2, 0)
-        # Free this batch's paths before the next batch is drawn.
-        del states
+    with ThreadPoolExecutor(max_workers=jobs or 1) as pool:
+        runs = []
+
+        def store(start: int, node: int, means: np.ndarray, state) -> None:
+            rows, count = means.shape[:2]
+            for k, cols in enumerate(members):
+                all_states[start : start + count, cols, node : node + rows] = (
+                    means[:, :, k].T[:, None, :])
+            if node + rows < nodes:
+                return
+            for first in range(start, start + count, _BANK_PATHS):
+                paths = min(_BANK_PATHS, start + count - first)
+                if jobs is None or jobs == 1:
+                    banks(first, paths)
+                else:
+                    runs.append(pool.submit(banks, first, paths))
+
+        try:
+            for _ in _group_mean_batches(vm, strategy, X0, spec, grid, store,
+                                         None):
+                pass
+        finally:
+            # Batches fail in path order: the deviations of earlier paths
+            # before the means of a later batch.
+            for run in runs:
+                run.result()
     return TrajectoryEnsemble.from_states(grid, all_states, group_index)
 
 
@@ -605,27 +747,31 @@ def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
                         spec: NoiseSpec, grid: TimeGrid, reduce,
                         jobs: int | None, bank_group: int | None = None,
                         out: np.ndarray | None = None) -> Iterator:
-    """``reduce(start, carried)`` of each batch, yielded in batch order:
-    the batch's first path and its block [nodes, paths, slots] of the
-    slots of :func:`_mean_slots`, mixed, started and stepped in place.
-    With ``out`` [nodes, n_paths, slots] each block is its batch's slice
-    of it.
+    """``reduce(start, node, carried, state)`` of each window of each
+    batch, yielded in order: the batch's first path, the window's first
+    node, its rows [rows, paths, slots] of the slots of
+    :func:`_mean_slots`, mixed, started and stepped in place, and the
+    dict the batch's windows share (see :func:`_run_batches`), whose
+    key "carried" the pipeline keeps.  With ``out`` [nodes, n_paths,
+    slots] each batch is one window, its slice of it.
 
     Only the slots' joint law matters, so each path draws one normal per
     slot and step and mixes them through the lower Cholesky factor L of
     the slots' covariance: the increments are Z L^T.  With no common
     driver the covariance is diag(own^2) and L is diag(own) exactly.
-    A ``jobs`` other than None or an integer >= 1 raises ValueError.
+    Each window is stepped on from the last row of the one before.
     """
-    if jobs is not None and not (isinstance(jobs, numbers.Integral)
-                                 and jobs >= 1):
-        raise ValueError(f"jobs must be None or an integer >= 1, not {jobs!r}")
     # The noise law comes from the market, so a spec whose correlations
     # differ from the market's was built for another market.
     if spec != NoiseSpec.from_market(vm, spec.seed, spec.n_paths):
         raise ValueError("noise spec correlations differ from the market's")
     counts, groups, is_mean, scale, cov = _mean_slots(vm, bank_group)
     lower = _cholesky(cov)
+    # Z L^T in place and element by element, last slot first: slot j
+    # sums L[j, i] Z_i over i <= j, whose draws are intact.
+    mixes = [(j, lower[j, j], [(i, lower[j, i])
+                               for i in np.flatnonzero(lower[j, :j])])
+             for j in reversed(range(len(lower)))]
     means = np.flatnonzero(is_mean)
     mean, std = _expand_x0(x0, (1,) * vm.d)
     start_loc = np.where(is_mean, mean[groups], 0.0)
@@ -640,20 +786,23 @@ def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
         deviation = means[bank_group] + 1
         weights[:, deviation, deviation] = -gap_t[:, bank_group]
 
-    def step(batch: IncrementBatch):
-        series = batch.block
-        # Z L^T in place and element by element, last slot first: slot j
-        # sums L[j, i] Z_i over i <= j, whose draws are intact.
-        for lo in range(1, len(series), _MIX_ROWS):
+    def step(window: IncrementBatch, state: dict):
+        series = window.block
+        first = 1 if window.node == 0 else 0
+        for lo in range(first, len(series), _MIX_ROWS):
             noise = series[lo : lo + _MIX_ROWS]
-            for j in reversed(range(len(lower))):
-                noise[:, :, j] *= lower[j, j]
-                for i in np.flatnonzero(lower[j, :j]):
-                    noise[:, :, j] += lower[j, i] * noise[:, :, i]
-        start = series[0]
-        start *= start_scale
-        start += start_loc
-        return reduce(batch.start, _euler_means(series, weights, drift, grid))
+            for j, diagonal, below in mixes:
+                noise[:, :, j] *= diagonal
+                for i, weight in below:
+                    noise[:, :, j] += weight * noise[:, :, i]
+        if first:
+            start = series[0]
+            start *= start_scale
+            start += start_loc
+        _euler_means(series, weights, drift, grid, window.node,
+                     state.get("carried"))
+        state["carried"] = series[-1].copy()
+        return reduce(window.start, window.node, series, state)
 
     return _run_batches(generate_increments(spec, grid, counts, out), step,
                         jobs)
@@ -680,17 +829,19 @@ def simulate_group_means(market: MarketParams | ValidatedMarket,
     ValueError before any draw.
 
     Each batch is drawn into, mixed and stepped in its slice of the
-    returned array, so beside it a run holds no batch block: one tile of
-    ``_TILE_PATHS`` paths' streams while a batch is drawn, and per
-    worker temporaries of at most ``_MIX_ROWS`` nodes.
+    returned array, as one window, so beside it a run holds no batch
+    block and no generator per path: one tile of ``_TILE_PATHS`` paths'
+    streams while a batch is drawn, and per worker temporaries of at
+    most ``_MIX_ROWS`` nodes.
     """
+    _check_jobs(jobs)
     vm = validate(market, Mode.MFG)
     grid = grid or strategy.path.grid
     CoefficientPath.check_size(grid, spec.n_paths * vm.d,
                                "storing the group means", "paths or steps")
     out = np.empty((grid.n_steps + 1, spec.n_paths, vm.d))
     for _ in _group_mean_batches(vm, strategy, X0, spec, grid,
-                                 lambda start, carried: None, jobs,
+                                 lambda *window: None, jobs,
                                  out=out):
         pass
     return out
@@ -735,8 +886,11 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
     series.  The returned standard error is binomial.
 
     Without an explicit strategy the market plays
-    :func:`~interbank.equilibrium.default_strategy`.
+    :func:`~interbank.equilibrium.default_strategy`.  Each batch is
+    drawn and stepped in windows of at most ``_WINDOW_BYTES``, keeping
+    only each path's running minimum between them.
     """
+    _check_jobs(jobs)
     vm = validate(market, Mode.MFG)
     default.check_sizes(vm.group_sizes())
     if strategy is None:
@@ -758,14 +912,22 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
     if not (target[unit] == 1.0).all():
         unit = None
 
-    def count(start: int, carried: np.ndarray) -> int:
+    nodes = grid.n_steps + 1
+
+    def count(start: int, node: int, carried: np.ndarray, state) -> int:
         if unit is None:
             series = np.einsum("nps,s->np", carried, target)
         else:
             series = carried[:, :, unit[0]]
             for s in unit[1:]:
                 series = series + carried[:, :, s]
-        return int((series.min(axis=0) <= default.level).sum())
+        low = series.min(axis=0)
+        if node:
+            np.minimum(low, state["low"], out=low)
+        state["low"] = low
+        if node + len(carried) < nodes:
+            return 0
+        return int((low <= default.level).sum())
 
     hits = sum(_group_mean_batches(vm, strategy, x0, spec, grid, count, jobs,
                                    default.group if bank else None))

@@ -316,7 +316,9 @@ def test_independent_increments_are_uncorrelated():
     market = two_groups(n1=2, n2=2, rho=0.0, rho_k=(0.0, 0.0))
     spec = NoiseSpec.from_market(market, seed=5, n_paths=500)
     grid = TimeGrid(t_end=1.0, n_steps=200)
-    (batch,) = generate_increments(spec, grid, (2, 2))
+    # Drawn into out, the batch is one window over the whole horizon.
+    out = np.empty((201, 500, 4))
+    (batch,) = generate_increments(spec, grid, (2, 2), out)
     flat = batch.idiosyncratic.reshape(-1, 4)
     corr = np.corrcoef(flat, rowvar=False)
     off_diag = corr[~np.eye(4, dtype=bool)]
@@ -542,6 +544,28 @@ def test_jobs_is_none_or_a_positive_integer(jobs, seeded):
     assert seeded == []
     for run in runs:
         assert np.array_equal(run(np.int64(2)), run(None))
+
+
+@pytest.mark.parametrize("jobs", [0, 1.5, -3])
+def test_estimate_refuses_jobs_before_it_solves(jobs, seeded, monkeypatch):
+    # Without a strategy the estimate solves the mean-field system first;
+    # a bad worker count is refused before that solve and any draw.
+    solves = []
+    real = simulate.default_strategy
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(simulate, "default_strategy", counted)
+    market = two_groups(n1=2, n2=2)
+    grid = TimeGrid(t_end=1.0, n_steps=8)
+    spec = NoiseSpec.from_market(market, seed=1, n_paths=4)
+    default = DefaultSpec.global_average(-0.1)
+    with pytest.raises(ValueError, match="jobs must be"):
+        mc_hitting_probability(market, spec, default, grid=grid, jobs=jobs)
+    assert solves == [] and seeded == []
+    mc_hitting_probability(market, spec, default, grid=grid, jobs=1)
+    assert len(solves) == 1 and seeded
 
 
 def test_symmetric_groups_have_zero_distance():
@@ -1060,6 +1084,170 @@ def test_bank_simulation_peak_is_the_ensemble_and_a_few_batches(
               + ens.global_average.nbytes)
     batch = _block(grid, 20) + 64 * 20 * (grid.n_steps + 1) * 8
     assert peak < stored + 2 * batch
+
+
+def _windows(monkeypatch):
+    """Record (first path, first node, rows) of every window the
+    simulator draws through ``generate_increments``."""
+    seen = []
+    real = simulate.generate_increments
+
+    def recording(*args):
+        for window in real(*args):
+            seen.append((window.start, window.node, len(window.block)))
+            yield window
+            del window
+    monkeypatch.setattr(simulate, "generate_increments", recording)
+    return seen
+
+
+def _set_window_rows(monkeypatch, rows, paths, columns):
+    """Size the windows so that a batch of ``paths`` paths and ``columns``
+    columns is drawn ``rows`` rows at a time, or all at once for None."""
+    monkeypatch.setattr(simulate, "_WINDOW_BYTES", 2**40 if rows is None
+                        else 8 * paths * columns * rows)
+
+
+def test_windows_continue_every_paths_stream(monkeypatch):
+    # 23 paths in batches of 7, 7, 7 and 2, five columns, windows of 3
+    # rows (10 for the batch of 2): a path's rows, joined over its
+    # batch's windows, are one draw of numpy's stream jumped p times, or
+    # 2**63 + p times for the bank runs' deviation columns.
+    spec = NoiseSpec(rho=0.3, rho_k=(0.0, 0.5), seed=2**40 + 17, n_paths=23)
+    grid = TimeGrid(t_end=1.0, n_steps=9)
+    width = 5
+    monkeypatch.setattr(simulate, "BATCH_PATHS", 7)
+    _set_window_rows(monkeypatch, 3, 7, width)
+    draws = {0: lambda: generate_increments(spec, grid, (2, 3)),
+             2**63: lambda: simulate._batches(spec.seed, 2**63, spec.n_paths,
+                                              grid, width, spec.d)}
+    for key, draw in draws.items():
+        windows = list(draw())
+        assert [(w.start, w.node, len(w.block)) for w in windows] == [
+            (start, node, rows) for start in (0, 7, 14)
+            for node, rows in ((0, 3), (3, 3), (6, 3), (9, 1))] + [
+                (21, 0, 10)]
+        batches = {}
+        for w in windows:
+            batches.setdefault(w.start, []).append(w.block)
+        rows = np.concatenate([np.concatenate(batches[start])
+                               for start in sorted(batches)], axis=1)
+        assert rows.shape == (10, 23, width)
+        for p in range(spec.n_paths):
+            stream = _numpy_rng(spec.seed, key + p).standard_normal(
+                width + grid.n_steps * width)
+            assert np.array_equal(rows[0, p], stream[:width]), (key, p)
+            assert np.array_equal(
+                rows[1:, p], stream[width:].reshape(grid.n_steps, width)
+                * np.sqrt(grid.dt)), (key, p)
+
+
+@pytest.mark.parametrize("size", [7, BATCH_PATHS])
+@pytest.mark.parametrize("jobs", [None, 2])
+def test_windows_change_no_output(monkeypatch, size, jobs):
+    # stepg: coupled weights, a stepped growth rate and common noise.
+    # Windows of 2, 3 and 7 rows of the two mean slots (the bank runs'
+    # twenty deviation columns take 2 rows, the bank target's three
+    # slots 2 to 4), with deviations stepped 3 paths at a time, give the
+    # bits of windows spanning the horizon.
+    market, grid, strategy, spec = _case("stepg", "closed")
+    x0 = ((0.2, 0.3), (-0.1, 0.5))
+    targets = (DefaultSpec.global_average(-0.3),
+               DefaultSpec.group_average(-0.4, 1),
+               DefaultSpec.single_bank(-0.5, 1, 2))
+    monkeypatch.setattr(simulate, "BATCH_PATHS", size)
+    seen = _windows(monkeypatch)
+
+    def outputs():
+        means = simulate_group_means(market, strategy, x0, spec, grid=grid,
+                                     jobs=jobs)
+        states = simulate_closed_loop(market, strategy, x0, spec, grid=grid,
+                                      jobs=jobs).states
+        hits = [mc_hitting_probability(market, spec, t, strategy, x0=x0,
+                                       grid=grid, jobs=jobs).n_hits
+                for t in targets]
+        return means, states, hits
+
+    _set_window_rows(monkeypatch, None, size, 2)
+    means, states, hits = outputs()
+    assert {node for _, node, _ in seen} == {0}
+    for rows in (2, 3, 7):
+        _set_window_rows(monkeypatch, rows, min(size, spec.n_paths), 2)
+        monkeypatch.setattr(simulate, "_BANK_PATHS", 3)
+        seen.clear()
+        got = outputs()
+        assert (0, rows, rows) in seen, rows
+        assert np.array_equal(got[0], means), rows
+        assert np.array_equal(got[1], states), rows
+        assert got[2] == hits, rows
+
+
+@pytest.mark.parametrize("steps", [2000, 8000])
+def test_estimate_memory_does_not_grow_with_the_steps(steps):
+    # The criterion-4 market at 1024 paths: one batch's whole block is
+    # 8.2 MB at 2000 steps and 32.8 MB at 8000, but windows of at most
+    # 1 MiB keep the estimate, its solve included, under 2 MiB at both.
+    group = GroupParams(sigma=1.0, q=2.0, eps=5.0, c=0.0, lam=0.0, n_banks=10)
+    market = MarketParams(groups=(group,), rho=0.0, horizon=1.0, beta=(1.0,))
+    spec = NoiseSpec(rho=0.0, rho_k=(0.0,), seed=3, n_paths=1024)
+    grid = TimeGrid(t_end=1.0, n_steps=steps)
+    assert BATCH_PATHS * (steps + 1) * 8 > 8 * 10**6
+    np.random.SeedSequence(0)
+    est, peak = _traced_peak(lambda: mc_hitting_probability(
+        market, spec, DefaultSpec.global_average(-0.62), grid=grid))
+    assert 0 < est.n_hits < spec.n_paths
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+def test_blow_up_in_a_later_window_is_reported_at_its_node(monkeypatch,
+                                                          jobs):
+    # The means of test_blow_up_reports_the_first_node_past_the_limit
+    # leave the window at node 12, inside the third window of 5 rows.
+    # Then, with a gap gain a million times steeper from step 20 on, the
+    # deviations alone blow up, in a window after it.  Either is reported
+    # at the node that windows spanning the horizon report.
+    grid = TimeGrid(t_end=4.0, n_steps=40)
+    strategy = closed_strategy(two_groups(n1=2, n2=2, horizon=4.0), grid)
+    gamma1 = StepFunction(breaks=(1.0,), values=(0.0, 1e308))
+    markets = {"means": two_groups(n1=2, n2=2, horizon=4.0,
+                                   gamma=(gamma1, 0.0)),
+               "deviations": two_groups(n1=2, n2=2, horizon=4.0)}
+    runs = {
+        "bank simulation": lambda market, spec: simulate_closed_loop(
+            market, strategy, 0.0, spec, grid=grid, jobs=jobs),
+        "estimate": lambda market, spec: mc_hitting_probability(
+            market, spec, DefaultSpec.single_bank(-1.0, 0, 1), strategy,
+            grid=grid, jobs=jobs),
+    }
+    real = simulate._strategy_tables
+
+    def steep(*args):
+        gap, weights, drift = real(*args)
+        return np.where(np.arange(len(gap))[:, None] >= 20, 1e6, 1.0) * gap, \
+            weights, drift
+
+    def blown(market, run):
+        spec = NoiseSpec.from_market(market, seed=0, n_paths=3)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUp) as exc_info:
+                run(market, spec)
+        return exc_info.value.t
+
+    times = grid.times()
+    for kind, market in markets.items():
+        if kind == "deviations":
+            monkeypatch.setattr(simulate, "_strategy_tables", steep)
+        for name, run in runs.items():
+            _set_window_rows(monkeypatch, None, 3, 3)
+            want = blown(market, run)
+            _set_window_rows(monkeypatch, 5, 3, 3)
+            assert blown(market, run) == want, (kind, name)
+            if kind == "means":
+                assert want == times[12], name
+            else:
+                assert want > times[20], name
 
 
 def _series(start, noise):

@@ -73,3 +73,29 @@ def test_traced_runs_count_every_layer_and_undo_restores_the_package():
     after = _bindings(tracing)
     for where, value in before.items():
         assert after[where] is value, where
+
+
+def test_traced_windows_count_the_normals_drawn(monkeypatch):
+    # Windows of 3 rows of the two slots of 8 paths: an estimate draws
+    # 21 nodes in 7 windows, and the means one window over the horizon.
+    # Each window's block holds drawn rows only, so the tracer's count is
+    # the normals drawn: 8 paths x 21 nodes x 2 slots per run.
+    tracing = _load_tracing()
+    market = two_groups(n1=2, n2=3, rho=0.3, rho_k=(0.4, 0.0))
+    grid = TimeGrid(t_end=1.0, n_steps=20)
+    strategy = equilibrium.feedback_closed(
+        riccati.solve_closed_loop(market, grid), market)
+    spec = simulate.NoiseSpec.from_market(market, seed=3, n_paths=8)
+    monkeypatch.setattr(simulate, "_WINDOW_BYTES", 8 * 8 * 2 * 3)
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        simulate.mc_hitting_probability(
+            market, spec, simulate.DefaultSpec.global_average(-0.5),
+            strategy, grid=grid)
+        simulate.simulate_group_means(market, strategy, 0.1, spec, grid=grid)
+    finally:
+        undo()
+    metrics = tracing.layer_metrics(tracer, 1, 0.0)
+    assert metrics["simulate.batches"][0] == 7 + 1
+    assert metrics["simulate.normals_drawn"][0] == 2 * 8 * 21 * 2
