@@ -25,12 +25,12 @@ Randomness is keyed per path: path p draws its slots' normal block from
 numpy's ``PCG64(SeedSequence(seed)).jumped(p)`` stream, and a bank run
 its deviation columns from ``jumped(2**63 + p)``, window after window,
 so any partition of paths into batches, windows or threads reproduces
-the same numbers.  Distinct
-jump counts below 2**64 start at least about 2**62 draws apart.  Products
-run path by path (stacked or ``einsum``, never a 2-D BLAS call whose
-kernel depends on the row count) and reductions over paths are integer
-counts or fixed-order writes, so results are bit-identical for any
-batch size, window size and worker count.
+the same numbers.  Distinct jump counts below 2**64 start at least
+about 2**62 draws apart.  Products run path by path (stacked or
+``einsum``, never a 2-D BLAS call whose kernel depends on the row
+count) and reductions over paths are integer counts or fixed-order
+writes, so results are bit-identical for any batch size, window size
+and worker count.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import functools
 import itertools
 import math
 import numbers
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -175,15 +176,6 @@ def _window_rows(paths: int, columns: int) -> int:
     return max(2, _WINDOW_BYTES // (8 * paths * columns))
 
 
-class _Unseeded(np.random.bit_generator.ISeedSequence):
-    """Seeds the generators of a pool, each of which is set to a path's
-    state before it draws: their own seeding is never used, so it is
-    made from zeros instead of by hashing the seed again."""
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.zeros(n_words, dtype)
-
-
 class _Streams:
     """Path p's normals from numpy's ``PCG64(SeedSequence(seed))
     .jumped(key + p)``, drawn window by window into time-major blocks.
@@ -199,7 +191,8 @@ class _Streams:
     """
 
     def __init__(self, seed: int, key: int, grid: TimeGrid) -> None:
-        seeded = np.random.PCG64(np.random.SeedSequence(seed))
+        self._seq = np.random.SeedSequence(seed)
+        seeded = np.random.PCG64(self._seq)
         self._pool = [np.random.Generator(seeded)]
         self._base = seeded.state
         self._key = key
@@ -214,7 +207,7 @@ class _Streams:
         rows, count, columns = block.shape
         pooled = rows < self._nodes
         if pooled and node == 0:
-            self._pool += [np.random.Generator(np.random.PCG64(_Unseeded()))
+            self._pool += [np.random.Generator(np.random.PCG64(self._seq))
                            for _ in range(count - len(self._pool))]
         tile = np.empty((min(_TILE_PATHS, count), rows * columns))
         streams = list(tile)
@@ -258,13 +251,20 @@ def _batches(seed: int, key: int, n_paths: int, grid: TimeGrid,
         if not out.flags.writeable:
             raise ValueError("out is read-only")
     draws = _Streams(seed, key, grid)
+    memory = np.empty(0)
     for start in range(0, n_paths, BATCH_PATHS):
         count = min(BATCH_PATHS, n_paths - start)
         # A window of out costs no memory, so it spans the horizon.
         rows = nodes if out is not None else _window_rows(count, columns)
         for node in range(0, nodes, rows):
             if out is None:
-                block = np.empty((min(rows, nodes - node), count, columns))
+                size = min(rows, nodes - node) * count * columns
+                # The last window's memory is drawn into again once no
+                # array refers to it: new memory costs a page fault per
+                # 4 KiB written.
+                if memory.size < size or sys.getrefcount(memory) > 2:
+                    memory = np.empty(min(rows, nodes) * count * columns)
+                block = memory[:size].reshape(-1, count, columns)
             else:
                 block = out[node : node + rows, start : start + count]
             draws.draw(block, start, node)
@@ -288,12 +288,11 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     of max(2, ``_WINDOW_BYTES`` // (8 paths columns)) rows, at most 1
     MiB unless two rows are larger, in node order; each window continues
     every path's stream where the last one stopped, so the windows
-    change no draw.  Streams are
-    drawn into a tile of ``_TILE_PATHS`` paths, which is copied into the
-    window's time-major block.  The layout depends only on (grid,
-    n_banks_per_group), never on the spec's correlations: the simulators
-    mix the columns themselves.  ``BATCH_PATHS``, read at each call,
-    only groups the paths.
+    change no draw.  Streams are drawn into a tile of ``_TILE_PATHS``
+    paths, which is copied into the window's time-major block.  The
+    layout depends only on (grid, n_banks_per_group), never on the
+    spec's correlations: the simulators mix the columns themselves.
+    ``BATCH_PATHS``, read at each call, only groups the paths.
 
     Without ``out`` each window's block is a new array.  With ``out``, a
     writeable float64 array [n_steps + 1, n_paths, columns], a batch is
@@ -599,18 +598,18 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     same spec, bit for bit: the same pipeline steps them, window by
     window, and its reducer writes them into every bank of the group.
     Once a batch's means are stored, its deviations are added to them,
-    ``_BANK_PATHS`` paths at a time.  For each path p one column per bank
-    is drawn from the stream jumped 2**63 + p times, in windows of at
-    most ``_WINDOW_BYTES``: a start normal times std_k and step normals times
-    sigma_k ci_k, less their group's mean of them, so that they sum to
-    zero within a group; each then decays at its group's gap gain on the
-    same kernel.  With ``jobs`` > 1 the deviations are drawn and stepped
-    on ``jobs`` worker threads while the means of the next batches are
-    stepped.  The kernel's blow-up guard
-    therefore watches the means and the deviations rather than their
-    sums; a batch's means are checked before its deviations, and batches
-    in path order.  A bank's start state is its group's start mean plus
-    its start deviation, and is stored exactly so.
+    ``_BANK_PATHS`` paths at a time.  For each path p one column per
+    bank is drawn from the stream jumped 2**63 + p times, in windows of
+    at most ``_WINDOW_BYTES``: a start normal times std_k and step
+    normals times sigma_k ci_k, less their group's mean of them, so that
+    they sum to zero within a group; each then decays at its group's gap
+    gain on the same kernel.  With ``jobs`` > 1 the deviations are drawn
+    and stepped on ``jobs`` worker threads while the means of the next
+    batches are stepped.  The kernel's blow-up guard therefore watches
+    the means and the deviations rather than their sums; a batch's means
+    are checked before its deviations, and batches in path order.  A
+    bank's start state is its group's start mean plus its start
+    deviation, and is stored exactly so.
 
     Every path of every bank is kept, so an ensemble above
     :meth:`~interbank.riccati.CoefficientPath.check_size`'s cap raises

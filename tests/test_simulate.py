@@ -1133,6 +1133,11 @@ def test_windows_continue_every_paths_stream(monkeypatch):
         rows = np.concatenate([np.concatenate(batches[start])
                                for start in sorted(batches)], axis=1)
         assert rows.shape == (10, 23, width)
+        # A view kept of a window, and not the window, keeps its memory
+        # from being drawn into again.
+        kept = [w.block[-1] for w in draw()]
+        assert all(np.array_equal(a, w.block[-1])
+                   for a, w in zip(kept, windows, strict=True))
         for p in range(spec.n_paths):
             stream = _numpy_rng(spec.seed, key + p).standard_normal(
                 width + grid.n_steps * width)
