@@ -138,9 +138,9 @@ class IncrementBatch:
     or group slot, and holds nodes ``node`` .. ``node`` + rows - 1: row
     i holds node ``node`` + i's draws, the unscaled start normals at
     node 0 and step n's draws scaled by sqrt(dt) at node n + 1.  The
-    block is a new array, or a view of the caller's ``out`` (see
-    :func:`generate_increments`); either way the consumer owns it and
-    may step it in place.  ``x0_normals`` (row 0) [paths, columns] and
+    block is a view of memory no other array refers to, or of the
+    caller's ``out`` (see :func:`generate_increments`); either way the
+    consumer owns it and may step it in place.  ``x0_normals`` (row 0) [paths, columns] and
     ``increments`` (or ``idiosyncratic``, the rows after it) [paths,
     rows - 1, columns] are path-major views of it, the start normals and
     the steps in a batch's first window.  No common driver is drawn, so
@@ -294,8 +294,9 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     spec's correlations: the simulators mix the columns themselves.
     ``BATCH_PATHS``, read at each call, only groups the paths.
 
-    Without ``out`` each window's block is a new array.  With ``out``, a
-    writeable float64 array [n_steps + 1, n_paths, columns], a batch is
+    Without ``out`` a window is drawn into the last window's memory once
+    no array refers to it, and into new memory otherwise.  With ``out``,
+    a writeable float64 array [n_steps + 1, n_paths, columns], a batch is
     one window spanning the horizon, the view ``out[:, start:start +
     count]``, and no block is allocated; a wrong shape, dtype or a
     read-only ``out`` raises ValueError before any draw.  Beside its
