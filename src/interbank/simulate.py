@@ -269,8 +269,8 @@ def _batches(seed: int, key: int, n_paths: int, grid: TimeGrid,
                 block = out[node : node + rows, start : start + count]
             draws.draw(block, start, node)
             yield IncrementBatch(start=start, block=block, d=d, node=node)
-            # The consumer is done with this window: free it before the
-            # next draw, so only one window is alive at a time.
+            # The consumer is done with this window: drop it, so that the
+            # next window can be drawn into its memory.
             del block
 
 
