@@ -41,7 +41,7 @@ import functools
 import itertools
 import math
 import numbers
-import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -251,7 +251,7 @@ def _batches(seed: int, key: int, n_paths: int, grid: TimeGrid,
         if not out.flags.writeable:
             raise ValueError("out is read-only")
     draws = _Streams(seed, key, grid)
-    memory = np.empty(0)
+    memory, lent = bytearray(), lambda: None
     for start in range(0, n_paths, BATCH_PATHS):
         count = min(BATCH_PATHS, n_paths - start)
         # A window of out costs no memory, so it spans the horizon.
@@ -261,10 +261,15 @@ def _batches(seed: int, key: int, n_paths: int, grid: TimeGrid,
                 size = min(rows, nodes - node) * count * columns
                 # The last window's memory is drawn into again once no
                 # array refers to it: new memory costs a page fault per
-                # 4 KiB written.
-                if memory.size < size or sys.getrefcount(memory) > 2:
-                    memory = np.empty(min(rows, nodes) * count * columns)
-                block = memory[:size].reshape(-1, count, columns)
+                # 4 KiB written.  Every view of a window has the array
+                # over the bytes as its base, so the reference to it dies
+                # with the last view.
+                if len(memory) < 8 * size or lent() is not None:
+                    memory = bytearray(8 * min(rows, nodes) * count * columns)
+                window = np.frombuffer(memory, count=size)
+                lent = weakref.ref(window)
+                block = window.reshape(-1, count, columns)
+                del window
             else:
                 block = out[node : node + rows, start : start + count]
             draws.draw(block, start, node)
