@@ -31,6 +31,9 @@ per-group start, "mean" or "mean~std" for i.i.d. normal starts),
 rowsums).  The flags --out, --seed, --steps, --paths replace the
 corresponding config keys in the text before it is read, so every key,
 from the file or a flag, is parsed and checked once, before any work.
+``jobs`` threads draw and step ``raw_dump``'s bank deviations, while
+group-mean runs (the ``simulate`` summary and ``prob``) run on the
+caller's thread; results never depend on ``jobs``.
 
 Every run writes CSV artifacts atomically plus a JSON manifest holding
 the package version and the config text the run read, flags applied;

@@ -11,15 +11,16 @@ that decays at the gap gain.  Every run steps the means on one slot per
 group, not one column per bank.  Only the slots' joint law matters, so
 each draws one normal per step and the Cholesky factor of their step
 covariance mixes them: d normals per step whatever the correlations.
-Every sampler runs one batch pipeline that steps each batch's means
-and hands them to a reducer.  A batch is drawn and stepped in windows
-of consecutive nodes of about 1 MiB, each stepped on from the last row
-of the one before, so its memory does not grow with the number of
-steps; an estimate keeps only each path's running minimum between
-windows.  The full simulator's reducer stores the means and then adds
-one column per bank for the deviations, drawn and stepped in windows
-too, which carry the idiosyncratic noise alone; the common drivers move
-a group's banks alike and reach its mean only.
+Every group-mean run steps each batch's means in one batch pipeline,
+on the caller's thread, and hands them to a reducer.  A batch is drawn
+and stepped in windows of consecutive nodes of about 1 MiB, each
+stepped on from the last row of the one before, so its memory does not
+grow with the number of steps; an estimate keeps only each path's
+running minimum between windows.  The full simulator stores those means
+in every bank of their group and adds one column per bank for the
+deviations, drawn and stepped in windows too, on worker threads if
+asked; they carry the idiosyncratic noise alone, as the common drivers
+move a group's banks alike and reach its mean only.
 
 Randomness is keyed per path: path p draws its slots' normal block from
 numpy's ``PCG64(SeedSequence(seed)).jumped(p)`` stream, and a bank run
@@ -35,10 +36,8 @@ and worker count.
 
 from __future__ import annotations
 
-import collections
 import enum
 import functools
-import itertools
 import math
 import numbers
 import weakref
@@ -450,19 +449,19 @@ def _group_projector(group_index: Sequence[int], d: int) -> np.ndarray:
 def _expand_x0(x0, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Per-bank means and standard deviations of the initial states.
 
-    Accepts a scalar, one entry per group, or per-group (mean, std) pairs
-    for i.i.d. normal starts; a bare scalar entry means a degenerate start.
+    Accepts a scalar or one entry per group, each a scalar or a (mean,
+    std) pair for i.i.d. normal starts; a bare scalar means a degenerate
+    start.  Any other entry raises ValueError.
     """
     d = len(sizes)
-    if np.isscalar(x0):
-        per_group = [(float(x0), 0.0)] * d
-    else:
-        if len(x0) != d:
-            raise ValueError(f"start states need one entry per group ({d})")
-        per_group = [
-            (float(e[0]), float(e[1])) if not np.isscalar(e) else (float(e), 0.0)
-            for e in x0
-        ]
+    entries = [x0] * d if np.isscalar(x0) else list(x0)
+    if len(entries) != d:
+        raise ValueError(f"start states need one entry per group ({d})")
+    pairs = [(e, 0.0) if np.isscalar(e) else tuple(e) for e in entries]
+    if not all(len(e) == 2 and all(map(np.isscalar, e)) for e in pairs):
+        raise ValueError("each group's start must be a number or a (mean, "
+                         "std) pair")
+    per_group = [(float(m), float(s)) for m, s in pairs]
     if not all(map(math.isfinite, np.ravel(per_group))):
         raise ValueError("start means and standard deviations must be finite")
     mean = np.concatenate([np.full(n, m) for n, (m, _) in zip(sizes, per_group)])
@@ -504,44 +503,6 @@ def _check_jobs(jobs) -> None:
     if jobs is not None and not (isinstance(jobs, numbers.Integral)
                                  and jobs >= 1):
         raise ValueError(f"jobs must be None or an integer >= 1, not {jobs!r}")
-
-
-def _run_batches(windows: Iterator[IncrementBatch], worker,
-                 jobs: int | None) -> Iterator:
-    """``worker(window, state)`` applied to every window, yielded lazily
-    in order.
-
-    ``state`` is a dict that a batch's windows share, new at its first
-    window.  A batch's windows run in order on one thread: the caller's,
-    or with ``jobs`` > 1 one of ``jobs`` lanes that take the batches in
-    turn.  A window is freed once its worker returns, so a serial run
-    holds one window at a time provided the caller drops each result
-    before it asks for the next; with ``jobs`` lanes at most ``jobs``
-    windows are drawn and not yet consumed.
-    """
-    if jobs is None or jobs == 1:
-        for window in windows:
-            if window.node == 0:
-                state = {}
-            result = worker(window, state)
-            del window
-            yield result
-        return
-    lanes = [ThreadPoolExecutor(max_workers=1) for _ in range(jobs)]
-    turns = itertools.cycle(lanes)
-    pending = collections.deque()
-    try:
-        for window in windows:
-            if window.node == 0:
-                lane, state = next(turns), {}
-            pending.append(lane.submit(worker, window, state))
-            if len(pending) == jobs:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for lane in lanes:
-            lane.shutdown(cancel_futures=True)
 
 
 def _euler_means(series: np.ndarray, weights: np.ndarray,
@@ -600,22 +561,21 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     applied with sample group averages in place of the means.
 
     Each bank is stepped as its group mean plus its deviation from it.
-    The group means are those of :func:`simulate_group_means` for the
-    same spec, bit for bit: the same pipeline steps them, window by
-    window, and its reducer writes them into every bank of the group.
-    Once a batch's means are stored, its deviations are added to them,
-    ``_BANK_PATHS`` paths at a time.  For each path p one column per
-    bank is drawn from the stream jumped 2**63 + p times, in windows of
-    at most ``_WINDOW_BYTES``: a start normal times std_k and step
-    normals times sigma_k ci_k, less their group's mean of them, so that
-    they sum to zero within a group; each then decays at its group's gap
-    gain on the same kernel.  With ``jobs`` > 1 the deviations are drawn
-    and stepped on ``jobs`` worker threads while the means of the next
-    batches are stepped.  The kernel's blow-up guard therefore watches
-    the means and the deviations rather than their sums; a batch's means
-    are checked before its deviations, and batches in path order.  A
-    bank's start state is its group's start mean plus its start
-    deviation, and is stored exactly so.
+    The group means are :func:`simulate_group_means`' for the same spec,
+    which is called once and copied into every bank of each group.  The
+    deviations are then added to them, ``_BANK_PATHS`` paths at a time.
+    For each path p one column per bank is drawn from the stream jumped
+    2**63 + p times, in windows of at most ``_WINDOW_BYTES``: a start
+    normal times std_k and step normals times sigma_k ci_k, less their
+    group's mean of them, so that they sum to zero within a group; each
+    then decays at its group's gap gain on the same kernel.  The
+    deviations are drawn and stepped on the caller's thread, or with
+    ``jobs`` > 1 on one pool of ``jobs`` worker threads; the result
+    does not depend on ``jobs``.  The kernel's blow-up guard therefore
+    watches the means and the deviations rather than their sums: every
+    mean is stepped and checked before any deviation, and deviations
+    fail in path order.  A bank's start state is its group's start mean
+    plus its start deviation, and is stored exactly so.
 
     Every path of every bank is kept, so an ensemble above
     :meth:`~interbank.riccati.CoefficientPath.check_size`'s cap raises
@@ -633,20 +593,22 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     own = _loadings(vm, group_index)[1]
     decay = -_strategy_tables(strategy, vm, grid)[0][:, group_index]
     std = _expand_x0(X0, sizes)[1]
-    nodes = grid.n_steps + 1
-    all_states = np.empty((spec.n_paths, len(group_index), nodes))
+    all_states = np.empty((spec.n_paths, len(group_index), grid.n_steps + 1))
+    # Path-major, so that the copies read the means in memory order.
+    means = simulate_group_means(vm, strategy, X0, spec,
+                                 grid=grid).transpose(1, 2, 0).copy()
+    for k, cols in enumerate(members):
+        all_states[:, cols] = means[:, k, None]
+    del means
 
-    def banks(start: int, count: int) -> None:
+    def banks(first: int) -> None:
         # The deviations are drawn, scaled, centred and stepped window by
         # window; each group's mean is summed bank by bank, so no batch,
         # window or path grouping changes its bits.
-        draws = _Streams(spec.seed, _BANK_KEY, grid)
-        rows = _window_rows(count, len(group_index))
-        window = np.empty((min(rows, nodes), count, len(group_index)))
-        last = None
-        for node in range(0, nodes, rows):
-            dev = window[:min(rows, nodes - node)]
-            draws.draw(dev, start, node)
+        for window in _batches(spec.seed, _BANK_KEY + first,
+                               min(_BANK_PATHS, spec.n_paths - first), grid,
+                               len(group_index), vm.d):
+            dev, node, lo = window.block, window.node, first + window.start
             if node == 0:
                 dev[0] *= std
             dev[1 if node == 0 else 0:] *= own
@@ -656,37 +618,20 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
                 for j in range(1, sizes[k]):
                     total += part[:, :, j]
                 part -= (total / sizes[k])[:, :, None]
-            _euler_means(dev, decay, 0.0, grid, node, last)
+            _euler_means(dev, decay, 0.0, grid, node, last if node else None)
             last = dev[-1].copy()
-            all_states[start : start + count, :, node : node + len(dev)] += (
+            all_states[lo : lo + dev.shape[1], :, node : node + len(dev)] += (
                 dev.transpose(1, 2, 0))
+            # Hold no view of the window: the next is drawn into its memory.
+            del window, dev, part
 
-    with ThreadPoolExecutor(max_workers=jobs or 1) as pool:
-        runs = []
-
-        def store(start: int, node: int, means: np.ndarray, state) -> None:
-            rows, count = means.shape[:2]
-            for k, cols in enumerate(members):
-                all_states[start : start + count, cols, node : node + rows] = (
-                    means[:, :, k].T[:, None, :])
-            if node + rows < nodes:
-                return
-            for first in range(start, start + count, _BANK_PATHS):
-                paths = min(_BANK_PATHS, start + count - first)
-                if jobs is None or jobs == 1:
-                    banks(first, paths)
-                else:
-                    runs.append(pool.submit(banks, first, paths))
-
-        try:
-            for _ in _group_mean_batches(vm, strategy, X0, spec, grid, store,
-                                         None):
-                pass
-        finally:
-            # Batches fail in path order: the deviations of earlier paths
-            # before the means of a later batch.
-            for run in runs:
-                run.result()
+    firsts = range(0, spec.n_paths, _BANK_PATHS)
+    if jobs is None or jobs == 1:
+        list(map(banks, firsts))
+    else:
+        # Results are read in path order, so deviations fail in it.
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(banks, firsts))
     return TrajectoryEnsemble.from_states(grid, all_states, group_index)
 
 
@@ -750,15 +695,16 @@ def mean_step_covariance(market: MarketParams | ValidatedMarket,
 
 def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
                         spec: NoiseSpec, grid: TimeGrid, reduce,
-                        jobs: int | None, bank_group: int | None = None,
+                        bank_group: int | None = None,
                         out: np.ndarray | None = None) -> Iterator:
-    """``reduce(start, node, carried, state)`` of each window of each
-    batch, yielded in order: the batch's first path, the window's first
-    node, its rows [rows, paths, slots] of the slots of
-    :func:`_mean_slots`, mixed, started and stepped in place, and the
-    dict the batch's windows share (see :func:`_run_batches`), whose
-    key "carried" the pipeline keeps.  With ``out`` [nodes, n_paths,
-    slots] each batch is one window, its slice of it.
+    """``reduce(node, carried, state)`` of each window of each batch,
+    yielded in order: the window's first node, its rows [rows, paths,
+    slots] of the slots of :func:`_mean_slots`, mixed, started and
+    stepped in place, and a dict that the batch's windows share, new at
+    its first window, whose key "carried" the pipeline keeps.  With
+    ``out`` [nodes, n_paths, slots] each batch is one window, its slice
+    of it.  Each window is drawn and stepped on the caller's thread, and
+    freed once its reducer returns if the caller drops each result.
 
     Only the slots' joint law matters, so each path draws one normal per
     slot and step and mixes them through the lower Cholesky factor L of
@@ -807,10 +753,14 @@ def _group_mean_batches(vm: ValidatedMarket, strategy: FeedbackStrategy, x0,
         _euler_means(series, weights, drift, grid, window.node,
                      state.get("carried"))
         state["carried"] = series[-1].copy()
-        return reduce(window.start, window.node, series, state)
+        return reduce(window.node, series, state)
 
-    return _run_batches(generate_increments(spec, grid, counts, out), step,
-                        jobs)
+    for window in generate_increments(spec, grid, counts, out):
+        if window.node == 0:
+            state = {}
+        result = step(window, state)
+        del window
+        yield result
 
 
 def simulate_group_means(market: MarketParams | ValidatedMarket,
@@ -828,16 +778,17 @@ def simulate_group_means(market: MarketParams | ValidatedMarket,
     of :func:`mean_step_covariance`, which without common noise is
     diag(sigma_k c_i / sqrt(N_k)).  :func:`simulate_closed_loop` steps
     the same slots for the same spec, so its group averages are these
-    means up to the rounding of its per-bank sums.  The result does not
-    depend on the batching or ``jobs``.  Means above
+    means up to the rounding of its per-bank sums.  The means are drawn
+    and stepped on the caller's thread, whatever ``jobs`` is, and the
+    result does not depend on the batching.  Means above
     :meth:`~interbank.riccati.CoefficientPath.check_size`'s cap raise
     ValueError before any draw.
 
     Each batch is drawn into, mixed and stepped in its slice of the
     returned array, as one window, so beside it a run holds no batch
     block and no generator per path: one tile of ``_TILE_PATHS`` paths'
-    streams while a batch is drawn, and per worker temporaries of at
-    most ``_MIX_ROWS`` nodes.
+    streams while a batch is drawn, and temporaries of at most
+    ``_MIX_ROWS`` nodes.
     """
     _check_jobs(jobs)
     vm = validate(market, Mode.MFG)
@@ -846,8 +797,7 @@ def simulate_group_means(market: MarketParams | ValidatedMarket,
                                "storing the group means", "paths or steps")
     out = np.empty((grid.n_steps + 1, spec.n_paths, vm.d))
     for _ in _group_mean_batches(vm, strategy, X0, spec, grid,
-                                 lambda *window: None, jobs,
-                                 out=out):
+                                 lambda *window: None, out=out):
         pass
     return out
 
@@ -892,8 +842,9 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
 
     Without an explicit strategy the market plays
     :func:`~interbank.equilibrium.default_strategy`.  Each batch is
-    drawn and stepped in windows of at most ``_WINDOW_BYTES``, keeping
-    only each path's running minimum between them.
+    drawn and stepped in windows of at most ``_WINDOW_BYTES``, on the
+    caller's thread whatever ``jobs`` is, keeping only each path's
+    running minimum between them.
     """
     _check_jobs(jobs)
     vm = validate(market, Mode.MFG)
@@ -919,7 +870,7 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
 
     nodes = grid.n_steps + 1
 
-    def count(start: int, node: int, carried: np.ndarray, state) -> int:
+    def count(node: int, carried: np.ndarray, state) -> int:
         if unit is None:
             series = np.einsum("nps,s->np", carried, target)
         else:
@@ -934,7 +885,7 @@ def mc_hitting_probability(market: MarketParams | ValidatedMarket,
             return 0
         return int((low <= default.level).sum())
 
-    hits = sum(_group_mean_batches(vm, strategy, x0, spec, grid, count, jobs,
+    hits = sum(_group_mean_batches(vm, strategy, x0, spec, grid, count,
                                    default.group if bank else None))
     p = hits / spec.n_paths
     stderr = math.sqrt(p * (1.0 - p) / spec.n_paths)

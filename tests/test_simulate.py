@@ -546,6 +546,41 @@ def test_jobs_is_none_or_a_positive_integer(jobs, seeded):
         assert np.array_equal(run(np.int64(2)), run(None))
 
 
+def test_only_a_threaded_bank_run_starts_a_pool(monkeypatch):
+    # Group-mean runs draw and step on the caller's thread whatever
+    # ``jobs`` is; a bank run hands its deviations to one pool of ``jobs``
+    # threads, and only when ``jobs`` > 1.
+    market = two_groups(n1=2, n2=3)
+    grid = TimeGrid(t_end=1.0, n_steps=8)
+    strategy = closed_strategy(market, grid)
+    spec = NoiseSpec.from_market(market, seed=1,
+                                 n_paths=2 * simulate._BANK_PATHS + 3)
+    real = simulate.ThreadPoolExecutor
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", refused)
+    simulate_group_means(market, strategy, 0.0, spec, grid=grid, jobs=2)
+    for default in (DefaultSpec.global_average(-0.1),
+                    DefaultSpec.single_bank(-0.1, 1, 2)):
+        mc_hitting_probability(market, spec, default, strategy, grid=grid,
+                               jobs=2)
+    serial = simulate_closed_loop(market, strategy, 0.0, spec, grid=grid,
+                                  jobs=1)
+
+    pools = []
+
+    def counted(*args, **kwargs):
+        pool = real(*args, **kwargs)
+        pools.append(pool._max_workers)
+        return pool
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", counted)
+    threaded = simulate_closed_loop(market, strategy, 0.0, spec, grid=grid,
+                                    jobs=2)
+    assert pools == [2]
+    assert np.array_equal(threaded.states, serial.states)
+
+
 @pytest.mark.parametrize("jobs", [0, 1.5, -3])
 def test_estimate_refuses_jobs_before_it_solves(jobs, seeded, monkeypatch):
     # Without a strategy the estimate solves the mean-field system first;
@@ -731,14 +766,17 @@ def test_mfg_mean_single_group_decoupled():
     (math.nan, "finite"),
     ((0.0, math.inf), "finite"),
     ((0.1, -0.1, 0.3), "one entry per group"),
+    (((0.1, 0.2, 0.3), 0.0), r"a number or a \(mean, std\) pair"),
+    (((0.1,), 0.0), r"a number or a \(mean, std\) pair"),
 ])
-def test_mfg_mean_rejects_bad_start_means(m0, message):
+def test_mfg_mean_rejects_bad_start_means(m0, message, seeded):
     market = two_groups(n1=4, n2=16, c=(0.6, 0.6), lam=(0.4, 0.5))
     grid = TimeGrid(t_end=1.0, n_steps=20)
     strategy = feedback_mfg(solve_mfg(market, grid), market)
     spec = NoiseSpec.from_market(market, seed=5, n_paths=3)
     with pytest.raises(ValueError, match=message):
         simulate_group_means(market, strategy, m0, spec, grid=grid)
+    assert seeded == []
 
 
 def test_mfg_mean_deterministic_flow_matches_ode():
