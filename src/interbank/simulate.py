@@ -22,16 +22,17 @@ deviations, drawn and stepped in windows too, on worker threads if
 asked; they carry the idiosyncratic noise alone, as the common drivers
 move a group's banks alike and reach its mean only.
 
-Randomness is keyed per path: path p draws its slots' normal block from
-numpy's ``PCG64(SeedSequence(seed)).jumped(p)`` stream, and a bank run
-its deviation columns from ``jumped(2**63 + p)``, window after window,
-so any partition of paths into batches, windows or threads reproduces
-the same numbers.  Distinct jump counts below 2**64 start at least
-about 2**62 draws apart.  Products run path by path (stacked or
-``einsum``, never a 2-D BLAS call whose kernel depends on the row
-count) and reductions over paths are integer counts or fixed-order
-writes, so results are bit-identical for any batch size, window size
-and worker count.
+Randomness is keyed per unit of 64 paths: path p = 64 u + i draws
+column i of numpy's ``PCG64(SeedSequence(seed)).jumped(u)`` stream
+filled time-major as [nodes, 64, columns], and a bank run's deviations
+column i of ``jumped(2**63 + u)``.  Columns a batch does not hold are
+drawn and dropped, so any partition of paths into batches, windows or
+threads reproduces the same numbers.  Distinct jump counts below 2**64
+start about 2**62 or more draws apart.  Products run path by path
+(stacked or ``einsum``, never a 2-D BLAS call whose kernel depends on
+the row count) and reductions over paths are integer counts or
+fixed-order writes, so results are bit-identical for any batch size,
+window size and worker count.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ from .riccati import BlowUp, CoefficientPath
 # reorder any floating-point reduction.
 BATCH_PATHS = 512
 
-# Paths drawn before their streams are copied into a window's time-major
-# block (with one slot, one 64-byte line per node), and rows of a block
-# mixed per product, so no temporary is batch-sized.
-_TILE_PATHS = 8
+# Paths that share one stream, bytes of a unit's rows filled per call,
+# and rows of a block mixed per product, so no temporary is batch-sized.
+_UNIT_PATHS = 64
+_FILL_BYTES = 2**15
 _MIX_ROWS = 32
 
 # Bytes of draws a batch holds at a time: it is drawn and stepped in
@@ -74,20 +75,19 @@ _MIX_ROWS = 32
 # two rows are larger.
 _WINDOW_BYTES = 2**20
 
-# Paths whose bank deviations are drawn and stepped together.  A window
-# of 512 paths and 20 banks would hold 12 nodes, and its 512 short draws
-# would cost more than the normals; one of 64 paths holds 102.
-_BANK_PATHS = 64
+# Paths whose bank deviations are drawn and stepped together, one unit:
+# a window of them holds 102 nodes at 20 banks, not 512 paths' 12.
+_BANK_PATHS = _UNIT_PATHS
 
 _MAX_SEED = 2**64
 
-# A bank run draws path p's deviation columns from the stream jumped
-# _BANK_KEY + p times, which no group-mean stream, jumped p times,
+# A bank run draws unit u's deviation columns from the stream jumped
+# _BANK_KEY + u times, which no group-mean stream, jumped u times,
 # reaches.
 _BANK_KEY = 2**63
 
 # numpy's PCG64 jump step, (phi - 1) 2**128, as in ``PCG64.jumped``:
-# advancing a state by (key + p) times it gives ``jumped(key + p)``.
+# advancing a state by (key + u) times it gives ``jumped(key + u)``.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 _MASK_128 = 2**128 - 1
 
@@ -130,22 +130,22 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class IncrementBatch:
-    """Normal draws for a window of consecutive nodes of a contiguous
-    block of paths.
+    """Normal draws for a window of consecutive nodes of the contiguous
+    paths ``start``, ``start`` + 1, ..., each its columns of its unit's
+    stream (see :func:`generate_increments`).
 
     ``block`` [rows, paths, columns] is time-major, one column per bank
     or group slot, and holds nodes ``node`` .. ``node`` + rows - 1: row
     i holds node ``node`` + i's draws, the unscaled start normals at
     node 0 and step n's draws scaled by sqrt(dt) at node n + 1.  The
     block is a view of memory no other array refers to, or of the
-    caller's ``out`` (see :func:`generate_increments`); either way the
-    consumer owns it and may step it in place.  ``x0_normals`` (row 0) [paths, columns] and
-    ``increments`` (or ``idiosyncratic``, the rows after it) [paths,
-    rows - 1, columns] are path-major views of it, the start normals and
-    the steps in a batch's first window.  No common driver is drawn, so
-    ``drivers`` is a new zero array [paths, rows - 1, 1 + d]; it and
-    ``idiosyncratic`` remain for ``perfbench/tracing.py``, which reads
-    them.
+    caller's ``out``; either way the consumer owns it and may step it in
+    place.  ``x0_normals`` (row 0) [paths, columns] and ``increments``
+    (or ``idiosyncratic``, the rows after it) [paths, rows - 1, columns]
+    are path-major views of it, the start normals and the steps in a
+    batch's first window.  No common driver is drawn, so ``drivers`` is
+    a new zero array [paths, rows - 1, 1 + d]; it and ``idiosyncratic``
+    remain for ``perfbench/tracing.py``, which reads them.
     """
 
     start: int
@@ -176,69 +176,66 @@ def _window_rows(paths: int, columns: int) -> int:
 
 
 class _Streams:
-    """Path p's normals from numpy's ``PCG64(SeedSequence(seed))
-    .jumped(key + p)``, drawn window by window into time-major blocks.
+    """Unit u's normals from numpy's ``PCG64(SeedSequence(seed))
+    .jumped(key + u)``, filled time-major as [nodes, 64, columns]: path
+    p = 64 u + i draws column i.
 
-    One ``SeedSequence`` is built.  A batch drawn in one window uses one
-    generator, moved to each path's stream in turn.  A batch drawn in
-    several windows uses one generator per path, so that each window
-    continues every path's stream where the last one stopped; numpy's
-    normals do not depend on how a request is split.  The pool grows to
-    the largest such batch and serves every later one.  A generator is
-    moved to a path's stream by setting it to the seeded state and
-    advancing it by (key + p) jump steps, the state ``jumped`` gives.
+    One ``SeedSequence`` is built.  A batch keeps a generator per unit
+    it overlaps (the pool grows to the most), set at its first window to
+    the seeded state advanced by (key + u) jump steps, the state
+    ``jumped`` gives; later windows continue each stream, as numpy's
+    normals do not depend on how a request is split.  A unit is filled
+    ``_FILL_BYTES`` (or a row) at a time into one scratch, whose batch's
+    columns are copied into the block, the step rows scaled by sqrt(dt);
+    the rest are dropped, so path p's draws depend on (seed, key, p).
     """
 
-    def __init__(self, seed: int, key: int, grid: TimeGrid) -> None:
+    def __init__(self, seed: int, key: int, grid: TimeGrid,
+                 columns: int) -> None:
         self._seq = np.random.SeedSequence(seed)
         seeded = np.random.PCG64(self._seq)
         self._pool = [np.random.Generator(seeded)]
         self._base = seeded.state
         self._key = key
-        self._nodes = grid.n_steps + 1
         self._root = math.sqrt(grid.dt)
+        rows = max(1, _FILL_BYTES // (8 * _UNIT_PATHS * columns))
+        self._scratch = np.empty((min(rows, grid.n_steps + 1), _UNIT_PATHS,
+                                  columns))
 
     def draw(self, block: np.ndarray, start: int, node: int) -> None:
         """Fill ``block`` [rows, paths, columns] with nodes node .. node +
         rows - 1 of paths start, start + 1, ...; the rows of steps are
         scaled by sqrt(dt).  A batch's windows are drawn in node order
         from node 0, before the next batch's."""
-        rows, count, columns = block.shape
-        pooled = rows < self._nodes
-        if pooled and node == 0:
-            self._pool += [np.random.Generator(np.random.PCG64(self._seq))
-                           for _ in range(count - len(self._pool))]
-        tile = np.empty((min(_TILE_PATHS, count), rows * columns))
-        streams = list(tile)
-        # One element per node: copying a tile row into its path's column
-        # of the block moves whole nodes' bytes.
-        per_node = np.dtype((np.void, 8 * columns))
-        into, tiles = block.view(per_node)[:, :, 0], tile.view(per_node)
-        for lo in range(0, count, _TILE_PATHS):
-            hi = min(lo + _TILE_PATHS, count)
-            for j, stream in zip(range(lo, hi), streams):
-                rng = self._pool[j if pooled else 0]
-                if node == 0:
-                    bits = rng.bit_generator
-                    bits.state = self._base
-                    bits.advance((self._key + start + j) * _JUMP & _MASK_128)
-                rng.standard_normal(out=stream)
-            into[:, lo:hi] = tiles[:hi - lo].T
-        steps = block[1 if node == 0 else 0:]
-        if steps.flags.c_contiguous:
-            steps *= self._root
-        else:
-            # On a strided view numpy would buffer the multiply; its rows
-            # (nodes) are contiguous.
-            for row in steps:
-                row *= self._root
+        rows, count = block.shape[:2]
+        units = range(start // _UNIT_PATHS,
+                      (start + count - 1) // _UNIT_PATHS + 1)
+        self._pool += [np.random.Generator(np.random.PCG64(self._seq))
+                       for _ in range(len(units) - len(self._pool))]
+        for rng, unit in zip(self._pool, units):
+            # The unit's column j is the block's path offset + j.
+            offset = unit * _UNIT_PATHS - start
+            lo, hi = max(offset, 0), min(offset + _UNIT_PATHS, count)
+            if node == 0:
+                rng.bit_generator.state = self._base
+                rng.bit_generator.advance((self._key + unit) * _JUMP
+                                          & _MASK_128)
+            for r0 in range(0, rows, len(self._scratch)):
+                fill = self._scratch[:rows - r0]
+                rng.standard_normal(out=fill)
+                ours = fill[:, lo - offset : hi - offset]
+                np.multiply(ours, self._root,
+                            out=block[r0 : r0 + len(fill), lo:hi])
+                if node == r0 == 0:
+                    block[0, lo:hi] = ours[0]
 
 
 def _batches(seed: int, key: int, n_paths: int, grid: TimeGrid,
-             columns: int, d: int, out: np.ndarray | None = None
-             ) -> Iterator[IncrementBatch]:
-    """The windows of :func:`generate_increments`, ``columns`` wide, with
-    path p's stream ``PCG64(SeedSequence(seed)).jumped(key + p)``: each
+             columns: int, d: int, out: np.ndarray | None = None,
+             first: int = 0) -> Iterator[IncrementBatch]:
+    """The windows of :func:`generate_increments`, ``columns`` wide, of
+    paths ``first`` .. ``first`` + n_paths - 1 (``out`` holds them), with
+    unit u's stream ``PCG64(SeedSequence(seed)).jumped(key + u)``: each
     batch's windows in node order, batch after batch."""
     nodes = grid.n_steps + 1
     if out is not None:
@@ -249,10 +246,10 @@ def _batches(seed: int, key: int, n_paths: int, grid: TimeGrid,
             raise ValueError(f"out has dtype {out.dtype}, not float64")
         if not out.flags.writeable:
             raise ValueError("out is read-only")
-    draws = _Streams(seed, key, grid)
+    draws = _Streams(seed, key, grid, columns)
     memory, lent = bytearray(), lambda: None
-    for start in range(0, n_paths, BATCH_PATHS):
-        count = min(BATCH_PATHS, n_paths - start)
+    for start in range(first, first + n_paths, BATCH_PATHS):
+        count = min(BATCH_PATHS, first + n_paths - start)
         # A window of out costs no memory, so it spans the horizon.
         rows = nodes if out is not None else _window_rows(count, columns)
         for node in range(0, nodes, rows):
@@ -270,7 +267,8 @@ def _batches(seed: int, key: int, n_paths: int, grid: TimeGrid,
                 block = window.reshape(-1, count, columns)
                 del window
             else:
-                block = out[node : node + rows, start : start + count]
+                block = out[node : node + rows,
+                            start - first : start - first + count]
             draws.draw(block, start, node)
             yield IncrementBatch(start=start, block=block, d=d, node=node)
             # The consumer is done with this window: drop it, so that the
@@ -286,17 +284,17 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     or group slot, in batches of ``BATCH_PATHS`` paths, each as windows
     of consecutive nodes.
 
-    Path p's normals are those of numpy's
-    ``PCG64(SeedSequence(seed)).jumped(p)``: the start normals first,
-    then one row per step.  A batch of ``paths`` paths comes in windows
-    of max(2, ``_WINDOW_BYTES`` // (8 paths columns)) rows, at most 1
-    MiB unless two rows are larger, in node order; each window continues
-    every path's stream where the last one stopped, so the windows
-    change no draw.  Streams are drawn into a tile of ``_TILE_PATHS``
-    paths, which is copied into the window's time-major block.  The
-    layout depends only on (grid, n_banks_per_group), never on the
-    spec's correlations: the simulators mix the columns themselves.
-    ``BATCH_PATHS``, read at each call, only groups the paths.
+    Path p = 64 u + i takes column i of numpy's ``PCG64(SeedSequence
+    (seed)).jumped(u)`` filled time-major as [nodes, 64, columns]: its
+    start normals in the first row, then one row per step.  A batch of
+    ``paths`` paths comes in windows of max(2, ``_WINDOW_BYTES`` // (8
+    paths columns)) rows, at most 1 MiB unless two rows are larger, in
+    node order; each continues every unit's stream where the last one
+    stopped, and a unit's columns of paths outside the batch are drawn
+    and dropped, so neither changes a draw.  The layout depends only on
+    (grid, n_banks_per_group), never on the spec's correlations: the
+    simulators mix the columns themselves.  ``BATCH_PATHS``, read at
+    each call, only groups the paths.
 
     Without ``out`` a window is drawn into the last window's memory once
     no array refers to it, and into new memory otherwise.  With ``out``,
@@ -304,8 +302,8 @@ def generate_increments(spec: NoiseSpec, grid: TimeGrid,
     one window spanning the horizon, the view ``out[:, start:start +
     count]``, and no block is allocated; a wrong shape, dtype or a
     read-only ``out`` raises ValueError before any draw.  Beside its
-    block, a window allocates one tile, and a batch of several windows
-    keeps one generator per path.
+    blocks, a call holds a scratch of ``_FILL_BYTES`` (or of one unit
+    row) and a generator per unit of a batch.
     """
     sizes = tuple(int(n) for n in n_banks_per_group)
     if len(sizes) != spec.d:
@@ -563,19 +561,19 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
     Each bank is stepped as its group mean plus its deviation from it.
     The group means are :func:`simulate_group_means`' for the same spec,
     which is called once and copied into every bank of each group.  The
-    deviations are then added to them, ``_BANK_PATHS`` paths at a time.
-    For each path p one column per bank is drawn from the stream jumped
-    2**63 + p times, in windows of at most ``_WINDOW_BYTES``: a start
-    normal times std_k and step normals times sigma_k ci_k, less their
-    group's mean of them, so that they sum to zero within a group; each
-    then decays at its group's gap gain on the same kernel.  The
-    deviations are drawn and stepped on the caller's thread, or with
-    ``jobs`` > 1 on one pool of ``jobs`` worker threads; the result
-    does not depend on ``jobs``.  The kernel's blow-up guard therefore
-    watches the means and the deviations rather than their sums: every
-    mean is stepped and checked before any deviation, and deviations
-    fail in path order.  A bank's start state is its group's start mean
-    plus its start deviation, and is stored exactly so.
+    deviations are then added to them, ``_BANK_PATHS`` paths (one unit)
+    at a time, one column per bank from unit u's stream jumped 2**63 + u
+    times (see :func:`generate_increments`), in windows of at most
+    ``_WINDOW_BYTES``: a start normal times std_k and step normals times
+    sigma_k ci_k, less their group's mean of them, so that they sum to
+    zero within a group; each then decays at its group's gap gain on the
+    same kernel.  The deviations are drawn and stepped on the caller's
+    thread, or with ``jobs`` > 1 on one pool of ``jobs`` worker threads;
+    the result does not depend on ``jobs``.  The kernel's blow-up guard
+    therefore watches the means and the deviations rather than their
+    sums: every mean is stepped and checked before any deviation, and
+    deviations fail in path order.  A bank's start state is its group's
+    start mean plus its start deviation, and is stored exactly so.
 
     Every path of every bank is kept, so an ensemble above
     :meth:`~interbank.riccati.CoefficientPath.check_size`'s cap raises
@@ -605,10 +603,10 @@ def simulate_closed_loop(market: MarketParams | ValidatedMarket,
         # The deviations are drawn, scaled, centred and stepped window by
         # window; each group's mean is summed bank by bank, so no batch,
         # window or path grouping changes its bits.
-        for window in _batches(spec.seed, _BANK_KEY + first,
+        for window in _batches(spec.seed, _BANK_KEY,
                                min(_BANK_PATHS, spec.n_paths - first), grid,
-                               len(group_index), vm.d):
-            dev, node, lo = window.block, window.node, first + window.start
+                               len(group_index), vm.d, first=first):
+            dev, node, lo = window.block, window.node, window.start
             if node == 0:
                 dev[0] *= std
             dev[1 if node == 0 else 0:] *= own
@@ -786,9 +784,9 @@ def simulate_group_means(market: MarketParams | ValidatedMarket,
 
     Each batch is drawn into, mixed and stepped in its slice of the
     returned array, as one window, so beside it a run holds no batch
-    block and no generator per path: one tile of ``_TILE_PATHS`` paths'
-    streams while a batch is drawn, and temporaries of at most
-    ``_MIX_ROWS`` nodes.
+    block and no generator per path: one scratch of ``_FILL_BYTES``
+    while a batch is drawn, a generator per 64-path unit of a batch, and
+    temporaries of at most ``_MIX_ROWS`` nodes.
     """
     _check_jobs(jobs)
     vm = validate(market, Mode.MFG)
